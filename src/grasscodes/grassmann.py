@@ -4,15 +4,17 @@ The full graph has every k-subspace of F_q^n as a vertex, with edges
 between subspaces meeting in dimension k-1; the strength-t graph is the
 subgraph induced on codes of strength >= t.  Everything here is the
 brute-force oracle side of the package: vertex sets are enumerated
-completely (pivot-pattern generation, canonically sorted), adjacency is
-materialized, and distances come from genuine breadth-first search (run
-as vectorized frontier expansion so all-pairs sweeps stay inside the
-stated ten-minute desk budget).
+completely (pivot-pattern generation, canonically sorted), edges are
+held as a bucket incidence (each vertex lists the cliques of the graph
+it lies in), and distances come from genuine breadth-first search over
+that incidence (bit-parallel from all sources at once).
 
-Graph distance in the full graph coincides with k - dim(x ∩ y); the
-module computes both independently (BFS vs. stacked-basis ranks) so the
-identity, and the isometry of induced subgraphs, can be *checked* rather
-than assumed.
+Graph distance in the full graph coincides with k - dim(x ∩ y).  The
+full graph's BFS diameter is re-checked against min(k, n-k), and the
+isometry check compares BFS distance in the induced subgraph with
+k - dim(x ∩ y).  For min(k, n-k) >= 3 that metric comes from
+stacked-basis ranks, independent of the graph; for min(k, n-k) <= 2 it
+is read off the adjacency, which pins it exactly.
 """
 
 from __future__ import annotations
@@ -34,15 +36,7 @@ from .errors import (
     VertexAbsentError,
 )
 from .gf import FieldCtx
-from .linalg import (
-    MatrixGF,
-    Subspace,
-    complement_basis,
-    hyperplanes_containing,
-    projective_reps,
-    rref,
-    subspace_count,
-)
+from .linalg import MatrixGF, Subspace, projective_reps, rref, subspace_count
 
 ENUM_CAP = 1 << 21
 ALL_PAIRS_CAP = 1 << 25  # max number of vertex pairs in all-pairs verification
@@ -179,16 +173,17 @@ def grassmann_distance(x: Subspace, y: Subspace) -> int:
 class GrassmannGraph:
     """Full graph or strength-t induced subgraph over a SubspaceIndex.
 
-    vertex_ids maps graph positions to index positions.  Adjacency is a
-    dense boolean matrix, built lazily by the shared-hyperplane bucket
-    scan (or the complete-graph shortcut when k is 1 or n-1, where every
-    distinct pair meets in dimension k-1).
+    vertex_ids maps graph positions to index positions.  Edges are held as
+    the bucket incidence (see `incidence`), which drives adjacency and
+    every BFS; the dense boolean adjacency matrix is filled from it only
+    when `adjacency` is asked for.
     """
 
     def __init__(self, index: SubspaceIndex, t: int | None, vertex_ids: np.ndarray):
         self.index = index
         self.t = t
         self.vertex_ids = vertex_ids
+        self._incidence: np.ndarray | None = None
         self._adjacency: np.ndarray | None = None
         self._all_pairs: np.ndarray | None = None
 
@@ -213,9 +208,25 @@ class GrassmannGraph:
             raise VertexAbsentError("subspace is not a vertex of this graph")
         return int(pos)
 
+    def incidence(self) -> np.ndarray:
+        """V x h array of bucket ids, numbered 0.. in canonical key order.
+
+        Each bucket is a clique and every edge lies in exactly one bucket:
+        for k <= n-k the buckets of x are its [k]_q hyperplanes, otherwise
+        the [n-k]_q (k+1)-spaces containing x, so h = min([k]_q, [n-k]_q).
+        """
+        if self._incidence is None:
+            self._incidence = _bucket_incidence(
+                self.index.ctx, self.vertex_bases(), self.index.n, self.index.k
+            )
+        return self._incidence
+
     def adjacency(self) -> np.ndarray:
         if self._adjacency is None:
-            self._adjacency = _adjacency_buckets(self)
+            v = self.num_vertices
+            adj = _unpack(_spread(self, _identity_bits(v)), v)
+            np.fill_diagonal(adj, False)
+            self._adjacency = adj
         return self._adjacency
 
 
@@ -228,93 +239,121 @@ def build_delta(
 ) -> GrassmannGraph:
     """Subgraph induced on the strength-t class.
 
-    When the full graph's adjacency has already been materialized, pass
-    it as `gamma`: the induced adjacency is the row/column slice of it.
+    When the full graph's incidence has already been built, pass it as
+    `gamma`: the induced incidence is its row slice, ids recompacted.
     """
     if not 1 <= t <= index.k:
         raise BadTError(f"t must be in [1, k={index.k}], got {t}")
     mask = index.strength_all() >= t
     ids = np.nonzero(mask)[0].astype(np.int64)
     graph = GrassmannGraph(index, t, ids)
-    if gamma is not None and gamma._adjacency is not None and gamma.index is index:
-        graph._adjacency = gamma._adjacency[np.ix_(ids, ids)]
+    if gamma is not None and gamma._incidence is not None and gamma.index is index:
+        rows = gamma._incidence[ids]
+        graph._incidence = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
     return graph
 
 
-def _is_complete_case(n: int, k: int) -> bool:
-    return k == 1 or k == n - 1
+def _annihilators(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
+    """(V, n-k, n) bases of the annihilators of the RREF bases (V, k, n).
 
-
-def _adjacency_buckets(graph: GrassmannGraph) -> np.ndarray:
-    """Edges via buckets of vertices sharing a (k-1)-subspace.
-
-    Two distinct k-spaces are adjacent iff they share exactly one common
-    hyperplane, so every bucket is a clique and every edge lands in
-    exactly one bucket.
+    Free column f of an RREF basis gives the kernel vector e_f minus
+    sum_i bases[i, f] e_(pivot i).
     """
-    v = graph.num_vertices
-    n, k = graph.index.n, graph.index.k
-    adj = np.zeros((v, v), dtype=bool)
-    if v <= 1 or k == 0:
-        return adj
-    if _is_complete_case(n, k):
-        adj[:] = True
-        np.fill_diagonal(adj, False)
-        return adj
-    buckets: dict = {}
-    zero = Subspace.zero(graph.index.ctx, n)
-    for pos in range(v):
-        sub = graph.subspace_at(pos)
-        for h in hyperplanes_containing(sub, zero):
-            buckets.setdefault(h.basis.rows, []).append(pos)
-    for members in buckets.values():
-        if len(members) > 1:
-            arr = np.asarray(members)
-            adj[np.ix_(arr, arr)] = True
-    np.fill_diagonal(adj, False)
-    return adj
+    neg = ctx.np_tables()[4]
+    v = bases.shape[0]
+    vi = np.arange(v)[:, None, None]
+    pivots = (bases != 0).argmax(axis=2)
+    is_pivot = np.zeros((v, n), dtype=bool)
+    is_pivot[vi[:, :, 0], pivots] = True
+    free = np.argsort(is_pivot, axis=1, kind="stable")[:, : n - k]
+    out = np.zeros((v, n - k, n), dtype=np.uint8)
+    fi = np.arange(n - k)[None, None, :]
+    out[vi[:, 0], fi[0], free] = 1
+    out[vi, fi, pivots[:, :, None]] = neg[bases[vi, np.arange(k)[None, :, None], free[:, None, :]]]
+    return out
 
 
-def adjacency_pairwise(graph: GrassmannGraph, chunk: int = 1 << 15) -> np.ndarray:
-    """Adjacency by direct rank tests on all stacked pairs (oracle route)."""
-    v = graph.num_vertices
-    k = graph.index.k
-    bases = graph.vertex_bases()
-    adj = np.zeros((v, v), dtype=bool)
-    for i in range(v):
-        js = np.arange(i + 1, v)
-        for s in range(0, js.size, chunk):
-            jblock = js[s : s + chunk]
-            stacked = np.concatenate(
-                (np.broadcast_to(bases[i], (jblock.size, k, graph.index.n)), bases[jblock]),
-                axis=1,
-            )
-            ranks = bulk.batched_rank(graph.index.ctx, stacked)
-            hit = jblock[ranks == k + 1]
-            adj[i, hit] = True
-            adj[hit, i] = True
-    return adj
+def _bucket_incidence(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Bucket ids of every vertex, see GrassmannGraph.incidence.
+
+    The (k+1)-spaces containing x are the annihilators of the hyperplanes
+    of x's annihilator, so both sides reduce to hyperplanes of a basis
+    block B.  The hyperplane {c : lam . c = 0} of F_q^k has the kernel
+    basis N_lam (rows e_j - lam_j e_p, p the leading 1 of lam), and N_lam B
+    spans the matching hyperplane of x; one batched RREF canonicalizes
+    them all.
+    """
+    if 2 * k > n:
+        bases, k = _annihilators(ctx, bases, n, k), n - k
+    v = bases.shape[0]
+    lams = list(projective_reps(ctx, k))
+    if not lams:
+        return np.zeros((v, 0), dtype=np.int64)
+    add, sub, mul, inv, neg = ctx.np_tables()
+    kernels = np.zeros((len(lams), k - 1, k), dtype=np.uint8)
+    for h, lam in enumerate(lams):
+        p = lam.index(1)
+        for r, j in enumerate(j for j in range(k) if j != p):
+            kernels[h, r, j] = 1
+            kernels[h, r, p] = neg[lam[j]]
+    spans = np.zeros((v, len(lams), k - 1, n), dtype=np.uint8)
+    for i in range(k):
+        spans = add[spans, mul[kernels[None, :, :, i, None], bases[:, None, None, i, :]]]
+    canon, _ = bulk.batched_rref(ctx, spans.reshape(v * len(lams), k - 1, n))
+    keys = canon.reshape(v * len(lams), (k - 1) * n)
+    if keys.shape[1] == 0:  # k-1 = 0: the one bucket is the zero space
+        return np.zeros((v, len(lams)), dtype=np.int64)
+    ids = np.unique(keys, axis=0, return_inverse=True)[1]
+    return ids.reshape(v, len(lams)).astype(np.int64)
 
 
 # -- distances ----------------------------------------------------------------------
+#
+# All-sources BFS runs on bitsets: row u of a V x ceil(V/64) uint64 array
+# is the set of vertices u has reached.  One level ORs the rows of each
+# bucket's members together and ORs the result back into every member,
+# O(V * h * V/64) word operations.
 
-def _bool_matmul(reach: np.ndarray, adj_f: np.ndarray, block: int = 2048) -> np.ndarray:
-    """reach @ adj > 0 on bool inputs, row-chunked through float32 BLAS."""
-    v = reach.shape[0]
-    out = np.empty((v, v), dtype=bool)
-    for i in range(0, v, block):
-        rb = reach[i : i + block].astype(np.float32)
-        out[i : i + block] = (rb @ adj_f) > 0.5
+def _identity_bits(v: int) -> np.ndarray:
+    bits = np.zeros((v, (v + 63) // 64), dtype=np.uint64)
+    ar = np.arange(v)
+    bits.view(np.uint8)[ar, ar >> 3] = (1 << (ar & 7)).astype(np.uint8)
+    return bits
+
+
+def _unpack(bits: np.ndarray, v: int) -> np.ndarray:
+    """V x V boolean matrix of a bitset array."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=v, bitorder="little").view(bool)
+
+
+def _spread(graph: GrassmannGraph, reach: np.ndarray) -> np.ndarray:
+    """Each row of `reach` ORed with the rows of every neighbor."""
+    inc = graph.incidence()
+    v, h = inc.shape
+    out = reach.copy()
+    if v == 0 or h == 0:
+        return out
+    # members of every bucket in id order, and where each bucket begins
+    order = np.argsort(inc.ravel(), kind="stable")
+    members = order // h
+    starts = np.flatnonzero(np.diff(inc.ravel()[order], prepend=-1))
+    merged = np.empty((starts.size, reach.shape[1]), dtype=reach.dtype)
+    # chunks of whole buckets, about V members each, bound the gathered block
+    cuts = np.unique(np.r_[np.searchsorted(starts, np.arange(0, members.size, v)), starts.size])
+    for b0, b1 in zip(cuts[:-1], cuts[1:]):
+        lo = starts[b0]
+        hi = starts[b1] if b1 < starts.size else members.size
+        merged[b0:b1] = np.bitwise_or.reduceat(reach[members[lo:hi]], starts[b0:b1] - lo, axis=0)
+    for j in range(h):
+        out |= merged[inc[:, j]]
     return out
 
 
 def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> np.ndarray:
     """Exact BFS distance between every vertex pair; -1 marks unreachable.
 
-    Runs breadth-first search from all sources simultaneously: the
-    reachability matrix is expanded one level per step, which is the
-    same frontier expansion every per-source BFS would do.  The result
-    is cached on the graph.
+    Runs breadth-first search from all sources at once on reach bitsets,
+    one level per step; the result is cached on the graph.
     """
     v = graph.num_vertices
     if v * (v - 1) // 2 > max_pairs:
@@ -323,74 +362,29 @@ def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -
         )
     if graph._all_pairs is not None:
         return graph._all_pairs
-    dist = np.full((v, v), -1, dtype=np.int16)
-    if v == 0:
-        return dist
-    np.fill_diagonal(dist, 0)
-    if v > 1:
-        adj = graph.adjacency()
-        dist[adj] = 1
-        if not _is_complete_case(graph.index.n, graph.index.k):
-            reach = adj | np.eye(v, dtype=bool)
-            adj_f = adj.astype(np.float32)
-            level = 1
-            while not reach.all():
-                new = _bool_matmul(reach, adj_f) | reach
-                gained = new & ~reach
-                if not gained.any():
-                    break
-                level += 1
-                dist[gained] = level
-                reach = new
-                if level > v:  # pragma: no cover
-                    raise InternalInvariantError("BFS failed to converge")
+    # d(u, w) is the number of levels at which u has not yet reached w
+    dist = np.zeros((v, v), dtype=np.int16)
+    reach = _identity_bits(v)
+    while True:
+        missing = _unpack(~reach, v)
+        if not missing.any():
+            break
+        dist += missing
+        new = _spread(graph, reach)
+        if (new == reach).all():
+            dist[missing] = -1
+            break
+        reach = new
     graph._all_pairs = dist
     return dist
 
 
-def neighbors(graph: GrassmannGraph, pos: int) -> list[int]:
-    """Graph positions adjacent to the vertex at `pos`, generated
-    algebraically: for each hyperplane h of the vertex, every lift of a
-    quotient line through h is a candidate k-space adjacent in the full
-    graph; candidates are filtered to the graph's vertex set.  Needs no
-    edge storage, so it scales past the dense-adjacency cap."""
-    if not 0 <= pos < graph.num_vertices:
-        raise VertexAbsentError(f"position {pos} out of range")
-    sub = graph.subspace_at(pos)
-    index = graph.index
-    ctx, n, k = index.ctx, index.n, index.k
-    if k == 0:
-        return []
-    full = Subspace.full(ctx, n)
-    ids = graph.vertex_ids
-    out = []
-    for h in hyperplanes_containing(sub, Subspace.zero(ctx, n)):
-        complement_rows = complement_basis(h, full)
-        for lam in projective_reps(ctx, len(complement_rows)):
-            vtx = [0] * n
-            for li, b in zip(lam, complement_rows):
-                if li:
-                    vtx = [ctx.add(a, ctx.mul(li, c)) for a, c in zip(vtx, b)]
-            cand = Subspace.from_vectors(ctx, n, list(h.basis.rows) + [vtx])
-            if cand == sub:
-                continue
-            try:
-                gid = index.index_of(cand)
-            except VertexAbsentError:  # pragma: no cover - index is complete
-                continue
-            p = int(np.searchsorted(ids, gid))
-            if p < len(ids) and ids[p] == gid:
-                out.append(p)
-    return sorted(set(out))
-
-
-def bfs_distances(graph: GrassmannGraph, source, dense_cap: int = 1 << 13) -> np.ndarray:
+def bfs_distances(graph: GrassmannGraph, source) -> np.ndarray:
     """Single-source BFS distances (float array, inf for unreachable).
 
-    source may be a graph position (int) or a Subspace/LinearCode.  Up to
-    dense_cap vertices the cached adjacency matrix drives the frontier
-    expansion; above it neighbors are generated on demand and no edge
-    storage is kept.
+    source may be a graph position (int) or a Subspace/LinearCode.  Each
+    level marks the buckets of the frontier and takes their unreached
+    members as the next frontier.
     """
     if isinstance(source, (int, np.integer)):
         src = int(source)
@@ -398,29 +392,18 @@ def bfs_distances(graph: GrassmannGraph, source, dense_cap: int = 1 << 13) -> np
             raise VertexAbsentError(f"position {src} out of range")
     else:
         src = graph.position_of(source)
-    v = graph.num_vertices
-    dist = np.full(v, inf)
+    inc = graph.incidence()
+    dist = np.full(graph.num_vertices, inf)
     dist[src] = 0
-    if v > dense_cap and not _is_complete_case(graph.index.n, graph.index.k):
-        from collections import deque
-
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in neighbors(graph, u):
-                if dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-    adj = graph.adjacency()
-    frontier = np.zeros(v, dtype=bool)
-    frontier[src] = True
+    num_buckets = int(inc.max()) + 1 if inc.size else 0
+    frontier = np.array([src])
     level = 0
-    while frontier.any():
-        nxt = adj[frontier].any(axis=0) & np.isinf(dist)
+    while frontier.size:
+        hit = np.zeros(num_buckets, dtype=bool)
+        hit[inc[frontier]] = True
+        frontier = np.flatnonzero(hit[inc].any(axis=1) & np.isinf(dist))
         level += 1
-        dist[nxt] = level
-        frontier = nxt
+        dist[frontier] = level
     return dist
 
 
@@ -430,7 +413,7 @@ def metric_distance_matrix(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP
     For min(k, n-k) <= 2 this is forced by adjacency alone: distinct
     non-adjacent spaces have dim(x ∩ y) <= k-2 and >= k - min(k, n-k),
     which pin it exactly.  Otherwise every pair's stacked rank is
-    computed outright (chunked).
+    computed outright, in blocks of whole rows of about 2^16 pairs.
     """
     v = graph.num_vertices
     n, k = graph.index.n, graph.index.k
@@ -439,26 +422,25 @@ def metric_distance_matrix(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP
             f"{v} vertices give {v * (v - 1) // 2} pairs > cap {max_pairs}"
         )
     if min(k, n - k) <= 2:
-        dist = np.full((v, v), min(k, n - k), dtype=np.int16)
-        if v:
-            adj = graph.adjacency()
-            dist[adj] = 1
-            np.fill_diagonal(dist, 0)
+        dist = np.where(graph.adjacency(), np.int16(1), np.int16(min(k, n - k)))
+        np.fill_diagonal(dist, 0)
         return dist
     bases = graph.vertex_bases()
     ctx = graph.index.ctx
     dist = np.zeros((v, v), dtype=np.int16)
-    chunk = 1 << 15
-    for i in range(v):
-        js = np.arange(i + 1, v)
-        for s in range(0, js.size, chunk):
-            jblock = js[s : s + chunk]
-            stacked = np.concatenate(
-                (np.broadcast_to(bases[i], (jblock.size, k, n)), bases[jblock]), axis=1
-            )
-            ranks = bulk.batched_rank(ctx, stacked)
-            dist[i, jblock] = ranks - k
-            dist[jblock, i] = ranks - k
+    chunk = 1 << 16
+    per_row = np.arange(v - 1, -1, -1)
+    ends = np.cumsum(per_row)  # number of pairs (i, j > i) in rows 0..i
+    start = 0
+    while start < v:
+        before = ends[start] - per_row[start]
+        stop = max(start + 1, int(np.searchsorted(ends, before + chunk, "right")))
+        i, j = np.nonzero(np.arange(start, stop)[:, None] < np.arange(v))
+        i += start
+        ranks = bulk.batched_rank(ctx, np.concatenate((bases[i], bases[j]), axis=1))
+        dist[i, j] = ranks - k
+        dist[j, i] = ranks - k
+        start = stop
     return dist
 
 
@@ -485,18 +467,14 @@ def diameter_and_connectivity(
     if v == 0:
         return GraphSummary(True, None, 0)
     dist = all_pairs_distances(graph, max_pairs=max_pairs)
-    labels = np.full(v, -1, dtype=np.int64)
-    comp = 0
-    for i in range(v):
-        if labels[i] == -1:
-            members = dist[i] >= 0
-            labels[members] = comp
-            comp += 1
-    sizes = [int((labels == c).sum()) for c in range(comp)]
-    diams = []
-    for c in range(comp):
-        members = np.nonzero(labels == c)[0]
-        diams.append(int(dist[np.ix_(members, members)].max()))
+    # a vertex's first reachable position names its component, which
+    # numbers components in order of their first vertex
+    firsts, labels = np.unique((dist >= 0).argmax(axis=1), return_inverse=True)
+    comp = firsts.size
+    sizes = np.bincount(labels.ravel(), minlength=comp).tolist()
+    diams = np.zeros(comp, dtype=dist.dtype)
+    np.maximum.at(diams, labels.ravel(), dist.max(axis=1))  # unreachable is -1
+    diams = diams.tolist()
     connected = comp == 1
     diameter = diams[0] if connected else inf
     if graph.mode == "full":
@@ -531,14 +509,15 @@ def isometry_check(
         return IsometryReport(True, [], 0)
     d_sub = all_pairs_distances(graph, max_pairs=max_pairs)
     d_metric = metric_distance_matrix(graph, max_pairs=max_pairs)
-    mismatch = d_sub != d_metric
-    iu = np.triu_indices(v, k=1)
-    bad = mismatch[iu]
+    mismatch = np.triu(d_sub != d_metric, 1)
+    bad_rows = np.flatnonzero(mismatch.any(axis=1))
     witnesses = []
-    if bad.any():
-        where = np.nonzero(bad)[0][:witness_cap]
-        for w in where:
-            i, j = int(iu[0][w]), int(iu[1][w])
+    # row by row in row-major order, so memory stays O(V^2) bytes however
+    # many pairs mismatch
+    for i in bad_rows:
+        for j in np.flatnonzero(mismatch[i])[: witness_cap - len(witnesses)]:
             ds = int(d_sub[i, j])
-            witnesses.append((i, j, inf if ds < 0 else ds, int(d_metric[i, j])))
-    return IsometryReport(not bad.any(), witnesses, int(bad.size))
+            witnesses.append((int(i), int(j), inf if ds < 0 else ds, int(d_metric[i, j])))
+        if len(witnesses) >= witness_cap:
+            break
+    return IsometryReport(bad_rows.size == 0, witnesses, v * (v - 1) // 2)

@@ -2,6 +2,9 @@
 
 import itertools
 
+import numpy as np
+
+from grasscodes import bulk
 from grasscodes.codes import LinearCode
 from grasscodes.linalg import MatrixGF, Subspace
 
@@ -42,3 +45,25 @@ def all_subspaces(ctx, n, k):
 
 def all_codes(ctx, n, k):
     return [LinearCode(s) for s in all_subspaces(ctx, n, k)]
+
+
+def adjacency_pairwise(graph, chunk=1 << 15):
+    """Adjacency by direct rank tests on all stacked pairs: x and y are
+    adjacent iff their stacked bases have rank k + 1."""
+    v = graph.num_vertices
+    k = graph.index.k
+    bases = graph.vertex_bases()
+    adj = np.zeros((v, v), dtype=bool)
+    for i in range(v):
+        js = np.arange(i + 1, v)
+        for s in range(0, js.size, chunk):
+            jblock = js[s : s + chunk]
+            stacked = np.concatenate(
+                (np.broadcast_to(bases[i], (jblock.size, k, graph.index.n)), bases[jblock]),
+                axis=1,
+            )
+            ranks = bulk.batched_rank(graph.index.ctx, stacked)
+            hit = jblock[ranks == k + 1]
+            adj[i, hit] = True
+            adj[hit, i] = True
+    return adj

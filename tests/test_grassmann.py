@@ -4,7 +4,7 @@ from math import inf
 import numpy as np
 import pytest
 
-from conftest import iter_rref_bases
+from conftest import adjacency_pairwise, iter_rref_bases
 from grasscodes.codes import LinearCode, strength
 from grasscodes.errors import (
     AllPairsTooLargeError,
@@ -15,9 +15,7 @@ from grasscodes.errors import (
 )
 from grasscodes.gf import field_new, field_of_order
 from grasscodes.grassmann import (
-    neighbors,
     GrassmannGraph,
-    adjacency_pairwise,
     all_pairs_distances,
     bfs_distances,
     build_delta,
@@ -28,7 +26,7 @@ from grasscodes.grassmann import (
     isometry_check,
     metric_distance_matrix,
 )
-from grasscodes.linalg import Subspace, intersect, subspace_count
+from grasscodes.linalg import Subspace, intersect, q_int, subspace_count
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -177,24 +175,62 @@ def test_bfs_against_oracle():
     assert max(bfs_distances(g, 0)) == 2
 
 
-def test_on_demand_neighbors_agree_with_adjacency():
-    """Third adjacency route: algebraic neighbor generation."""
-    for ctx, n, k, t in [(F2, 4, 2, None), (F3, 4, 2, 1), (F2, 5, 3, None)]:
-        idx = enumerate_subspaces(ctx, n, k)
-        g = build_gamma(idx) if t is None else build_delta(idx, t)
-        adj = g.adjacency()
-        for pos in range(0, g.num_vertices, max(1, g.num_vertices // 12)):
-            from_matrix = sorted(np.nonzero(adj[pos])[0].tolist())
-            assert neighbors(g, pos) == from_matrix
+# (q, n, k): both bucket sides (k < n-k, k = n-k, k > n-k), k = 1 and k = n-1
+INCIDENCE_CASES = [
+    (2, 5, 2), (2, 4, 2), (3, 4, 2), (2, 5, 3), (3, 5, 3),
+    (3, 4, 1), (2, 5, 1), (3, 4, 3), (2, 5, 4),
+]
 
 
-def test_bfs_on_demand_path():
-    """Forcing the on-demand branch gives the same distances."""
-    idx = enumerate_subspaces(F3, 4, 2)
-    g = build_delta(idx, 1)
-    dense = bfs_distances(g, 0)
-    sparse = bfs_distances(g, 0, dense_cap=1)
-    assert dense.tolist() == sparse.tolist()
+def test_incidence_adjacency_matches_pairwise_oracle():
+    for q, n, k in INCIDENCE_CASES:
+        idx = enumerate_subspaces(field_of_order(q), n, k)
+        gamma = build_gamma(idx)
+        inc = gamma.incidence()
+        assert inc.shape == (len(idx), min(q_int(k, q), q_int(n - k, q)))
+        assert (gamma.adjacency() == adjacency_pairwise(gamma)).all(), (q, n, k)
+        for t in range(1, k + 1):
+            sliced = build_delta(idx, t, gamma=gamma)
+            own = build_delta(idx, t)
+            assert sliced._incidence is not None
+            assert (sliced.incidence() == own.incidence()).all()
+            assert (sliced.adjacency() == adjacency_pairwise(own)).all(), (q, n, k, t)
+    empty = build_delta(enumerate_subspaces(F2, 4, 2), 2)
+    single = build_delta(enumerate_subspaces(F2, 2, 1), 1)
+    for g in (empty, single):
+        assert g.adjacency().shape == (g.num_vertices, g.num_vertices)
+        assert not g.adjacency().any()
+
+
+def test_bitset_all_pairs_matches_oracle_bfs():
+    graphs = []
+    for q, n, k, t in [(2, 4, 2, None), (2, 5, 3, None), (3, 4, 2, 1), (2, 5, 2, 1), (5, 3, 2, 2)]:
+        idx = enumerate_subspaces(field_of_order(q), n, k)
+        graphs.append(build_gamma(idx) if t is None else build_delta(idx, t))
+    # a sparse vertex subset, so some pairs are unreachable
+    idx = enumerate_subspaces(F2, 5, 2)
+    graphs.append(GrassmannGraph(idx, 1, np.arange(0, len(idx), 13, dtype=np.int64)))
+    for g in graphs:
+        adj = adjacency_pairwise(g).tolist()
+        d = all_pairs_distances(g)
+        for src in range(g.num_vertices):
+            expect = [-1 if x == inf else x for x in oracle_bfs(adj, src)]
+            assert d[src].tolist() == expect, (g.index.n, g.index.k, g.t, src)
+    assert (d == -1).any()
+
+
+def test_gamma_distance_distribution():
+    """A source of the full graph has q^(i^2) [k i]_q [n-k i]_q vertices
+    at distance i (the Grassmann graph is distance-regular)."""
+    for q, n, k in [(2, 6, 3), (3, 5, 2), (4, 4, 2), (2, 6, 4), (9, 4, 2)]:
+        g = build_gamma(enumerate_subspaces(field_of_order(q), n, k))
+        for src in (0, g.num_vertices // 2, g.num_vertices - 1):
+            counts = np.bincount(bfs_distances(g, src).astype(int)).tolist()
+            expect = [
+                q ** (i * i) * subspace_count(k, i, q) * subspace_count(n - k, i, q)
+                for i in range(min(k, n - k) + 1)
+            ]
+            assert counts == expect, (q, n, k, src)
 
 
 def test_bfs_source_forms():
