@@ -101,15 +101,3 @@ def min_weight_in_span(ctx: FieldCtx, basis, chunk: int = 1 << 16) -> int:
             if best <= 1:
                 break
     return best
-
-
-def normalize_projective(ctx: FieldCtx, vecs: np.ndarray) -> np.ndarray:
-    """Scale each row so its first nonzero entry is 1 (zero rows unchanged)."""
-    add, sub, mul, inv, neg = ctx.np_tables()
-    v = np.array(vecs, dtype=np.uint8, copy=True)
-    nz = v != 0
-    has = nz.any(axis=1)
-    first = np.where(has, nz.argmax(axis=1), 0)
-    lead = v[np.arange(len(v)), first]
-    f = np.where(has, inv[lead], 1).astype(np.uint8)
-    return mul[v, f[:, None]]

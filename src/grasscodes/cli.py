@@ -193,10 +193,19 @@ def cmd_enumerate(args) -> int:
 
 
 def _load_resume_keys(path: Path) -> tuple[set, list[dict]]:
+    """Keys and records of the complete lines of a resumed output file.
+
+    A partial last line (a run cut off mid-write) is truncated away, so
+    appended records start on a line of their own."""
     keys = set()
     olds = []
     if path.exists():
-        for line in path.read_text().splitlines():
+        data = path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            with path.open("r+b") as fh:
+                fh.truncate(end)
+        for line in data[:end].decode().splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -217,7 +226,6 @@ def cmd_sweep(args) -> int:
         t_list=_parse_int_list(args.t) if args.t else None,
         max_vertices=args.max_vertices,
         max_pairs=args.max_pairs,
-        modes=tuple(args.modes.split(",")),
         workers=args.workers,
     )
     out_path = Path(args.out) if args.out else None
@@ -225,10 +233,10 @@ def cmd_sweep(args) -> int:
         raise ValueError("--resume needs --out and --format json")
     skip: set = set()
     old_reports: list[dict] = []
-    if args.resume and out_path is not None:
+    if args.resume:
         skip, old_reports = _load_resume_keys(out_path)
     reports = list(old_reports)
-    sink = out_path.open("a") if out_path else None
+    sink = out_path.open("a" if args.resume else "w") if out_path else None
 
     def emit(line: str):
         if sink:
@@ -308,13 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", help="default: every t in [1, k]")
     p.add_argument("--max-vertices", type=int, default=ENUM_CAP)
     p.add_argument("--max-pairs", type=int, default=ALL_PAIRS_CAP)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", help="JSONL output path (CSV summary written next to it)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes, clamped to min(N, CPU count, (q, n, k) groups)")
+    p.add_argument("--out", help="JSONL output path, overwritten unless --resume "
+                   "(CSV summary written next to it)")
     p.add_argument("--resume", action="store_true",
-                   help="skip instances already present in --out")
+                   help="append to --out, skipping instances already there; "
+                   "a partial last line is dropped")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--modes", default=",".join(sweep_mod.DEFAULT_MODES),
-                   help="comma list from: connectivity,isometry,diameter,step_counts")
     p.set_defaults(func=cmd_sweep)
     return parser
 

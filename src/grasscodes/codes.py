@@ -31,7 +31,7 @@ from .errors import (
     TooLargeExactError,
 )
 from .gf import FieldCtx, field_of_order
-from .linalg import MatrixGF, Subspace, Vector, intersect, kernel, rref, vsub
+from .linalg import MatrixGF, Subspace, Vector, intersect, kernel, rref
 
 INFINITE = math.inf
 
@@ -47,10 +47,6 @@ CRITERIA: tuple[Criterion, ...] = ("dual_distance", "columns", "coord_meet")
 def weight(v: Sequence[int]) -> int:
     """Number of nonzero coordinates."""
     return sum(1 for x in v if x)
-
-
-def hamming_distance(ctx: FieldCtx, u: Sequence[int], v: Sequence[int]) -> int:
-    return weight(vsub(ctx, u, v))
 
 
 # -- coordinate subspaces -----------------------------------------------------
@@ -246,32 +242,6 @@ def min_distance(c: LinearCode, max_words: int = EXACT_WORD_CAP):
     return best
 
 
-def min_distance_bound(c: LinearCode, samples: int = 2000, rng=None) -> int:
-    """Upper bound on the minimum distance from sampled nonzero codewords.
-
-    Not exact: the true distance is <= the returned value.  Use when
-    q^k exceeds the exact enumeration cap.
-    """
-    import random
-
-    rng = rng or random.Random(0)
-    k, q, ctx = c.k, c.ctx.q, c.ctx
-    if k == 0:
-        return INFINITE
-    rows = c.generator.rows
-    best = c.n
-    for _ in range(samples):
-        coeffs = [rng.randrange(q) for _ in range(k)]
-        if not any(coeffs):
-            coeffs[rng.randrange(k)] = 1 + rng.randrange(q - 1)
-        v = [0] * c.n
-        for ci, row in zip(coeffs, rows):
-            if ci:
-                v = [ctx.add(x, ctx.mul(ci, y)) for x, y in zip(v, row)]
-        best = min(best, weight(v))
-    return best
-
-
 def dual_min_distance(c: LinearCode, max_words: int = EXACT_WORD_CAP):
     """Minimum distance of the dual code (cached on the code)."""
     if c._dual_min_distance is None:
@@ -281,10 +251,14 @@ def dual_min_distance(c: LinearCode, max_words: int = EXACT_WORD_CAP):
 
 # -- strength classification ---------------------------------------------------
 
-def _columns_independent(c: LinearCode, cols: Sequence[int]) -> bool:
-    sub = MatrixGF(c.ctx, [[r[j] for j in cols] for r in c.generator.rows], ncols=len(cols))
+def column_rank(ctx: FieldCtx, rows: Sequence[Sequence[int]], cols: Sequence[int]) -> int:
+    """Rank of the columns `cols` of a generator with rows `rows`.
+
+    k minus it is the dimension of the code's meet with the coordinate
+    subspace zeroing `cols`."""
+    sub = MatrixGF(ctx, [[r[j] for j in cols] for r in rows], ncols=len(cols))
     _, rank = rref(sub)
-    return rank == len(cols)
+    return rank
 
 
 def has_strength(c: LinearCode, t: int, criterion: Criterion = "dual_distance") -> bool:
@@ -301,8 +275,10 @@ def has_strength(c: LinearCode, t: int, criterion: Criterion = "dual_distance") 
     if criterion == "dual_distance":
         return dual_min_distance(c) >= t + 1
     if criterion == "columns":
+        rows = c.generator.rows
         return all(
-            _columns_independent(c, cols) for cols in itertools.combinations(range(n), t)
+            column_rank(c.ctx, rows, cols) == t
+            for cols in itertools.combinations(range(n), t)
         )
     if criterion == "coord_meet":
         for idx in itertools.combinations(range(1, n + 1), t):
@@ -322,21 +298,17 @@ def strength(c: LinearCode) -> int:
     """
     if c._strength is None:
         n, k = c.n, c.k
+        rows = c.generator.rows
         found = None
         for s in range(1, min(k + 1, n) + 1):
             for cols in itertools.combinations(range(n), s):
-                if not _columns_independent(c, cols):
+                if column_rank(c.ctx, rows, cols) < s:
                     found = s
                     break
             if found is not None:
                 break
         c._strength = k if found is None else min(found - 1, k)
     return c._strength
-
-
-def is_mds(c: LinearCode) -> bool:
-    """Strength k: every k columns independent; Singleton bound met."""
-    return c.k >= 1 and strength(c) == c.k
 
 
 def classify(c: LinearCode) -> dict:

@@ -13,25 +13,34 @@ guarantee success the operations stay usable but fail loudly
 (NoStepFound / NoShrinkFound / NoLambda / PathFailed) instead of
 silently degrading.
 
-During every candidate scan the spanned subspace's meet with each
-codimension-t coordinate subspace is measured; the theory says the meet
-dimension never exceeds k - t + 1, and the scan counts (and refuses to
-continue past) any violation.  The counters live in `scan_stats` so a
-verification run can assert that checks actually happened and that no
-violation occurred.
+The colors of the field-size argument are the codimension-t coordinate
+subspaces, one per t-set of coordinates.  A step candidate <H, z> is in
+the class iff it meets every one of them in dimension k - t; the theory
+says the meet never exceeds k - t + 1, so a candidate failing the test
+has at least one color, and with q at least the number of colors some
+coset of the scan has none.  `step_toward` and `count_step_codes`
+measure every color of every candidate they scan and count (and refuse
+to continue past) any meet above the bound; `shrink` rejects the
+hyperplanes of x that contain one of x's meets with the colors.  The
+counters live in `scan_stats` so a verification run can assert that
+checks actually happened and that no violation occurred.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .codes import LinearCode, MonomialMap, apply_monomial, coordinate_subspace, strength
+from .codes import (
+    LinearCode,
+    MonomialMap,
+    apply_monomial,
+    column_rank,
+    coordinate_subspace,
+    strength,
+)
 from .errors import (
-    BadHyperplaneError,
     BadInnerSubspaceError,
-    DependentVectorsError,
     DuplicatePointsError,
     InternalInvariantError,
     NoLambdaError,
@@ -39,14 +48,11 @@ from .errors import (
     NoStepFoundError,
     NotEnoughPointsError,
     NotInCtError,
-    NotSubspaceError,
     PathFailedError,
-    RepInHyperplaneError,
     StepDepthError,
 )
 from .gf import FieldCtx
 from .linalg import (
-    MatrixGF,
     Subspace,
     Vector,
     complement_basis,
@@ -55,29 +61,6 @@ from .linalg import (
     projective_reps,
     rref,
 )
-
-
-# -- colors --------------------------------------------------------------------
-
-class _Sentinel:
-    def __init__(self, name):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
-INFINITY_COLOR = _Sentinel("INFINITY_COLOR")
-NOT_COLORABLE = _Sentinel("NOT_COLORABLE")
-
-Color = object  # a 1-based strictly increasing tuple, or INFINITY_COLOR
-
-
-def color_sort_key(color) -> tuple:
-    """Total order on colors: lexicographic tuples, infinity above all."""
-    if color is INFINITY_COLOR:
-        return (1, ())
-    return (0, tuple(color))
 
 
 def coordinate_tuples(n: int, t: int):
@@ -89,59 +72,40 @@ def coordinate_tuples(n: int, t: int):
 
 @dataclass
 class ScanStats:
-    """Counters over coordinate-meet measurements made inside scans.
-
-    candidate_profiles keeps the meet-dimension tuples of the most recent
-    candidate spans (diagnostics only; nothing asserts on them)."""
+    """Counters over coordinate-meet measurements made inside scans."""
 
     meet_checks: int = 0
     meet_violations: int = 0
-    candidate_profiles: deque = field(default_factory=lambda: deque(maxlen=256))
 
     def reset(self):
         self.meet_checks = 0
         self.meet_violations = 0
-        self.candidate_profiles.clear()
 
 
 scan_stats = ScanStats()
 
 
-def _meet_dim(ctx: FieldCtx, rows, cols) -> int:
-    """dim of the meet with the coordinate subspace zeroing `cols`:
-    k minus the rank of the selected generator columns."""
-    k = len(rows)
-    sub = MatrixGF(ctx, [[r[j] for j in cols] for r in rows], ncols=len(cols))
-    _, rank = rref(sub)
-    return k - rank
+def _span_in_class(space: Subspace, t: int) -> bool:
+    """Whether a candidate span <H, z> off a strength-t code meets every
+    codimension-t coordinate subspace in dimension k - t.
 
-
-def _span_meets_profile(space: Subspace, t: int, enforce_bound: bool) -> list[int]:
-    """Meet dimensions of `space` with every codimension-t coordinate
-    subspace, in color order.  With enforce_bound the candidate is a span
-    <H, z> off a strength-t code, where dims above k - t + 1 are
-    impossible; hitting one is counted and raised."""
+    Every color is measured (no early exit), so each candidate adds
+    exactly C(n, t) to `scan_stats.meet_checks`.  A meet above k - t + 1
+    is impossible for such a span; hitting one is counted and raised."""
     ctx = space.ctx
     n, k = space.ambient_dim, space.dim
     rows = space.basis.rows
-    dims = []
+    in_class = True
     for color in coordinate_tuples(n, t):
-        d = _meet_dim(ctx, rows, [i - 1 for i in color])
+        d = k - column_rank(ctx, rows, [i - 1 for i in color])
         scan_stats.meet_checks += 1
-        if enforce_bound and d > k - t + 1:
+        if d > k - t + 1:
             scan_stats.meet_violations += 1
             raise InternalInvariantError(
                 f"coordinate meet dimension {d} exceeds bound {k - t + 1} at {color}"
             )
-        dims.append(d)
-    if enforce_bound:
-        scan_stats.candidate_profiles.append(tuple(dims))
-    return dims
-
-
-def _span_in_class(space: Subspace, t: int, enforce_bound: bool) -> bool:
-    k = space.dim
-    return all(d == k - t for d in _span_meets_profile(space, t, enforce_bound))
+        in_class = in_class and d == k - t
+    return in_class
 
 
 def _require_strength(c: LinearCode, t: int, who: str) -> None:
@@ -180,94 +144,6 @@ def vandermonde_mds(
     if code.k != k:  # pragma: no cover - Vandermonde rows are independent
         raise InternalInvariantError("Vandermonde generator lost rank")
     return code
-
-
-# -- coset coloring -------------------------------------------------------------------
-
-def _validate_coloring_inputs(h: Subspace, x: LinearCode, y: LinearCode, t: int):
-    _require_strength(x, t, "x")
-    _require_strength(y, t, "y")
-    if h.dim != x.k - 1 or not x.space.contains(h):
-        raise BadHyperplaneError("h is not a hyperplane of x")
-    xy = intersect(x.space, y.space)
-    if not h.contains(xy):
-        raise BadHyperplaneError("h does not contain x ∩ y")
-    return xy
-
-
-def psi_color(h: Subspace, x: LinearCode, y: LinearCode, p, t: int):
-    """Color of the coset [p] in y modulo (h ∩ y).
-
-    The lexicographically least t-set of coordinates whose coordinate
-    subspace meets <h, p> in the maximal dimension k - t + 1, or
-    INFINITY_COLOR when the span already meets every coordinate subspace
-    in dimension k - t (i.e. lies in the strength-t class).
-    Constant on cosets and on scalar multiples of p.
-    """
-    _validate_coloring_inputs(h, x, y, t)
-    p = tuple(p)
-    if not y.space.contains_vector(p):
-        raise NotSubspaceError("p is not a vector of y")
-    if h.contains_vector(p):
-        raise RepInHyperplaneError("representative p lies in h")
-    span = Subspace.from_vectors(x.ctx, x.n, list(h.basis.rows) + [p])
-    k = x.k
-    dims = _span_meets_profile(span, t, enforce_bound=True)
-    for color, d in zip(coordinate_tuples(x.n, t), dims):
-        if d == k - t + 1:
-            return color
-    return INFINITY_COLOR
-
-
-def _quotient_independent(h: Subspace, y: LinearCode, vectors) -> Subspace:
-    """The subspace h∩y the quotient is taken by; raises if the vectors
-    are dependent modulo it."""
-    hy = intersect(h, y.space)
-    span = Subspace.from_vectors(
-        y.ctx, y.n, list(hy.basis.rows) + [tuple(v) for v in vectors]
-    )
-    if span.dim != hy.dim + len(list(vectors)):
-        raise DependentVectorsError("vectors are dependent modulo h ∩ y")
-    return hy
-
-
-def is_monochromatic_basis(h: Subspace, x: LinearCode, y: LinearCode, vectors, t: int) -> bool:
-    """All vectors share one finite color (vectors independent mod h ∩ y)."""
-    vectors = [tuple(v) for v in vectors]
-    _quotient_independent(h, y, vectors)
-    colors = {color_sort_key(psi_color(h, x, y, v, t)) for v in vectors}
-    return len(colors) == 1 and colors != {color_sort_key(INFINITY_COLOR)}
-
-
-def subspace_color(h: Subspace, x: LinearCode, y: LinearCode, lifted_basis, t: int):
-    """Least color of a monochromatic basis of the quotient subspace
-    spanned by lifted_basis, or NOT_COLORABLE.
-
-    A monochromatic basis lies inside a single color class, and any color
-    class of full rank contains one, so the exact answer is the least
-    finite color whose class spans the subspace: no basis sampling needed.
-    """
-    lifted_basis = [tuple(v) for v in lifted_basis]
-    hy = _quotient_independent(h, y, lifted_basis)
-    s = len(lifted_basis)
-    ctx = y.ctx
-    classes: dict[tuple, list] = {}
-    for lam in projective_reps(ctx, s):
-        v = [0] * y.n
-        for li, b in zip(lam, lifted_basis):
-            if li:
-                v = [ctx.add(a, ctx.mul(li, c)) for a, c in zip(v, b)]
-        color = psi_color(h, x, y, tuple(v), t)
-        if color is INFINITY_COLOR:
-            continue
-        classes.setdefault(tuple(color), []).append(tuple(v))
-    base_rows = list(hy.basis.rows)
-    for color in sorted(classes):
-        vecs = classes[color]
-        span = Subspace.from_vectors(ctx, y.n, base_rows + vecs)
-        if span.dim - hy.dim == s:
-            return color
-    return NOT_COLORABLE
 
 
 # -- one geodesic step -----------------------------------------------------------------
@@ -331,7 +207,7 @@ def step_toward(x: LinearCode, y: LinearCode, t: int) -> StepCertificate:
     d = _step_preconditions(x, y, t)
     k = x.k
     for h, z, span in _step_candidates(x, y, t):
-        if not _span_in_class(span, t, enforce_bound=True):
+        if not _span_in_class(span, t):
             continue
         z_code = LinearCode(span)
         dim_xz = intersect(x.space, span).dim
@@ -370,7 +246,7 @@ def count_step_codes(x: LinearCode, y: LinearCode, t: int) -> int:
     _step_preconditions(x, y, t)
     found = set()
     for _, _, span in _step_candidates(x, y, t):
-        if _span_in_class(span, t, enforce_bound=True):
+        if _span_in_class(span, t):
             found.add(span)
     return len(found)
 

@@ -35,10 +35,6 @@ class NotSubspaceError(GrassCodesError):
     """A containment precondition (u subseteq x, ...) does not hold."""
 
 
-class EqualHyperplanesError(GrassCodesError):
-    """The two hyperplanes passed to a basis merge coincide."""
-
-
 class DimensionMismatchError(GrassCodesError):
     """Dimensions of the operands are incompatible."""
 
@@ -83,18 +79,6 @@ class NotEnoughPointsError(GrassCodesError):
 
 class DuplicatePointsError(GrassCodesError):
     """Evaluation points are not pairwise distinct."""
-
-
-class BadHyperplaneError(GrassCodesError):
-    """h is not a hyperplane of x containing x meet y."""
-
-
-class RepInHyperplaneError(GrassCodesError):
-    """Coset representative lies inside the hyperplane."""
-
-
-class DependentVectorsError(GrassCodesError):
-    """Vectors are linearly dependent modulo the quotient."""
 
 
 class StepDepthError(GrassCodesError):

@@ -136,13 +136,14 @@ class FieldCtx:
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_inv", "_np_tables")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
+        # the cap comes first: no primality test or power of an oversized order
+        if p >= 2 and (e >= MAX_ORDER.bit_length() or p**e > MAX_ORDER):
+            raise FieldTooLargeError(f"GF({p}^{e}) exceeds cap 2^20")
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
         q = p**e
-        if q > MAX_ORDER:
-            raise FieldTooLargeError(f"GF({q}) exceeds cap 2^20")
         self.p = p
         self.e = e
         self.q = q
@@ -260,9 +261,6 @@ class FieldCtx:
             return self._inv[a]
         return self._pow_raw(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, m: int) -> int:
         if m < 0:
             return self.pow(self.inv(a), -m)
@@ -335,6 +333,8 @@ def field_of_order(q: int) -> FieldCtx:
     """Canonical field of order q (prime power), deterministic modulus."""
     if q < 2:
         raise NotPrimeError(f"{q} is not a prime power")
+    if q > MAX_ORDER:
+        raise FieldTooLargeError(f"GF({q}) exceeds cap 2^20")
     p = 2
     while p * p <= q:
         if q % p == 0:

@@ -117,7 +117,11 @@ def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndar
 def enumerate_subspaces(
     ctx: FieldCtx, n: int, k: int, max_count: int = ENUM_CAP
 ) -> SubspaceIndex:
-    """Complete duplicate-free enumeration via RREF pivot patterns."""
+    """Complete duplicate-free enumeration via RREF pivot patterns.
+
+    Bases are stored as uint8, so q > 256 raises FieldTooLargeError (from
+    the numpy tables) before anything is built."""
+    ctx.np_tables()
     if not 0 <= k <= n:
         raise DimensionMismatchError(f"need 0 <= k <= n, got k={k}, n={n}")
     total = subspace_count(n, k, ctx.q)

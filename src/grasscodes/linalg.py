@@ -16,34 +16,12 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     AmbientMismatchError,
     DimensionMismatchError,
-    EqualHyperplanesError,
     InternalInvariantError,
     NotSubspaceError,
 )
 from .gf import FieldCtx
 
 Vector = tuple[int, ...]
-
-
-# -- vector helpers --------------------------------------------------------
-
-def vadd(ctx: FieldCtx, u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(ctx.add(a, b) for a, b in zip(u, v))
-
-
-def vsub(ctx: FieldCtx, u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(ctx.sub(a, b) for a, b in zip(u, v))
-
-
-def vscale(ctx: FieldCtx, c: int, v: Sequence[int]) -> Vector:
-    return tuple(ctx.mul(c, a) for a in v)
-
-
-def dot(ctx: FieldCtx, u: Sequence[int], v: Sequence[int]) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        acc = ctx.add(acc, ctx.mul(a, b))
-    return acc
 
 
 def projective_reps(ctx: FieldCtx, dim: int) -> Iterator[Vector]:
@@ -120,16 +98,6 @@ class MatrixGF:
                             row[j] = ctx.add(row[j], ctx.mul(c, orow[j]))
             out.append(row)
         return MatrixGF(ctx, out, ncols=other.ncols)
-
-    def transpose(self) -> "MatrixGF":
-        return MatrixGF(
-            self.ctx,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
 
     def __eq__(self, other):
         return (
@@ -250,9 +218,6 @@ class Subspace:
 
     # -- identity --------------------------------------------------------------
 
-    def key(self) -> tuple:
-        return (self.ambient_dim, self.basis.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -351,28 +316,6 @@ def hyperplanes_containing(x: Subspace, u: Subspace) -> Iterator[Subspace]:
         coeff_kernel = kernel(MatrixGF(ctx, [c], ncols=k))
         h_rows = coeff_kernel.basis.matmul(x.basis)
         yield Subspace.from_vectors(ctx, x.ambient_dim, h_rows.rows)
-
-
-def merge_bases(
-    s: Subspace, b1: Sequence[Sequence[int]], b2: Sequence[Sequence[int]]
-) -> list[Vector]:
-    """A basis of s drawn from b1 ∪ b2, where b1, b2 base two distinct
-    hyperplanes of s: all of b1 plus the first b2-vector outside span(b1)."""
-    ctx = s.ctx
-    n = s.ambient_dim
-    b1 = [tuple(v) for v in b1]
-    b2 = [tuple(v) for v in b2]
-    h1 = Subspace.from_vectors(ctx, n, b1)
-    h2 = Subspace.from_vectors(ctx, n, b2)
-    for h, b in ((h1, b1), (h2, b2)):
-        if h.dim != len(b) or h.dim != s.dim - 1 or not s.contains(h):
-            raise NotSubspaceError("inputs must be bases of hyperplanes of s")
-    if h1 == h2:
-        raise EqualHyperplanesError("the two hyperplanes coincide")
-    for v in b2:
-        if not h1.contains_vector(v):
-            return [tuple(r) for r in b1] + [tuple(v)]
-    raise EqualHyperplanesError("b2 spans no direction outside b1")  # pragma: no cover
 
 
 # -- counting ------------------------------------------------------------------

@@ -9,6 +9,18 @@ from grasscodes.codes import LinearCode
 from grasscodes.linalg import MatrixGF, Subspace
 
 
+def vadd(ctx, u, v):
+    return tuple(ctx.add(a, b) for a, b in zip(u, v))
+
+
+def dot(ctx, u, v):
+    """Standard bilinear form; the oracle for kernel orthogonality."""
+    acc = 0
+    for a, b in zip(u, v):
+        acc = ctx.add(acc, ctx.mul(a, b))
+    return acc
+
+
 def iter_rref_bases(ctx, n, k):
     """Every canonical RREF basis of a k-subspace of F_q^n, by pivot pattern.
 

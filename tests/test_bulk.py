@@ -7,7 +7,6 @@ from grasscodes.bulk import (
     batched_rank,
     batched_rref,
     min_weight_in_span,
-    normalize_projective,
     span_words,
 )
 from grasscodes.codes import LinearCode, min_distance, weight
@@ -63,19 +62,3 @@ def test_min_weight_matches_enumeration(q, n, k):
     brute = min(weight(v) for v in code.codewords() if any(v))
     fast = min_weight_in_span(ctx, [list(r) for r in code.generator.rows])
     assert fast == brute == min_distance(code)
-
-
-def test_normalize_projective():
-    ctx = field_of_order(7)
-    vecs = np.array([[0, 3, 5], [2, 1, 0], [0, 0, 0], [1, 4, 6]], dtype=np.uint8)
-    out = normalize_projective(ctx, vecs)
-    for before, after in zip(vecs, out):
-        nz = [x for x in after.tolist() if x]
-        if nz:
-            assert nz[0] == 1
-            # same projective point: after = scalar * before
-            lead = next(x for x in before.tolist() if x)
-            scale = ctx.inv(int(lead))
-            assert after.tolist() == [ctx.mul(scale, int(x)) for x in before]
-        else:
-            assert not before.any()

@@ -148,7 +148,8 @@ def test_sweep_stdout_and_exit_codes(capsys):
 def test_sweep_bad_config(capsys):
     assert main(["sweep", "--q", "2", "--n", "2", "--k", "5"]) == 4
     assert main(["sweep", "--q", "6", "--n", "3"]) == 4
-    assert main(["sweep", "--q", "2", "--n", "3", "--modes", "bogus"]) == 4
+    assert main(["sweep", "--q", "2", "--n", "3", "--workers", "0"]) == 4
+    assert main(["sweep", "--q", "257", "--n", "2"]) == 4  # q > 256
 
 
 def test_sweep_out_files_and_resume(tmp_path, capsys):
@@ -174,6 +175,37 @@ def test_sweep_out_files_and_resume(tmp_path, capsys):
     assert {(r["q"], r["n"], r["k"], r["t"]) for r in lines2[4:]} == {
         (4, 3, 1, 1), (4, 3, 2, 1),
     }
+
+
+def _keys_once(path):
+    """Every line parses and each (q, n, k, t) appears exactly once."""
+    recs = [json.loads(ln) for ln in path.read_text().splitlines()]
+    keys = [(r["q"], r["n"], r["k"], r["t"]) for r in recs]
+    assert len(keys) == len(set(keys))
+    return recs
+
+
+def test_sweep_out_overwrites_without_resume(tmp_path, capsys):
+    out = tmp_path / "reports.jsonl"
+    args = ["sweep", "--q", "3", "--n", "3", "--out", str(out)]
+    assert main(args) == 0
+    assert main(args) == 0
+    assert len(_keys_once(out)) == 3
+    assert len((tmp_path / "reports.csv").read_text().splitlines()) == 4
+
+
+def test_sweep_resume_drops_partial_last_line(tmp_path, capsys):
+    out = tmp_path / "reports.jsonl"
+    args = ["sweep", "--q", "2,3", "--n", "3", "--t", "1", "--out", str(out)]
+    assert main(args) == 0
+    full = _keys_once(out)
+    text = out.read_text()
+    out.write_text(text[: text.rindex("\n", 0, -1) + 20])  # cut mid-line
+    assert main(args + ["--resume"]) == 0
+    resumed = _keys_once(out)
+    for r in full + resumed:
+        r.pop("wall_ms")
+    assert resumed == full
 
 
 def test_sweep_resume_needs_json_out(capsys):

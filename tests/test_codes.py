@@ -18,11 +18,8 @@ from grasscodes.codes import (
     dual,
     dual_min_distance,
     format_generator,
-    hamming_distance,
     has_strength,
-    is_mds,
     min_distance,
-    min_distance_bound,
     parse_generator,
     strength,
     weight,
@@ -55,9 +52,7 @@ def test_weight():
     assert weight((1, 1, 1)) == 3
 
 
-def test_hamming_distance():
-    assert hamming_distance(F3, (1, 0, 2), (1, 2, 2)) == 1
-    assert hamming_distance(F2, (1, 1, 0), (0, 1, 1)) == 2
+
 
 
 def test_dual_kernel_oracle():
@@ -114,12 +109,6 @@ def test_min_distance_cap():
         min_distance(c, max_words=1 << 10)
 
 
-def test_min_distance_bound_is_upper_bound():
-    c = code(F2, [(1, 0, 1, 1, 0), (0, 1, 1, 0, 1)])
-    exact = min_distance(c)
-    assert min_distance_bound(c, samples=500) >= exact
-
-
 def test_dual_min_distance_examples():
     assert dual_min_distance(C32) == 3
     full = LinearCode(Subspace.full(F5, 3))
@@ -153,7 +142,7 @@ def test_strength_examples():
     assert strength(zero_col) == 0
     vandermonde = code(F5, [(1, 1, 1, 1), (0, 1, 2, 3)])
     assert strength(vandermonde) == 2
-    assert is_mds(vandermonde)
+    assert classify(vandermonde)["mds"]
 
 
 def test_strength_matches_dual_distance():

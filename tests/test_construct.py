@@ -1,47 +1,34 @@
-import itertools
-
 import pytest
 
 from grasscodes.codes import LinearCode, apply_monomial, classify, has_strength, strength
 from grasscodes.construct import (
-    INFINITY_COLOR,
-    NOT_COLORABLE,
     StepCertificate,
-    color_sort_key,
     coordinate_tuples,
     count_step_codes,
     geodesic_path,
-    is_monochromatic_basis,
     opposite_code,
-    psi_color,
     scan_stats,
     shrink,
     step_toward,
-    subspace_color,
     vandermonde_mds,
     verify_step_certificate,
 )
 from grasscodes.errors import (
-    BadHyperplaneError,
     BadInnerSubspaceError,
-    DependentVectorsError,
     DuplicatePointsError,
     NoLambdaError,
     NoShrinkFoundError,
     NotEnoughPointsError,
     NotInCtError,
     PathFailedError,
-    RepInHyperplaneError,
     StepDepthError,
 )
 from grasscodes.gf import field_new, field_of_order
 from grasscodes.grassmann import enumerate_subspaces, grassmann_distance
 from grasscodes.linalg import (
     Subspace,
-    complement_basis,
     hyperplanes_containing,
     intersect,
-    projective_reps,
     q_int,
 )
 
@@ -88,149 +75,6 @@ def test_vandermonde_strength_grid(q):
     for n in range(2, min(q, 6) + 1):
         for k in range(1, n + 1):
             assert strength(vandermonde_mds(ctx, n, k)) == k
-
-
-# -- coloring ----------------------------------------------------------------------
-
-def coloring_instance(d=2):
-    """x, y in the strength-2 class over GF(5) at distance d, plus a
-    hyperplane of x through x∩y."""
-    x = vandermonde_mds(F5, 4, 2)
-    if d == 2:
-        y = opposite_code(x, 2).code
-    else:
-        y = step_toward(x, opposite_code(x, 2).code, 2).z_code
-    xy = intersect(x.space, y.space)
-    h = next(hyperplanes_containing(x.space, xy))
-    return x, y, xy, h
-
-
-def test_psi_color_coset_and_scaling_invariance():
-    x, y, xy, h = coloring_instance()
-    hy = intersect(h, y.space)
-    comp = complement_basis(xy, y.space)
-    p = comp[0]
-    base = psi_color(h, x, y, p, 2)
-    ctx = F5
-    for hvec in hy.vectors():
-        shifted = tuple(ctx.add(a, b) for a, b in zip(p, hvec))
-        assert psi_color(h, x, y, shifted, 2) == base
-    for s in range(2, 5):
-        scaled = tuple(ctx.mul(s, a) for a in p)
-        assert psi_color(h, x, y, scaled, 2) == base
-
-
-def test_psi_color_infinite_when_span_in_class():
-    """A successful step span has no qualifying color."""
-    x, y, xy, h = coloring_instance()
-    cert = step_toward(x, y, 2)
-    if cert.hyperplane_used == h:
-        assert psi_color(h, x, y, cert.coset_rep, 2) is INFINITY_COLOR
-
-
-def test_psi_color_degenerate_span_names_zero_column():
-    """t=1, k=2: a qualifying coordinate is exactly a vanishing generator
-    column of the span, and psi picks the smallest one."""
-    idx = enumerate_subspaces(F3, 4, 2)
-    marks = idx.strength_all()
-    codes = [idx.code_at(i) for i in range(len(idx)) if marks[i] >= 1]
-    checked = 0
-    for x in codes[:25]:
-        for y in codes:
-            if x == y:
-                continue
-            xy = intersect(x.space, y.space)
-            for h in hyperplanes_containing(x.space, xy):
-                p = complement_basis(xy, y.space)[0]
-                color = psi_color(h, x, y, p, 1)
-                span = Subspace.from_vectors(F3, 4, list(h.basis.rows) + [p])
-                zero_cols = [
-                    j + 1
-                    for j in range(4)
-                    if all(r[j] == 0 for r in span.basis.rows)
-                ]
-                if color is INFINITY_COLOR:
-                    assert zero_cols == []
-                else:
-                    assert color == (min(zero_cols),)
-                    checked += 1
-            if checked > 30:
-                return
-    assert checked > 0
-
-
-def test_psi_color_errors():
-    x, y, xy, h = coloring_instance()
-    not_hyp = Subspace.from_vectors(F5, 4, [(0, 0, 1, 0)])
-    with pytest.raises(BadHyperplaneError):
-        psi_color(not_hyp, x, y, complement_basis(xy, y.space)[0], 2)
-    degenerate = LinearCode.from_generator(F5, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    with pytest.raises(NotInCtError):
-        psi_color(h, degenerate, y, complement_basis(xy, y.space)[0], 2)
-    # a representative inside h needs an adjacent pair, where x∩y ⊆ h∩y
-    xa, ya, xya, ha = coloring_instance(d=1)
-    assert xya.dim == 1
-    with pytest.raises(RepInHyperplaneError):
-        psi_color(ha, xa, ya, xya.basis.rows[0], 2)
-
-
-def test_monochromatic_basis():
-    x, y, xy, h = coloring_instance()
-    comp = complement_basis(xy, y.space)
-    c0 = psi_color(h, x, y, comp[0], 2)
-    if c0 is not INFINITY_COLOR:
-        assert is_monochromatic_basis(h, x, y, [comp[0]], 2)
-    with pytest.raises(DependentVectorsError):
-        is_monochromatic_basis(h, x, y, [comp[0], comp[0]], 2)
-
-
-def brute_force_subspace_color(h, x, y, lifted_basis, t):
-    """Oracle: enumerate every projective basis pair of the quotient plane."""
-    ctx = y.ctx
-    points = []
-    for lam in projective_reps(ctx, len(lifted_basis)):
-        v = [0] * y.n
-        for li, b in zip(lam, lifted_basis):
-            if li:
-                v = [ctx.add(a, ctx.mul(li, c)) for a, c in zip(v, b)]
-        points.append(tuple(v))
-    hy = intersect(h, y.space)
-    best = None
-    for combo in itertools.combinations(points, len(lifted_basis)):
-        span = Subspace.from_vectors(ctx, y.n, list(hy.basis.rows) + list(combo))
-        if span.dim != hy.dim + len(lifted_basis):
-            continue
-        colors = {color_sort_key(psi_color(h, x, y, v, t)) for v in combo}
-        if len(colors) == 1 and colors != {color_sort_key(INFINITY_COLOR)}:
-            color = next(iter(colors))[1]
-            if best is None or color < best:
-                best = color
-    return NOT_COLORABLE if best is None else tuple(best)
-
-
-def test_subspace_color_matches_brute_force():
-    checked = 0
-    for q, n in ((3, 4), (5, 4)):
-        ctx = field_of_order(q)
-        idx = enumerate_subspaces(ctx, n, 2)
-        marks = idx.strength_all()
-        codes = [idx.code_at(i) for i in range(len(idx)) if marks[i] >= 1]
-        for x in codes[:6]:
-            for y in codes[:12]:
-                if x == y or intersect(x.space, y.space).dim != 0:
-                    continue
-                xy = intersect(x.space, y.space)
-                h = next(hyperplanes_containing(x.space, xy))
-                basis = complement_basis(xy, y.space)
-                got = subspace_color(h, x, y, basis, 1)
-                want = brute_force_subspace_color(h, x, y, basis, 1)
-                assert got == want or (got is NOT_COLORABLE and want is NOT_COLORABLE)
-                checked += 1
-                if checked >= 8:
-                    break
-            if checked >= 8:
-                break
-    assert checked >= 4
 
 
 # -- steps -------------------------------------------------------------------------

@@ -54,6 +54,24 @@ def test_too_large_rejected():
         field_new(2, 21)
 
 
+def test_too_large_rejected_before_primality(monkeypatch):
+    """An oversized order fails on the cap alone: no primality test, no
+    trial division, no power of a huge exponent."""
+    from grasscodes import gf
+
+    def no_primality_test(n):
+        raise AssertionError(f"primality of {n} tested")
+
+    monkeypatch.setattr(gf, "is_prime", no_primality_test)
+    big = 10**14 + 31
+    with pytest.raises(FieldTooLargeError):
+        field_of_order(big)
+    with pytest.raises(FieldTooLargeError):
+        FieldCtx(big)
+    with pytest.raises(FieldTooLargeError):
+        FieldCtx(3, 40)
+
+
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ReducibleModulusError):

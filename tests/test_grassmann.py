@@ -11,6 +11,7 @@ from grasscodes.errors import (
     BadTError,
     DimensionMismatchError,
     EnumerationTooLargeError,
+    FieldTooLargeError,
     VertexAbsentError,
 )
 from grasscodes.gf import field_new, field_of_order
@@ -87,6 +88,13 @@ def test_enumeration_sorted_and_duplicate_free():
 def test_enumeration_cap():
     with pytest.raises(EnumerationTooLargeError):
         enumerate_subspaces(F2, 4, 2, max_count=10)
+
+
+def test_enumeration_rejects_fields_beyond_uint8():
+    """GF(257) is a valid field, but its entries do not fit the uint8
+    bases; enumeration must refuse it instead of wrapping entries."""
+    with pytest.raises(FieldTooLargeError):
+        enumerate_subspaces(field_of_order(257), 2, 1)
 
 
 def test_index_lookup_roundtrip():

@@ -1,12 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import dot, vadd
 from grasscodes.errors import (
     AmbientMismatchError,
-    EqualHyperplanesError,
     NotSubspaceError,
 )
 from grasscodes.gf import field_new, field_of_order
@@ -14,17 +12,14 @@ from grasscodes.linalg import (
     MatrixGF,
     Subspace,
     complement_basis,
-    dot,
     hyperplanes_containing,
     intersect,
     kernel,
-    merge_bases,
     projective_reps,
     q_int,
     rref,
     subspace_count,
     subspace_sum,
-    vadd,
 )
 
 F2 = field_new(2)
@@ -202,36 +197,6 @@ def test_hyperplanes_containing_not_subspace():
     u = Subspace.from_vectors(F2, 3, [e(3, 3)])
     with pytest.raises(NotSubspaceError):
         list(hyperplanes_containing(x, u))
-
-
-def test_merge_bases():
-    s = Subspace.full(F2, 2)
-    assert merge_bases(s, [e(2, 1)], [e(2, 2)]) == [e(2, 1), e(2, 2)]
-    s3 = Subspace.full(F2, 3)
-    got = merge_bases(s3, [e(3, 1), e(3, 2)], [e(3, 1), vadd(F2, e(3, 2), e(3, 3))])
-    assert got == [e(3, 1), e(3, 2), (0, 1, 1)]
-    with pytest.raises(EqualHyperplanesError):
-        merge_bases(s3, [e(3, 1), e(3, 2)], [e(3, 2), e(3, 1)])
-
-
-@given(st.sampled_from([2, 3, 5]), st.data())
-@settings(max_examples=40, deadline=None)
-def test_merge_bases_property(q, data):
-    """Merged vectors are independent and drawn from b1 ∪ b2."""
-    import random
-
-    ctx = field_of_order(q)
-    n = data.draw(st.integers(2, 4))
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    s = Subspace.full(ctx, n)
-    hps = list(hyperplanes_containing(s, Subspace.zero(ctx, n)))
-    h1, h2 = rng.sample(hps, 2)
-    b1, b2 = list(h1.basis.rows), list(h2.basis.rows)
-    merged = merge_bases(s, b1, b2)
-    assert len(merged) == n
-    assert Subspace.from_vectors(ctx, n, merged).dim == n
-    pool = {tuple(v) for v in b1} | {tuple(v) for v in b2}
-    assert all(tuple(v) in pool for v in merged)
 
 
 def test_q_int_values():

@@ -1,11 +1,13 @@
 import json
+import os
+import pathlib
+import re
 
 import pytest
 
 from grasscodes.errors import NotPrimeError
 from grasscodes.sweep import (
     CSV_FIELDS,
-    DEFAULT_MODES,
     REPORT_FIELDS,
     SweepConfig,
     csv_header,
@@ -24,7 +26,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(q_list=[2], n_list=[3], max_pairs=0)
     with pytest.raises(ValueError):
-        SweepConfig(q_list=[2], n_list=[3], modes=("nonsense",))
+        SweepConfig(q_list=[2], n_list=[3], workers=0)
 
 
 def test_instances_filter_invalid_combos():
@@ -145,9 +147,62 @@ def test_shipped_schema_matches_report_fields():
         assert f in schema["properties"]
 
 
-def test_step_counts_mode():
-    cfg = SweepConfig(
-        q_list=[5], n_list=[3], t_list=[1], modes=DEFAULT_MODES + ("step_counts",)
-    )
-    reports = list(run_sweep(cfg))
-    assert all(not is_violation(r) for r in reports)
+def test_run_sweep_clamps_workers(monkeypatch):
+    """The pool gets min(workers, CPU count, groups) processes, and none
+    when that is 1.  A recording stand-in replaces the process pool, so
+    no process is started."""
+    import concurrent.futures
+
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    four_groups = SweepConfig(q_list=[2, 3], n_list=[3], t_list=[1], workers=64)
+    serial = list(run_sweep(SweepConfig(q_list=[2, 3], n_list=[3], t_list=[1])))
+    assert created == []
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pooled = list(run_sweep(four_groups))
+    assert created == [3]  # CPU count binds
+    list(run_sweep(SweepConfig(q_list=[2], n_list=[3], t_list=[1], workers=64)))
+    assert created == [3, 2]  # two (q, n, k) groups bind
+
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    list(run_sweep(four_groups))
+    assert created == [3, 2]  # unknown CPU count: serial
+
+    for r in serial + pooled:
+        r.pop("wall_ms")
+    assert pooled == serial
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "sweep_golden.jsonl"
+
+
+def test_sweep_matches_golden():
+    """Report lines are byte-identical, apart from wall_ms, to the shipped
+    output of `sweep --q 2,3,4,5,7 --n 2-4` plus `sweep --q 2 --n 6 --k 3`.
+    The grid holds the known single-vertex gap (2,2,1,1), empty classes,
+    and (2,6,3,t), whose metric comes from the stacked-rank route."""
+    configs = [
+        SweepConfig(q_list=[2, 3, 4, 5, 7], n_list=[2, 3, 4]),
+        SweepConfig(q_list=[2], n_list=[6], k_list=[3]),
+    ]
+    lines = [
+        re.sub(r',"wall_ms":\d+\}$', "}", report_json_line(r))
+        for cfg in configs
+        for r in run_sweep(cfg)
+    ]
+    assert lines == GOLDEN.read_text().splitlines()
