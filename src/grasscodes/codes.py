@@ -31,7 +31,7 @@ from .errors import (
     TooLargeExactError,
 )
 from .gf import FieldCtx, field_of_order
-from .linalg import MatrixGF, Subspace, Vector, intersect, kernel, rref
+from .linalg import MatrixGF, Subspace, intersect, kernel, rref
 
 INFINITE = math.inf
 
@@ -112,13 +112,6 @@ class MonomialMap:
     def identity(cls, ctx: FieldCtx, n: int) -> "MonomialMap":
         return cls(ctx, tuple(range(n)), (1,) * n)
 
-    @classmethod
-    def random(cls, ctx: FieldCtx, n: int, rng) -> "MonomialMap":
-        perm = list(range(n))
-        rng.shuffle(perm)
-        scalars = tuple(rng.randrange(1, ctx.q) for _ in range(n))
-        return cls(ctx, tuple(perm), scalars)
-
     def apply_to_matrix(self, m: MatrixGF) -> MatrixGF:
         if m.ncols != self.n or m.ctx != self.ctx:
             raise DimensionMismatchError("matrix shape/field does not match map")
@@ -128,12 +121,6 @@ class MonomialMap:
             for i in range(m.nrows):
                 out[i][dest] = ctx.mul(s, m.rows[i][j])
         return MatrixGF(ctx, out, ncols=self.n)
-
-    def apply_to_vector(self, v: Sequence[int]) -> Vector:
-        out = [0] * self.n
-        for j, (dest, s) in enumerate(zip(self.perm, self.scalars)):
-            out[dest] = self.ctx.mul(s, v[j])
-        return tuple(out)
 
     def compose(self, other: "MonomialMap") -> "MonomialMap":
         """self ∘ other: apply other first, then self."""

@@ -173,10 +173,9 @@ def _coset_rep_vectors(ctx: FieldCtx, xy: Subspace, y: LinearCode):
         yield tuple(v)
 
 
-def _step_candidates(x: LinearCode, y: LinearCode, t: int):
+def _step_candidates(x: LinearCode, y: LinearCode, xy: Subspace):
     """Deterministic (hyperplane, rep, span) scan order shared by
-    step_toward and count_step_codes."""
-    xy = intersect(x.space, y.space)
+    step_toward and count_step_codes; xy is x ∩ y."""
     ctx = x.ctx
     for h in hyperplanes_containing(x.space, xy):
         for z in _coset_rep_vectors(ctx, xy, y):
@@ -184,15 +183,17 @@ def _step_candidates(x: LinearCode, y: LinearCode, t: int):
             yield h, z, span
 
 
-def _step_preconditions(x: LinearCode, y: LinearCode, t: int) -> int:
+def _step_preconditions(x: LinearCode, y: LinearCode, t: int) -> tuple[int, Subspace]:
+    """The distance d and the meet x ∩ y of a pair a step can be made on."""
     _require_strength(x, t, "x")
     _require_strength(y, t, "y")
-    d = x.k - intersect(x.space, y.space).dim
+    xy = intersect(x.space, y.space)
+    d = x.k - xy.dim
     if d == 0:
         raise StepDepthError("codes are equal; no step to make")
     if d > t:
         raise StepDepthError(f"pair distance {d} exceeds strength {t}")
-    return d
+    return d, xy
 
 
 def step_toward(x: LinearCode, y: LinearCode, t: int) -> StepCertificate:
@@ -204,9 +205,9 @@ def step_toward(x: LinearCode, y: LinearCode, t: int) -> StepCertificate:
     hyperplane must succeed; below that bound the scan may fall through
     and ultimately raise NoStepFound.
     """
-    d = _step_preconditions(x, y, t)
+    d, xy = _step_preconditions(x, y, t)
     k = x.k
-    for h, z, span in _step_candidates(x, y, t):
+    for h, z, span in _step_candidates(x, y, xy):
         if not _span_in_class(span, t):
             continue
         z_code = LinearCode(span)
@@ -243,9 +244,9 @@ def verify_step_certificate(
 
 def count_step_codes(x: LinearCode, y: LinearCode, t: int) -> int:
     """Number of distinct valid step codes over the whole scan domain."""
-    _step_preconditions(x, y, t)
+    _, xy = _step_preconditions(x, y, t)
     found = set()
-    for _, _, span in _step_candidates(x, y, t):
+    for _, _, span in _step_candidates(x, y, xy):
         if _span_in_class(span, t):
             found.add(span)
     return len(found)

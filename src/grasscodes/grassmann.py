@@ -67,9 +67,6 @@ class SubspaceIndex:
         rows = [tuple(int(x) for x in r) for r in self.bases[i]]
         return Subspace(self.ctx, self.n, MatrixGF(self.ctx, rows, ncols=self.n))
 
-    def code_at(self, i: int) -> LinearCode:
-        return LinearCode(self.subspace_at(i))
-
     def index_of(self, s) -> int:
         """Position of a Subspace/LinearCode in the table."""
         if isinstance(s, LinearCode):
@@ -380,34 +377,6 @@ def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -
             break
         reach = new
     graph._all_pairs = dist
-    return dist
-
-
-def bfs_distances(graph: GrassmannGraph, source) -> np.ndarray:
-    """Single-source BFS distances (float array, inf for unreachable).
-
-    source may be a graph position (int) or a Subspace/LinearCode.  Each
-    level marks the buckets of the frontier and takes their unreached
-    members as the next frontier.
-    """
-    if isinstance(source, (int, np.integer)):
-        src = int(source)
-        if not 0 <= src < graph.num_vertices:
-            raise VertexAbsentError(f"position {src} out of range")
-    else:
-        src = graph.position_of(source)
-    inc = graph.incidence()
-    dist = np.full(graph.num_vertices, inf)
-    dist[src] = 0
-    num_buckets = int(inc.max()) + 1 if inc.size else 0
-    frontier = np.array([src])
-    level = 0
-    while frontier.size:
-        hit = np.zeros(num_buckets, dtype=bool)
-        hit[inc[frontier]] = True
-        frontier = np.flatnonzero(hit[inc].any(axis=1) & np.isinf(dist))
-        level += 1
-        dist[frontier] = level
     return dist
 
 

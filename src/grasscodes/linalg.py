@@ -5,6 +5,13 @@ subspace, so equality, hashing and enumeration order are all defined by
 the RREF basis entries.  The zero subspace is a first-class value (a
 basis with no rows and an explicit ambient dimension).
 
+Each linear-algebra job has one exact routine: `rref` (row space, rank),
+`kernel` (right null space), `subspace_sum` (one RREF of the stacked
+bases) and `intersect` (one RREF of the Zassenhaus matrix [[A, A], [B, 0]],
+whose rows with a vanishing left half hold the meet's RREF basis).
+Hyperplanes of a subspace are written down in closed form from their
+functionals, with no kernel computation per hyperplane.
+
 Everything here is immutable after construction and pure, sized for
 exact desk-scale work: ambient dimensions in the tens, not thousands.
 """
@@ -74,30 +81,10 @@ class MatrixGF:
     def identity(cls, ctx: FieldCtx, n: int) -> "MatrixGF":
         return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, ctx: FieldCtx, nrows: int, ncols: int) -> "MatrixGF":
-        return cls(ctx, [[0] * ncols for _ in range(nrows)], ncols=ncols)
-
     def stack(self, other: "MatrixGF") -> "MatrixGF":
         if other.ncols != self.ncols or other.ctx != self.ctx:
             raise AmbientMismatchError("cannot stack matrices of different shape/field")
         return MatrixGF(self.ctx, self.rows + other.rows, ncols=self.ncols)
-
-    def matmul(self, other: "MatrixGF") -> "MatrixGF":
-        if self.ncols != other.nrows:
-            raise DimensionMismatchError(f"{self.ncols} != {other.nrows}")
-        ctx = self.ctx
-        out = []
-        for r in self.rows:
-            row = [0] * other.ncols
-            for i, c in enumerate(r):
-                if c:
-                    orow = other.rows[i]
-                    for j in range(other.ncols):
-                        if orow[j]:
-                            row[j] = ctx.add(row[j], ctx.mul(c, orow[j]))
-            out.append(row)
-        return MatrixGF(ctx, out, ncols=other.ncols)
 
     def __eq__(self, other):
         return (
@@ -256,14 +243,20 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a ∩ b via orthogonal complements; dimension identity re-checked."""
+    """a ∩ b by Zassenhaus: one RREF of the rows [a_i | a_i] and [b_j | 0].
+
+    The rows of the result whose left half vanishes carry, in their right
+    half, the RREF basis of the meet.  dim(a ∩ b) + dim(a + b) = dim a +
+    dim b is re-checked against an independently computed sum.
+    """
     a._check_ambient(b)
-    ann_a = kernel(a.basis)
-    ann_b = kernel(b.basis)
-    joint = subspace_sum(ann_a, ann_b)
-    result = kernel(joint.basis)
-    s = subspace_sum(a, b)
-    if result.dim + s.dim != a.dim + b.dim:
+    ctx, n = a.ctx, a.ambient_dim
+    zeros = (0,) * n
+    stacked = [r + r for r in a.basis.rows] + [r + zeros for r in b.basis.rows]
+    red, rank = rref(MatrixGF(ctx, stacked, ncols=2 * n))
+    meet = [r[n:] for r in red.rows[:rank] if not any(r[:n])]
+    result = Subspace(ctx, n, MatrixGF(ctx, meet, ncols=n))
+    if result.dim + subspace_sum(a, b).dim != a.dim + b.dim:
         raise InternalInvariantError("modular dimension identity failed in intersect")
     return result
 
@@ -295,9 +288,10 @@ def hyperplanes_containing(x: Subspace, u: Subspace) -> Iterator[Subspace]:
     """All codimension-1 subspaces of x that contain u, deterministically.
 
     Yields exactly q_int(dim x - dim u, q) distinct hyperplanes; each is the
-    kernel inside x of a linear functional vanishing on u.  Functionals are
-    enumerated as canonical projective representatives of the solution
-    space, ascending.
+    kernel inside x of a linear functional c (coordinates over x's basis)
+    vanishing on u, spanned in closed form by x_j - (c_j / c_p) x_p for
+    j != p, p the first nonzero of c.  Functionals are enumerated as
+    canonical projective representatives of the solution space, ascending.
     """
     if not x.contains(u):
         raise NotSubspaceError("u is not contained in x")
@@ -308,14 +302,20 @@ def hyperplanes_containing(x: Subspace, u: Subspace) -> Iterator[Subspace]:
     u_coords = MatrixGF(ctx, [x.coords_of(r) for r in u.basis.rows], ncols=k)
     w = kernel(u_coords)  # functionals on x vanishing on u
     wrows = w.basis.rows
+    xrows = x.basis.rows
     for lam in projective_reps(ctx, w.dim):
         c = [0] * k
         for li, row in zip(lam, wrows):
             if li:
                 c = [ctx.add(a, ctx.mul(li, b)) for a, b in zip(c, row)]
-        coeff_kernel = kernel(MatrixGF(ctx, [c], ncols=k))
-        h_rows = coeff_kernel.basis.matmul(x.basis)
-        yield Subspace.from_vectors(ctx, x.ambient_dim, h_rows.rows)
+        p = next(j for j, cj in enumerate(c) if cj)
+        inv_p = ctx.inv(c[p])
+        h_rows = []
+        for j in range(k):
+            if j != p:
+                f = ctx.neg(ctx.mul(c[j], inv_p))
+                h_rows.append([ctx.add(a, ctx.mul(f, b)) for a, b in zip(xrows[j], xrows[p])])
+        yield Subspace.from_vectors(ctx, x.ambient_dim, h_rows)
 
 
 # -- counting ------------------------------------------------------------------

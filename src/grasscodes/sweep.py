@@ -133,7 +133,8 @@ def _witness_json(graph, rep) -> list:
 
 
 class _InstanceCache:
-    """Per-(q, n, k) artifacts shared across the t values of one group."""
+    """Per-(q, n, k) artifacts shared across the t values of one group,
+    keyed on the caps too, since they decide what was computed."""
 
     def __init__(self):
         self.key = None
@@ -143,11 +144,12 @@ class _InstanceCache:
         self.enum_error = None
 
     def load(self, q, n, k, max_vertices, max_pairs):
-        if self.key == (q, n, k):
+        key = (q, n, k, max_vertices, max_pairs)
+        if self.key == key:
             if self.enum_error is not None:
                 raise self.enum_error
             return
-        self.key = (q, n, k)
+        self.key = key
         self.index = None
         self.gamma = None
         self.gamma_summary = None

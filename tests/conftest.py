@@ -1,11 +1,13 @@
 """Shared helpers: independent pure-python oracles the fast paths are tested against."""
 
 import itertools
+from math import inf
 
 import numpy as np
 
 from grasscodes import bulk
-from grasscodes.codes import LinearCode
+from grasscodes.codes import LinearCode, MonomialMap
+from grasscodes.errors import VertexAbsentError
 from grasscodes.linalg import MatrixGF, Subspace
 
 
@@ -79,3 +81,39 @@ def adjacency_pairwise(graph, chunk=1 << 15):
             adj[i, hit] = True
             adj[hit, i] = True
     return adj
+
+
+def bfs_distances(graph, source):
+    """Single-source BFS distances (float array, inf for unreachable).
+
+    source may be a graph position (int) or a Subspace/LinearCode.  Each
+    level marks the buckets of the frontier and takes their unreached
+    members as the next frontier.
+    """
+    if isinstance(source, (int, np.integer)):
+        src = int(source)
+        if not 0 <= src < graph.num_vertices:
+            raise VertexAbsentError(f"position {src} out of range")
+    else:
+        src = graph.position_of(source)
+    inc = graph.incidence()
+    dist = np.full(graph.num_vertices, inf)
+    dist[src] = 0
+    num_buckets = int(inc.max()) + 1 if inc.size else 0
+    frontier = np.array([src])
+    level = 0
+    while frontier.size:
+        hit = np.zeros(num_buckets, dtype=bool)
+        hit[inc[frontier]] = True
+        frontier = np.flatnonzero(hit[inc].any(axis=1) & np.isinf(dist))
+        level += 1
+        dist[frontier] = level
+    return dist
+
+
+def random_monomial(ctx, n, rng):
+    """A random monomial map on F_q^n drawn from a `random.Random`."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    scalars = tuple(rng.randrange(1, ctx.q) for _ in range(n))
+    return MonomialMap(ctx, tuple(perm), scalars)

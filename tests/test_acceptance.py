@@ -10,11 +10,11 @@ clause, and that instance must satisfy all but the diameter clause.
 import random
 from math import comb, inf
 
+from conftest import bfs_distances, random_monomial
 from grasscodes.codes import (
     CRITERIA,
     INFINITE,
     LinearCode,
-    MonomialMap,
     apply_monomial,
     dual_min_distance,
     has_strength,
@@ -32,7 +32,6 @@ from grasscodes.construct import (
 )
 from grasscodes.gf import field_of_order
 from grasscodes.grassmann import (
-    bfs_distances,
     build_delta,
     enumerate_subspaces,
     grassmann_distance,
@@ -99,7 +98,7 @@ def random_code_of_strength(ctx, n, k, t, rng, tries=60):
             return c
     # sparse class: take the monomial orbit of a Vandermonde seed
     seed = vandermonde_mds(ctx, n, k)
-    return apply_monomial(MonomialMap.random(ctx, n, rng), seed)
+    return apply_monomial(random_monomial(ctx, n, rng), seed)
 
 
 def sample_pairs_at_distance(delta, d, rng, want):
@@ -165,7 +164,7 @@ def test_criterion_2_membership_criteria_agree():
             for k in range(0, n + 1):
                 index = enumerate_subspaces(ctx, n, k)
                 for i in range(len(index)):
-                    c = index.code_at(i)
+                    c = LinearCode(index.subspace_at(i))
                     for t in range(1, n + 1):
                         answers = {has_strength(c, t, crit) for crit in CRITERIA}
                         assert len(answers) == 1, (q, n, k, t, c.generator.rows)
@@ -363,7 +362,7 @@ def test_criterion_8_monomial_invariance():
             n = rng.randrange(2, 6)
             k = rng.randrange(1, n + 1)
             c = random_code(ctx, n, k, rng)
-            m = MonomialMap.random(ctx, n, rng)
+            m = random_monomial(ctx, n, rng)
             assert strength(apply_monomial(m, c)) == strength(c)
             total += 1
     assert total == len(QS) * trials_per_field

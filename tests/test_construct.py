@@ -41,7 +41,7 @@ F7 = field_new(7)
 def strength_class(ctx, n, k, t):
     idx = enumerate_subspaces(ctx, n, k)
     marks = idx.strength_all()
-    return [idx.code_at(i) for i in range(len(idx)) if marks[i] >= t]
+    return [LinearCode(idx.subspace_at(i)) for i in range(len(idx)) if marks[i] >= t]
 
 
 # -- vandermonde -----------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_step_first_hyperplane_above_bound():
 def test_count_step_codes_bound_and_oracle():
     idx = enumerate_subspaces(F7, 4, 2)
     marks = idx.strength_all()
-    codes = [idx.code_at(i) for i in range(len(idx)) if marks[i] >= 2]
+    codes = [LinearCode(idx.subspace_at(i)) for i in range(len(idx)) if marks[i] >= 2]
     x = codes[0]
     done = 0
     for y in codes[1:]:

@@ -4,7 +4,7 @@ from math import inf
 import numpy as np
 import pytest
 
-from conftest import adjacency_pairwise, iter_rref_bases
+from conftest import adjacency_pairwise, bfs_distances, iter_rref_bases, random_monomial
 from grasscodes.codes import LinearCode, strength
 from grasscodes.errors import (
     AllPairsTooLargeError,
@@ -18,7 +18,6 @@ from grasscodes.gf import field_new, field_of_order
 from grasscodes.grassmann import (
     GrassmannGraph,
     all_pairs_distances,
-    bfs_distances,
     build_delta,
     build_gamma,
     diameter_and_connectivity,
@@ -111,7 +110,7 @@ def test_strength_all_matches_scalar():
             idx = enumerate_subspaces(ctx, n, k)
             bulk_strengths = idx.strength_all()
             for i in range(len(idx)):
-                assert int(bulk_strengths[i]) == strength(idx.code_at(i))
+                assert int(bulk_strengths[i]) == strength(LinearCode(idx.subspace_at(i)))
 
 
 def test_grassmann_distance_examples():
@@ -401,7 +400,7 @@ def test_monomial_maps_are_graph_automorphisms():
     """Distances in the induced subgraph are preserved by monomial maps."""
     import random
 
-    from grasscodes.codes import MonomialMap, apply_monomial
+    from grasscodes.codes import apply_monomial
 
     rng = random.Random(99)
     for q, n, k, t in [(3, 4, 2, 1), (5, 3, 2, 2)]:
@@ -410,7 +409,7 @@ def test_monomial_maps_are_graph_automorphisms():
         delta = build_delta(idx, t)
         dist = all_pairs_distances(delta)
         for _ in range(10):
-            m = MonomialMap.random(ctx, n, rng)
+            m = random_monomial(ctx, n, rng)
             i = rng.randrange(delta.num_vertices)
             j = rng.randrange(delta.num_vertices)
             mi = delta.position_of(apply_monomial(m, LinearCode(delta.subspace_at(i))))

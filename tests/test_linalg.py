@@ -54,7 +54,7 @@ def test_rref_hand_example():
 
 
 def test_rref_zero_and_identity():
-    z = MatrixGF.zero(F3, 2, 4)
+    z = MatrixGF(F3, [[0] * 4, [0] * 4])
     red, rank = rref(z)
     assert rank == 0 and red.rows == ((0, 0, 0, 0), (0, 0, 0, 0))
     ident = MatrixGF.identity(F3, 3)
@@ -89,7 +89,7 @@ def test_kernel_enumeration_oracle():
 
 def test_kernel_identity_and_zero():
     assert kernel(MatrixGF.identity(F3, 4)).dim == 0
-    full = kernel(MatrixGF.zero(F3, 1, 4))
+    full = kernel(MatrixGF(F3, [[0] * 4]))
     assert full.dim == 4
 
 
@@ -144,16 +144,25 @@ def test_ambient_mismatch():
 
 
 def test_grassmann_dimension_identity_exhaustive_q2_n4():
-    """dim(a+b) + dim(a∩b) = dim a + dim b over every subspace pair."""
+    """dim(a+b) + dim(a∩b) = dim a + dim b, and a∩b holds exactly the
+    common vectors, over every subspace pair of F_2^4 and over a stride of
+    the pairs of F_9^3 (odd characteristic, e > 1, so sub != add)."""
+    from conftest import all_subspaces as rref_subspaces
+
     spaces = []
     for k in range(5):
         spaces.extend(all_subspaces(F2, 4, k))
     assert len(spaces) == 1 + 15 + 35 + 15 + 1
-    for a in spaces:
-        for b in spaces:
-            s = subspace_sum(a, b)
-            i = intersect(a, b)
-            assert s.dim + i.dim == a.dim + b.dim
+    f9_spaces = [s for k in range(4) for s in rref_subspaces(field_of_order(9), 3, k)]
+    assert len(f9_spaces) == 1 + 91 + 91 + 1
+    for group, stride in ((spaces, 1), (f9_spaces, 7)):
+        pairs = [(s, set(s.vectors())) for s in group]
+        for a, va in pairs:
+            for b, vb in pairs[::stride]:
+                s = subspace_sum(a, b)
+                i = intersect(a, b)
+                assert s.dim + i.dim == a.dim + b.dim
+                assert set(i.vectors()) == va & vb
 
 
 def test_hyperplanes_containing_counts():
@@ -186,10 +195,17 @@ def test_hyperplanes_containing_general():
         assert x.contains(h)
         assert h.contains(u)
     assert len(set(hps)) == len(hps)
-    # determinism
-    assert [h.basis.rows for h in hyperplanes_containing(x, u)] == [
-        h.basis.rows for h in hps
+    # order: the i-th hyperplane is the kernel in x of the i-th functional,
+    # functionals being the projective combinations of the kernel of u's
+    # coordinates over x, ascending
+    w = kernel(MatrixGF(ctx, [x.coords_of(r) for r in u.basis.rows], ncols=3))
+    functionals = [
+        [dot(ctx, lam, col) for col in zip(*w.basis.rows)]
+        for lam in projective_reps(ctx, w.dim)
     ]
+    assert len(functionals) == len(hps)
+    for c, h in zip(functionals, hps):
+        assert all(dot(ctx, c, x.coords_of(r)) == 0 for r in h.basis.rows)
 
 
 def test_hyperplanes_containing_not_subspace():

@@ -3,13 +3,19 @@ import os
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from grasscodes.errors import NotPrimeError
+from grasscodes.gf import field_of_order
+from grasscodes.grassmann import GrassmannGraph, enumerate_subspaces, isometry_check
+from grasscodes.linalg import Subspace
 from grasscodes.sweep import (
     CSV_FIELDS,
     REPORT_FIELDS,
     SweepConfig,
+    _InstanceCache,
+    _witness_json,
     csv_header,
     is_violation,
     report_csv_row,
@@ -90,6 +96,50 @@ def test_caps_pairs():
     assert "pairs" in rep["caps_hit"] and "gamma_pairs" in rep["caps_hit"]
     assert rep["connected"] is None
     assert not is_violation(rep)
+
+
+def test_cache_keys_on_caps():
+    """A shared cache must not reuse artifacts computed under other caps."""
+    cache = _InstanceCache()
+    capped = verify_instance(2, 4, 2, 1, max_pairs=10, cache=cache)
+    assert "gamma_pairs" in capped["caps_hit"]
+    shared = verify_instance(2, 4, 2, 2, cache=cache)
+    fresh = verify_instance(2, 4, 2, 2)
+    assert shared["diameter_gamma"] == fresh["diameter_gamma"] == 2
+    assert shared["caps_hit"] == fresh["caps_hit"] == []
+
+
+def test_witness_json_on_non_isometric_subgraph():
+    """A hand-built vertex subset of the (2,4,2) graph: the path
+    P2 - P1 - P0 - P3 joins P0 and P3 (metric 2) only at length 3, and S
+    meets none of them, so every pair with S is disconnected."""
+    ctx = field_of_order(2)
+    idx = enumerate_subspaces(ctx, 4, 2)
+    rows = {
+        "P0": [[1, 0, 0, 0], [0, 1, 0, 0]],
+        "P1": [[1, 0, 0, 0], [0, 0, 1, 0]],
+        "P2": [[0, 0, 1, 0], [0, 0, 0, 1]],
+        "P3": [[1, 1, 1, 0], [0, 0, 0, 1]],
+        "S": [[1, 0, 1, 1], [0, 1, 1, 0]],
+    }
+    ids = sorted(idx.index_of(Subspace.from_vectors(ctx, 4, r)) for r in rows.values())
+    graph = GrassmannGraph(idx, 1, np.array(ids, dtype=np.int64))
+    iso = isometry_check(graph)
+    assert not iso.isometric
+    # positions in canonical order: P2, P1, P0, S, P3; witnesses row-major
+    expected = [
+        ("P2", "S", None), ("P1", "S", None), ("P0", "S", None),
+        ("P0", "P3", 3), ("S", "P3", None),
+    ]
+    witnesses = _witness_json(graph, iso)
+    assert witnesses == [
+        {"x": rows[a], "y": rows[b], "d_subgraph": d, "d_metric": 2}
+        for a, b, d in expected
+    ]
+    report = verify_instance(2, 4, 2, 1)
+    report["isometric"] = False
+    report["witnesses"] = witnesses
+    assert json.loads(report_json_line(report))["witnesses"] == witnesses
 
 
 def test_report_json_key_order_and_determinism():
