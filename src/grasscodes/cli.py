@@ -96,6 +96,11 @@ def cmd_path(args) -> int:
     if x.ctx != y.ctx or x.n != y.n or x.k != y.k:
         raise FieldMismatchError("the two codes have different q, n, or k")
     t = args.t
+    # construct first: it rejects t < 1 and codes outside the class before comb(n, t)
+    try:
+        path, failure = construct.geodesic_path(x, y, t), None
+    except PathFailedError as exc:
+        path, failure = exc.partial_path, exc
     expected = x.k - intersect(x.space, y.space).dim
     bound_ok = x.ctx.q >= comb(x.n, t)
     payload = {
@@ -103,11 +108,9 @@ def cmd_path(args) -> int:
         "bound_satisfied": bound_ok,
         "expected_length": expected,
     }
-    try:
-        path = construct.geodesic_path(x, y, t)
-    except PathFailedError as exc:
-        payload["error"] = str(exc)
-        payload["partial_path"] = [_rows(c) for c in exc.partial_path]
+    if failure is not None:
+        payload["error"] = str(failure)
+        payload["partial_path"] = [_rows(c) for c in path]
         _emit(payload, args.out)
         return EXIT_VIOLATION if bound_ok else EXIT_SEARCH_FAILED
     edges = []

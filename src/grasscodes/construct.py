@@ -19,11 +19,11 @@ the class iff it meets every one of them in dimension k - t; the theory
 says the meet never exceeds k - t + 1, so a candidate failing the test
 has at least one color, and with q at least the number of colors some
 coset of the scan has none.  `step_toward` and `count_step_codes`
-measure every color of every candidate they scan and count (and refuse
-to continue past) any meet above the bound; `shrink` rejects the
-hyperplanes of x that contain one of x's meets with the colors.  The
-counters live in `scan_stats` so a verification run can assert that
-checks actually happened and that no violation occurred.
+measure every color of every candidate and refuse to pass any meet
+above the bound; `scan_stats` counts both, so a run can assert that
+checks happened and none failed.  `shrink` tests each hyperplane by its
+t-column ranks, and a geodesic computes each meet with the target once,
+handing it from move to move.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from .codes import (
     MonomialMap,
     apply_monomial,
     column_rank,
-    coordinate_subspace,
+    has_strength,
     strength,
 )
 from .errors import (
     BadInnerSubspaceError,
+    BadTError,
     DuplicatePointsError,
     InternalInvariantError,
     NoLambdaError,
@@ -109,6 +110,8 @@ def _span_in_class(space: Subspace, t: int) -> bool:
 
 
 def _require_strength(c: LinearCode, t: int, who: str) -> None:
+    if t < 1:
+        raise BadTError(f"strength t must be at least 1, got t={t}")
     if strength(c) < t:
         raise NotInCtError(f"{who} has strength {strength(c)} < {t}")
 
@@ -160,13 +163,13 @@ class StepCertificate:
     class_member: bool
 
 
-def _coset_rep_vectors(ctx: FieldCtx, xy: Subspace, y: LinearCode):
+def _coset_rep_vectors(ctx: FieldCtx, comp: list[Vector]):
     """Canonical nonzero coset representatives of y modulo (x ∩ y):
-    projective combinations of the fixed complement basis."""
-    comp = complement_basis(xy, y.space)
-    d = len(comp)
-    for lam in projective_reps(ctx, d):
-        v = [0] * y.n
+    projective combinations of comp, the complement basis of x ∩ y in y,
+    generated lazily (there are [d]_q of them)."""
+    n = len(comp[0])
+    for lam in projective_reps(ctx, len(comp)):
+        v = [0] * n
         for li, b in zip(lam, comp):
             if li:
                 v = [ctx.add(a, ctx.mul(li, c)) for a, c in zip(v, b)]
@@ -177,8 +180,9 @@ def _step_candidates(x: LinearCode, y: LinearCode, xy: Subspace):
     """Deterministic (hyperplane, rep, span) scan order shared by
     step_toward and count_step_codes; xy is x ∩ y."""
     ctx = x.ctx
+    comp = complement_basis(xy, y.space)
     for h in hyperplanes_containing(x.space, xy):
-        for z in _coset_rep_vectors(ctx, xy, y):
+        for z in _coset_rep_vectors(ctx, comp):
             span = Subspace.from_vectors(ctx, x.n, list(h.basis.rows) + [z])
             yield h, z, span
 
@@ -196,6 +200,21 @@ def _step_preconditions(x: LinearCode, y: LinearCode, t: int) -> tuple[int, Subs
     return d, xy
 
 
+def _forced_meet(cur: LinearCode, z: Subspace, y: LinearCode, d: int) -> Subspace:
+    """z ∩ y for a move z off cur with cur at distance d from y, after
+    checking the dimensions the theory forces: dim(cur ∩ z) = k - 1 and
+    dim(z ∩ y) = k - d + 1."""
+    k = cur.k
+    dim_xz = intersect(cur.space, z).dim
+    zy = intersect(z, y.space)
+    if dim_xz != k - 1 or zy.dim != k - d + 1:
+        raise InternalInvariantError(
+            f"move dims ({dim_xz}, {zy.dim}) differ from forced "
+            f"({k - 1}, {k - d + 1})"
+        )
+    return zy
+
+
 def step_toward(x: LinearCode, y: LinearCode, t: int) -> StepCertificate:
     """First code Z adjacent to x, one closer to y, inside the class.
 
@@ -206,19 +225,10 @@ def step_toward(x: LinearCode, y: LinearCode, t: int) -> StepCertificate:
     and ultimately raise NoStepFound.
     """
     d, xy = _step_preconditions(x, y, t)
-    k = x.k
     for h, z, span in _step_candidates(x, y, xy):
-        if not _span_in_class(span, t):
-            continue
-        z_code = LinearCode(span)
-        dim_xz = intersect(x.space, span).dim
-        dim_zy = intersect(span, y.space).dim
-        if dim_xz != k - 1 or dim_zy != k - d + 1:
-            raise InternalInvariantError(
-                f"step dims ({dim_xz}, {dim_zy}) differ from forced "
-                f"({k - 1}, {k - d + 1})"
-            )
-        return StepCertificate(z_code, h, z, dim_xz, dim_zy, True)
+        if _span_in_class(span, t):
+            zy = _forced_meet(x, span, y, d)
+            return StepCertificate(LinearCode(span), h, z, x.k - 1, zy.dim, True)
     raise NoStepFoundError(
         f"no strength-{t} step between the codes (q={x.ctx.q} below the bound?)"
     )
@@ -257,30 +267,24 @@ def count_step_codes(x: LinearCode, y: LinearCode, t: int) -> int:
 def shrink(x: LinearCode, inner: Subspace, t: int) -> LinearCode:
     """First strength-t hyperplane of x containing `inner`.
 
-    A hyperplane works iff it contains none of the meets of x with the
-    codimension-t coordinate subspaces; the counting bound guarantees one
-    exists whenever q is at least the number of colors.
+    A hyperplane h is tested by the ranks of its t-column submatrices.
+    That is the test "h contains none of the meets of x with the
+    codimension-t coordinate subspaces": each meet has dimension k - t
+    (x has strength t), and h meets it in dimension k - t - 1 unless h
+    contains it.  The counting bound guarantees such an h whenever q is
+    at least the number of colors.
     """
     _require_strength(x, t, "x")
     if not x.space.contains(inner) or inner.dim >= x.k - t:
         raise BadInnerSubspaceError(
             f"need inner ⊂ x with dim {inner.dim} < k - t = {x.k - t}"
         )
-    ctx = x.ctx
-    meets = [
-        intersect(x.space, coordinate_subspace(x.n, color).as_subspace(ctx))
-        for color in coordinate_tuples(x.n, t)
-    ]
     for h in hyperplanes_containing(x.space, inner):
-        if any(h.contains(m) for m in meets):
-            continue
         shrunk = LinearCode(h)
-        if strength(shrunk) < t:  # pragma: no cover - criterion is exact
-            raise InternalInvariantError("hyperplane passed the meet criterion "
-                                         "but is not in the class")
-        return shrunk
+        if has_strength(shrunk, t, "columns"):
+            return shrunk
     raise NoShrinkFoundError(
-        f"no strength-{t} hyperplane of x over U (q={ctx.q} below the bound?)"
+        f"no strength-{t} hyperplane of x over U (q={x.ctx.q} below the bound?)"
     )
 
 
@@ -289,59 +293,50 @@ def shrink(x: LinearCode, inner: Subspace, t: int) -> LinearCode:
 def geodesic_path(x: LinearCode, y: LinearCode, t: int) -> list[LinearCode]:
     """Path x = Z_0, ..., Z_m = y inside the class with m = k - dim(x∩y).
 
-    While the remaining distance exceeds t, a shrink-and-merge move is
-    taken: shrink x to a strength-t hyperplane through x∩y, extend x∩y
-    by the first coset representative of y, and span the two; the merged
-    code's membership is verified directly, never assumed.  Once the
-    distance is at most t, single steps finish the path.
+    While the remaining distance d exceeds t, a shrink-and-merge move is
+    taken: shrink the current code to a strength-t hyperplane through
+    its meet with y, extend that meet by the first coset representative
+    of y (the first row of y's complement basis over it), and span the
+    two; the merged code's membership is verified directly, never
+    assumed.  The remaining d <= t moves are single steps.
     """
     _require_strength(x, t, "x")
     _require_strength(y, t, "y")
     path = [x]
     cur = x
-    guard = 0
-    while cur != y:
-        guard += 1
-        if guard > x.k + 1:  # pragma: no cover
-            raise InternalInvariantError("path did not converge")
-        xy = intersect(cur.space, y.space)
-        d = cur.k - xy.dim
-        if d <= t:
-            try:
-                cert = step_toward(cur, y, t)
-            except NoStepFoundError as exc:
-                raise PathFailedError(str(exc), partial_path=path) from exc
-            cur = cert.z_code
-        else:
-            try:
-                xprime = shrink(cur, xy, t)
-            except NoShrinkFoundError as exc:
-                raise PathFailedError(str(exc), partial_path=path) from exc
-            ctx = cur.ctx
-            first_rep = next(_coset_rep_vectors(ctx, xy, y))
-            merged = Subspace.from_vectors(
-                ctx, cur.n,
-                list(xprime.space.basis.rows) + list(xy.basis.rows) + [first_rep],
+    xy = intersect(x.space, y.space)
+    d = x.k - xy.dim
+    while d > t:
+        try:
+            xprime = shrink(cur, xy, t)
+        except NoShrinkFoundError as exc:
+            raise PathFailedError(str(exc), partial_path=path) from exc
+        ctx = cur.ctx
+        first_rep = complement_basis(xy, y.space)[0]
+        merged = Subspace.from_vectors(
+            ctx, cur.n,
+            list(xprime.space.basis.rows) + list(xy.basis.rows) + [first_rep],
+        )
+        if merged.dim != cur.k:
+            raise InternalInvariantError(
+                f"merged span has dim {merged.dim}, expected {cur.k}"
             )
-            if merged.dim != cur.k:
-                raise InternalInvariantError(
-                    f"merged span has dim {merged.dim}, expected {cur.k}"
-                )
-            merged_code = LinearCode(merged)
-            if strength(merged_code) < t:
-                raise PathFailedError(
-                    f"merged code fell outside the class (strength "
-                    f"{strength(merged_code)} < {t}); q={ctx.q} below the bound?",
-                    partial_path=path,
-                )
-            dim_xt = intersect(cur.space, merged).dim
-            dim_ty = intersect(merged, y.space).dim
-            if dim_xt != cur.k - 1 or dim_ty != cur.k - d + 1:
-                raise InternalInvariantError(
-                    f"merge dims ({dim_xt}, {dim_ty}) differ from forced "
-                    f"({cur.k - 1}, {cur.k - d + 1})"
-                )
-            cur = merged_code
+        merged_code = LinearCode(merged)
+        if strength(merged_code) < t:
+            raise PathFailedError(
+                f"merged code fell outside the class (strength "
+                f"{strength(merged_code)} < {t}); q={ctx.q} below the bound?",
+                partial_path=path,
+            )
+        xy = _forced_meet(cur, merged, y, d)
+        cur = merged_code
+        d -= 1
+        path.append(cur)
+    for _ in range(d):
+        try:
+            cur = step_toward(cur, y, t).z_code
+        except NoStepFoundError as exc:
+            raise PathFailedError(str(exc), partial_path=path) from exc
         path.append(cur)
     return path
 

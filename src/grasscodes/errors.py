@@ -18,7 +18,7 @@ class NotPrimeError(GrassCodesError):
 
 
 class ReducibleModulusError(GrassCodesError):
-    """Supplied modulus polynomial is not irreducible."""
+    """No irreducible modulus polynomial of the requested degree exists."""
 
 
 class FieldTooLargeError(GrassCodesError):

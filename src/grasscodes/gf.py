@@ -4,9 +4,9 @@ Elements are plain ints in [0, q).  The int encodes the polynomial
 ``sum c_i x^i`` over GF(p) as ``sum c_i p^i``, so for prime fields the
 encoding is the residue itself and for GF(2^e) it is the usual bit
 pattern.  The encoding is bijective and stable across runs: extension
-fields built without an explicit modulus always use the same built-in
-irreducible polynomial (the one whose non-leading coefficient vector,
-read as a base-p integer, is smallest).
+fields always use the same built-in irreducible polynomial (the one
+whose non-leading coefficient vector, read as a base-p integer, is
+smallest).
 
 For q <= 4096 multiplication and inversion run off discrete log/exp
 tables built at construction; above that they fall back to on-the-fly
@@ -129,13 +129,11 @@ class FieldCtx:
     ----------
     p : prime characteristic.
     e : extension degree, >= 1.
-    modulus : optional monic irreducible coefficient vector (constant term
-        first, length e+1).  Omitted: the canonical built-in one.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_inv", "_np_tables")
 
-    def __init__(self, p: int, e: int = 1, modulus=None):
+    def __init__(self, p: int, e: int = 1):
         # the cap comes first: no primality test or power of an oversized order
         if p >= 2 and (e >= MAX_ORDER.bit_length() or p**e > MAX_ORDER):
             raise FieldTooLargeError(f"GF({p}^{e}) exceeds cap 2^20")
@@ -147,15 +145,7 @@ class FieldCtx:
         self.p = p
         self.e = e
         self.q = q
-        if modulus is None:
-            self.modulus = _default_modulus(p, e) if e > 1 else (0, 1)
-        else:
-            mod = tuple(int(c) % p for c in modulus)
-            if len(mod) != e + 1 or mod[e] != 1:
-                raise ReducibleModulusError("modulus must be monic of degree e")
-            if e <= 12 and not _is_irreducible(list(mod), p):
-                raise ReducibleModulusError(f"modulus {mod} is reducible over GF({p})")
-            self.modulus = mod
+        self.modulus = _default_modulus(p, e) if e > 1 else (0, 1)
         self._exp = None
         self._log = None
         self._inv = None
@@ -323,9 +313,9 @@ class FieldCtx:
 
 
 @lru_cache(maxsize=None)
-def field_new(p: int, e: int = 1, modulus: tuple | None = None) -> FieldCtx:
+def field_new(p: int, e: int = 1) -> FieldCtx:
     """Build (and cache) a field context; same (p, e) yields the same object."""
-    return FieldCtx(p, e, modulus)
+    return FieldCtx(p, e)
 
 
 @lru_cache(maxsize=None)

@@ -107,6 +107,16 @@ def test_opposite_below_bound(tmp_path, capsys):
     assert out["bound_satisfied"] is False and "error" in out
 
 
+@pytest.mark.parametrize("t", ["0", "-1"])
+@pytest.mark.parametrize("command", ["path", "opposite"])
+def test_construct_rejects_t_below_one(command, t, vandermonde_file, capsys):
+    files = [vandermonde_file] * (2 if command == "path" else 1)
+    assert main([command, *files, "--t", t]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"t={t}" in captured.err
+
+
 def test_enumerate(tmp_path, capsys):
     out_file = tmp_path / "codes.txt"
     assert main([

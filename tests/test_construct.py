@@ -1,6 +1,14 @@
 import pytest
 
-from grasscodes.codes import LinearCode, apply_monomial, classify, has_strength, strength
+from grasscodes import construct
+from grasscodes.codes import (
+    LinearCode,
+    apply_monomial,
+    classify,
+    coordinate_subspace,
+    has_strength,
+    strength,
+)
 from grasscodes.construct import (
     StepCertificate,
     coordinate_tuples,
@@ -221,6 +229,42 @@ def test_shrink_bad_inner():
             shrink(x, outside, 1)
 
 
+def meets_with_colors(x, t):
+    """Oracle: x's meets with the codimension-t coordinate subspaces."""
+    return [
+        intersect(x.space, coordinate_subspace(x.n, color).as_subspace(x.ctx))
+        for color in coordinate_tuples(x.n, t)
+    ]
+
+
+@pytest.mark.parametrize("q,n,k,t", [(5, 4, 3, 1), (5, 4, 3, 2)])
+def test_shrink_column_test_matches_meet_oracle(q, n, k, t):
+    """A hyperplane of x has strength t exactly when it contains none of
+    x's meets with the colors, and shrink returns the first such one."""
+    ctx = field_of_order(q)
+    seen = {True: 0, False: 0}
+    for x in strength_class(ctx, n, k, t):
+        meets = meets_with_colors(x, t)
+        assert all(m.dim == k - t for m in meets)
+        inners = [Subspace.zero(ctx, n)]
+        if k - t > 1:
+            inners.append(Subspace.from_vectors(ctx, n, [x.generator.rows[0]]))
+        for inner in inners:
+            passing = []
+            for h in hyperplanes_containing(x.space, inner):
+                by_columns = has_strength(LinearCode(h), t, "columns")
+                assert by_columns == (not any(h.contains(m) for m in meets))
+                seen[by_columns] += 1
+                if by_columns:
+                    passing.append(h)
+            if passing:
+                assert shrink(x, inner, t).space == passing[0]
+            else:
+                with pytest.raises(NoShrinkFoundError):
+                    shrink(x, inner, t)
+    assert seen[True] and seen[False]
+
+
 def test_shrink_matches_existence_oracle_below_bound():
     """shrink succeeds exactly when some strength-t hyperplane exists
     (deterministic witness set: q=2, n=5, k=2, t=1, where 25 of the 40
@@ -299,6 +343,27 @@ def test_geodesic_matches_distance_when_it_succeeds():
             assert path_is_valid(path, 1)
             done += 1
     assert done > 10
+
+
+def test_geodesic_computes_each_meet_once(monkeypatch):
+    """One merge and one step: x ∩ y once, then two meets per move (its
+    meet with the current code and with y); the path is unchanged."""
+    x = LinearCode.from_generator(F7, [(1, 0, 1, 2, 3), (0, 1, 4, 5, 6)])
+    y = LinearCode.from_generator(F7, [(1, 2, 0, 3, 1), (0, 0, 1, 1, 4)])
+    calls = []
+
+    def counting_intersect(a, b):
+        calls.append((a, b))
+        return intersect(a, b)
+
+    monkeypatch.setattr(construct, "intersect", counting_intersect)
+    path = geodesic_path(x, y, 1)
+    assert [c.generator.rows for c in path] == [
+        ((1, 0, 1, 2, 3), (0, 1, 4, 5, 6)),
+        ((1, 0, 5, 6, 3), (0, 1, 1, 2, 6)),
+        ((1, 2, 0, 3, 1), (0, 0, 1, 1, 4)),
+    ]
+    assert len(calls) == 6
 
 
 def test_geodesic_below_bound_failure_witness():

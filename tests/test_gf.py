@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasscodes.errors import FieldTooLargeError, NotPrimeError, ReducibleModulusError
+from grasscodes.errors import FieldTooLargeError, NotPrimeError
 from grasscodes.gf import FieldCtx, field_new, field_of_order, is_prime
 
 
@@ -70,14 +70,6 @@ def test_too_large_rejected_before_primality(monkeypatch):
         FieldCtx(big)
     with pytest.raises(FieldTooLargeError):
         FieldCtx(3, 40)
-
-
-def test_reducible_modulus_rejected():
-    # x^2 + 1 = (x+1)^2 over GF(2)
-    with pytest.raises(ReducibleModulusError):
-        FieldCtx(2, 2, (1, 0, 1))
-    with pytest.raises(ReducibleModulusError):
-        FieldCtx(2, 2, (1, 1))  # wrong degree
 
 
 def test_field_of_order_matches_field_new():
