@@ -12,9 +12,8 @@ that incidence (bit-parallel from all sources at once).
 Graph distance in the full graph coincides with k - dim(x ∩ y).  The
 full graph's BFS diameter is re-checked against min(k, n-k), and the
 isometry check compares BFS distance in the induced subgraph with
-k - dim(x ∩ y).  For min(k, n-k) >= 3 that metric comes from
-stacked-basis ranks, independent of the graph; for min(k, n-k) <= 2 it
-is read off the adjacency, which pins it exactly.
+k - dim(x ∩ y).  That metric never reads the graph's edges: it counts
+the projective points each pair of subspaces shares.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (
     VertexAbsentError,
 )
 from .gf import FieldCtx
-from .linalg import MatrixGF, Subspace, projective_reps, rref, subspace_count
+from .linalg import MatrixGF, Subspace, projective_reps, q_int, rref, subspace_count
 
 ENUM_CAP = 1 << 21
 ALL_PAIRS_CAP = 1 << 25  # max number of vertex pairs in all-pairs verification
@@ -59,6 +58,7 @@ class SubspaceIndex:
         self.bases = bases
         self._key_to_id: dict[bytes, int] | None = None
         self._strength_all: np.ndarray | None = None
+        self._point_keys: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.bases.shape[0]
@@ -87,6 +87,21 @@ class SubspaceIndex:
         if self._strength_all is None:
             self._strength_all = _bulk_strengths(self.ctx, self.bases, self.n, self.k)
         return self._strength_all
+
+    def point_keys(self) -> np.ndarray:
+        """V x [kk]_q base-q keys (< q^n <= 2^30 under ENUM_CAP) of the points of
+        every subspace, or of its annihilator (not RREF, so each point is
+        scaled to a leading 1) when 2k > n: kk = min(k, n-k)."""
+        if self._point_keys is None:
+            ctx, n, kk = self.ctx, self.n, min(self.k, self.n - self.k)
+            bases = _annihilators(ctx, self.bases, n, self.k) if kk < self.k else self.bases
+            add, sub, mul, inv, neg = ctx.np_tables()
+            pts = np.zeros((len(self), q_int(kk, ctx.q), n), dtype=np.uint8)
+            for i, lam in enumerate(zip(*projective_reps(ctx, kk))):
+                pts = add[pts, mul[np.array(lam, dtype=np.uint8)[None, :, None], bases[:, None, i]]]
+            lead = np.take_along_axis(pts, (pts != 0).argmax(axis=2)[..., None], axis=2)
+            self._point_keys = mul[pts, inv[lead]].astype(np.int64) @ ctx.q ** np.arange(n)
+        return self._point_keys
 
 
 def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -175,9 +190,8 @@ class GrassmannGraph:
     """Full graph or strength-t induced subgraph over a SubspaceIndex.
 
     vertex_ids maps graph positions to index positions.  Edges are held as
-    the bucket incidence (see `incidence`), which drives adjacency and
-    every BFS; the dense boolean adjacency matrix is filled from it only
-    when `adjacency` is asked for.
+    the bucket incidence (see `incidence`), which drives every BFS; the
+    metric slices the index's point keys instead and never reads edges.
     """
 
     def __init__(self, index: SubspaceIndex, t: int | None, vertex_ids: np.ndarray):
@@ -223,11 +237,13 @@ class GrassmannGraph:
         return self._incidence
 
     def adjacency(self) -> np.ndarray:
+        """Dense boolean adjacency, one spread of the identity bitsets; kept
+        for the tests and the bench tracer, no verification route calls it."""
         if self._adjacency is None:
-            v = self.num_vertices
-            adj = _unpack(_spread(self, _identity_bits(v)), v)
-            np.fill_diagonal(adj, False)
-            self._adjacency = adj
+            bits = _identity_bits(self.num_vertices)
+            _spread(self.incidence(), _identity_bits(self.num_vertices), bits[None])
+            self._adjacency = _unpack(bits, self.num_vertices)
+            np.fill_diagonal(self._adjacency, False)
         return self._adjacency
 
 
@@ -279,10 +295,8 @@ def _bucket_incidence(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.nd
 
     The (k+1)-spaces containing x are the annihilators of the hyperplanes
     of x's annihilator, so both sides reduce to hyperplanes of a basis
-    block B.  The hyperplane {c : lam . c = 0} of F_q^k has the kernel
-    basis N_lam (rows e_j - lam_j e_p, p the leading 1 of lam), and N_lam B
-    spans the matching hyperplane of x; one batched RREF canonicalizes
-    them all.
+    block B.  N_lam B, with N_lam the annihilator of a point lam of F_q^k,
+    spans a hyperplane of x; one batched RREF canonicalizes them all.
     """
     if 2 * k > n:
         bases, k = _annihilators(ctx, bases, n, k), n - k
@@ -291,12 +305,7 @@ def _bucket_incidence(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.nd
     if not lams:
         return np.zeros((v, 0), dtype=np.int64)
     add, sub, mul, inv, neg = ctx.np_tables()
-    kernels = np.zeros((len(lams), k - 1, k), dtype=np.uint8)
-    for h, lam in enumerate(lams):
-        p = lam.index(1)
-        for r, j in enumerate(j for j in range(k) if j != p):
-            kernels[h, r, j] = 1
-            kernels[h, r, p] = neg[lam[j]]
+    kernels = _annihilators(ctx, np.array(lams, dtype=np.uint8)[:, None, :], k, 1)
     spans = np.zeros((v, len(lams), k - 1, n), dtype=np.uint8)
     for i in range(k):
         spans = add[spans, mul[kernels[None, :, :, i, None], bases[:, None, None, i, :]]]
@@ -310,10 +319,10 @@ def _bucket_incidence(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.nd
 
 # -- distances ----------------------------------------------------------------------
 #
-# All-sources BFS runs on bitsets: row u of a V x ceil(V/64) uint64 array
-# is the set of vertices u has reached.  One level ORs the rows of each
-# bucket's members together and ORs the result back into every member,
-# O(V * h * V/64) word operations.
+# Rows of V x ceil(V/64) uint64 arrays are vertex bitsets.  `_spread` ORs
+# the rows of each bucket's members together and adds the result back into
+# every member, O(V * h * V/64) word operations: all-sources BFS ORs it into
+# the sets reached, the metric counts shared buckets in binary bit planes.
 
 def _identity_bits(v: int) -> np.ndarray:
     bits = np.zeros((v, (v + 63) // 64), dtype=np.uint64)
@@ -327,27 +336,33 @@ def _unpack(bits: np.ndarray, v: int) -> np.ndarray:
     return np.unpackbits(bits.view(np.uint8), axis=1, count=v, bitorder="little").view(bool)
 
 
-def _spread(graph: GrassmannGraph, reach: np.ndarray) -> np.ndarray:
-    """Each row of `reach` ORed with the rows of every neighbor."""
-    inc = graph.incidence()
+def _spread(inc: np.ndarray, reach: np.ndarray, planes: np.ndarray) -> None:
+    """Add reach[w] to row u of the L bit planes once per bucket u shares
+    with w (inc: V x h bucket ids 0..).  The top plane is ORed, so a single
+    plane is the OR spread of BFS, and counts below 2^L are exact."""
     v, h = inc.shape
-    out = reach.copy()
-    if v == 0 or h == 0:
-        return out
     # members of every bucket in id order, and where each bucket begins
     order = np.argsort(inc.ravel(), kind="stable")
     members = order // h
     starts = np.flatnonzero(np.diff(inc.ravel()[order], prepend=-1))
     merged = np.empty((starts.size, reach.shape[1]), dtype=reach.dtype)
     # chunks of whole buckets, about V members each, bound the gathered block
-    cuts = np.unique(np.r_[np.searchsorted(starts, np.arange(0, members.size, v)), starts.size])
+    cuts = np.unique(np.r_[np.searchsorted(starts, np.arange(0, members.size, max(v, 1))), starts.size])
     for b0, b1 in zip(cuts[:-1], cuts[1:]):
         lo = starts[b0]
         hi = starts[b1] if b1 < starts.size else members.size
         merged[b0:b1] = np.bitwise_or.reduceat(reach[members[lo:hi]], starts[b0:b1] - lo, axis=0)
     for j in range(h):
-        out |= merged[inc[:, j]]
-    return out
+        carry = merged[inc[:, j]]
+        for plane in planes[:-1]:
+            plane ^= carry
+            carry &= ~plane
+        planes[-1] |= carry
+
+
+def _check_pairs(v: int, max_pairs: int) -> None:
+    if v * (v - 1) // 2 > max_pairs:
+        raise AllPairsTooLargeError(f"{v} vertices give {v * (v - 1) // 2} pairs > cap {max_pairs}")
 
 
 def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> np.ndarray:
@@ -357,10 +372,7 @@ def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -
     one level per step; the result is cached on the graph.
     """
     v = graph.num_vertices
-    if v * (v - 1) // 2 > max_pairs:
-        raise AllPairsTooLargeError(
-            f"{v} vertices give {v * (v - 1) // 2} pairs > cap {max_pairs}"
-        )
+    _check_pairs(v, max_pairs)
     if graph._all_pairs is not None:
         return graph._all_pairs
     # d(u, w) is the number of levels at which u has not yet reached w
@@ -371,7 +383,8 @@ def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -
         if not missing.any():
             break
         dist += missing
-        new = _spread(graph, reach)
+        new = reach.copy()
+        _spread(graph.incidence(), reach, new[None])
         if (new == reach).all():
             dist[missing] = -1
             break
@@ -383,37 +396,24 @@ def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -
 def metric_distance_matrix(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> np.ndarray:
     """The matrix of k - dim(x ∩ y) over the graph's vertex set.
 
-    For min(k, n-k) <= 2 this is forced by adjacency alone: distinct
-    non-adjacent spaces have dim(x ∩ y) <= k-2 and >= k - min(k, n-k),
-    which pin it exactly.  Otherwise every pair's stacked rank is
-    computed outright, in blocks of whole rows of about 2^16 pairs.
+    x and y share s points with (q-1)s + 1 = q^dim(x ∩ y), counted in bit
+    planes wide enough for [kk-1]_q, the most two distinct kk-spaces share
+    (see SubspaceIndex.point_keys; dim(x⊥ ∩ y⊥) = n - 2k + dim(x ∩ y)).
+    Off the diagonal s is some [e]_q, and [d]_q > 2 [d-1]_q, so s >= [d]_q
+    exactly when s has a bit at or above the top bit of [d]_q.
     """
-    v = graph.num_vertices
-    n, k = graph.index.n, graph.index.k
-    if v * (v - 1) // 2 > max_pairs:
-        raise AllPairsTooLargeError(
-            f"{v} vertices give {v * (v - 1) // 2} pairs > cap {max_pairs}"
-        )
-    if min(k, n - k) <= 2:
-        dist = np.where(graph.adjacency(), np.int16(1), np.int16(min(k, n - k)))
-        np.fill_diagonal(dist, 0)
-        return dist
-    bases = graph.vertex_bases()
-    ctx = graph.index.ctx
-    dist = np.zeros((v, v), dtype=np.int16)
-    chunk = 1 << 16
-    per_row = np.arange(v - 1, -1, -1)
-    ends = np.cumsum(per_row)  # number of pairs (i, j > i) in rows 0..i
-    start = 0
-    while start < v:
-        before = ends[start] - per_row[start]
-        stop = max(start + 1, int(np.searchsorted(ends, before + chunk, "right")))
-        i, j = np.nonzero(np.arange(start, stop)[:, None] < np.arange(v))
-        i += start
-        ranks = bulk.batched_rank(ctx, np.concatenate((bases[i], bases[j]), axis=1))
-        dist[i, j] = ranks - k
-        dist[j, i] = ranks - k
-        start = stop
+    index, v = graph.index, graph.num_vertices
+    q, kk = index.ctx.q, min(index.k, index.n - index.k)
+    _check_pairs(v, max_pairs)
+    keys = index.point_keys()[graph.vertex_ids]
+    pts = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+    width = max(1, (q_int(kk, q) // q).bit_length())  # [kk]_q // q = [kk-1]_q
+    planes = np.zeros((width, v, (v + 63) // 64), dtype=np.uint64)
+    _spread(pts, _identity_bits(v), planes)
+    dist = np.full((v, v), kk, dtype=np.int16)
+    for d in range(1, kk):
+        dist -= _unpack(np.bitwise_or.reduce(planes[q_int(d, q).bit_length() - 1 :]), v)
+    np.fill_diagonal(dist, 0)
     return dist
 
 

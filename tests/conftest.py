@@ -83,6 +83,30 @@ def adjacency_pairwise(graph, chunk=1 << 15):
     return adj
 
 
+def metric_ranks_pairwise(graph):
+    """k - dim(x ∩ y) for every vertex pair, from the rank of the stacked
+    bases, computed in blocks of whole rows of about 2^16 pairs."""
+    v = graph.num_vertices
+    k = graph.index.k
+    bases = graph.vertex_bases()
+    ctx = graph.index.ctx
+    dist = np.zeros((v, v), dtype=np.int16)
+    chunk = 1 << 16
+    per_row = np.arange(v - 1, -1, -1)
+    ends = np.cumsum(per_row)  # number of pairs (i, j > i) in rows 0..i
+    start = 0
+    while start < v:
+        before = ends[start] - per_row[start]
+        stop = max(start + 1, int(np.searchsorted(ends, before + chunk, "right")))
+        i, j = np.nonzero(np.arange(start, stop)[:, None] < np.arange(v))
+        i += start
+        ranks = bulk.batched_rank(ctx, np.concatenate((bases[i], bases[j]), axis=1))
+        dist[i, j] = ranks - k
+        dist[j, i] = ranks - k
+        start = stop
+    return dist
+
+
 def bfs_distances(graph, source):
     """Single-source BFS distances (float array, inf for unreachable).
 

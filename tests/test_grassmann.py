@@ -4,7 +4,14 @@ from math import inf
 import numpy as np
 import pytest
 
-from conftest import adjacency_pairwise, bfs_distances, iter_rref_bases, random_monomial
+from conftest import (
+    adjacency_pairwise,
+    bfs_distances,
+    iter_rref_bases,
+    metric_ranks_pairwise,
+    random_monomial,
+)
+from grasscodes import bulk
 from grasscodes.codes import LinearCode, strength
 from grasscodes.errors import (
     AllPairsTooLargeError,
@@ -296,7 +303,7 @@ def test_gamma_metric_identity():
 
 
 def test_metric_matrix_matches_rank_route():
-    """The adjacency-derived metric matrix equals stacked-basis ranks."""
+    """The point-count metric matrix equals scalar stacked-basis ranks."""
     for ctx, n, k in [(F3, 4, 2), (F2, 5, 3)]:
         idx = enumerate_subspaces(ctx, n, k)
         g = build_gamma(idx)
@@ -308,7 +315,7 @@ def test_metric_matrix_matches_rank_route():
 
 
 def test_metric_matrix_deep_case():
-    """min(k, n-k) = 3 exercises the batched-rank branch."""
+    """min(k, n-k) = 3 over GF(2): shared-point counts need two bit planes."""
     idx = enumerate_subspaces(F2, 6, 3)
     g = build_gamma(idx)
     m = metric_distance_matrix(g)
@@ -318,6 +325,57 @@ def test_metric_matrix_deep_case():
         for b, j in zip(subs, ids):
             assert m[i, j] == grassmann_distance(a, b)
     assert m.max() == 3
+
+
+@pytest.mark.parametrize(
+    "q, n, k, t",
+    [
+        (4, 4, 2, None),
+        (5, 3, 2, None),  # min(k, n-k) = 1 through annihilators
+        (3, 5, 3, 2),  # 2k > n with q > 2: annihilator points need a leading 1
+        (4, 5, 3, 3),
+        (2, 7, 4, 3),  # min(k, n-k) = 3 through annihilators
+    ],
+)
+def test_metric_matches_rank_oracle(q, n, k, t):
+    """Every pair of Γ(q,n,k) (t None) or Δ: shared-point counts give the
+    same k - dim(x ∩ y) as the stacked-basis ranks."""
+    idx = enumerate_subspaces(field_of_order(q), n, k)
+    g = build_gamma(idx) if t is None else build_delta(idx, t)
+    assert g.num_vertices > 1
+    assert (metric_distance_matrix(g) == metric_ranks_pairwise(g)).all()
+
+
+def test_metric_three_bit_planes():
+    """Over GF(3) two distinct 3-spaces share up to [2]_3 = 4 points, so the
+    counts take three bit planes.  Δ(3,6,3,3) is empty, so a strided vertex
+    subset of Γ(3,6,3) stands in."""
+    idx = enumerate_subspaces(F3, 6, 3)
+    g = GrassmannGraph(idx, None, np.arange(0, len(idx), 97, dtype=np.int64))
+    m = metric_distance_matrix(g)
+    assert (m == metric_ranks_pairwise(g)).all()
+    assert set(np.unique(m).tolist()) == {0, 1, 2, 3}
+
+
+def test_metric_reads_no_edges(monkeypatch):
+    """The metric uses neither the graph's adjacency or incidence nor
+    stacked ranks, so the isometry check never compares BFS with the
+    graph's own edges.  Δ(2,6,3,1), with min(k, n-k) = 3 on the spaces
+    themselves, is pinned to the rank oracle here on every pair."""
+    graphs = [
+        build_gamma(enumerate_subspaces(F3, 4, 2)),
+        build_delta(enumerate_subspaces(F2, 6, 3), 1),
+    ]
+    expected = [metric_ranks_pairwise(g) for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the metric must not call this")
+
+    monkeypatch.setattr(GrassmannGraph, "adjacency", refuse)
+    monkeypatch.setattr(GrassmannGraph, "incidence", refuse)
+    monkeypatch.setattr(bulk, "batched_rank", refuse)
+    for g, want in zip(graphs, expected):
+        assert (metric_distance_matrix(g) == want).all()
 
 
 def test_isometry_check_small_instances():

@@ -245,7 +245,7 @@ def test_sweep_matches_golden():
     """Report lines are byte-identical, apart from wall_ms, to the shipped
     output of `sweep --q 2,3,4,5,7 --n 2-4` plus `sweep --q 2 --n 6 --k 3`.
     The grid holds the known single-vertex gap (2,2,1,1), empty classes,
-    and (2,6,3,t), whose metric comes from the stacked-rank route."""
+    and (2,6,3,t), recorded when its metric came from stacked ranks."""
     configs = [
         SweepConfig(q_list=[2, 3, 4, 5, 7], n_list=[2, 3, 4]),
         SweepConfig(q_list=[2], n_list=[6], k_list=[3]),
@@ -256,3 +256,22 @@ def test_sweep_matches_golden():
         for r in run_sweep(cfg)
     ]
     assert lines == GOLDEN.read_text().splitlines()
+
+
+def test_reports_at_n7_through_annihilators():
+    """(2,7,4,t): min(k, n-k) = 3 reached through annihilators.  Γ has
+    more pairs than ALL_PAIRS_CAP, so Δ builds its own incidence.  The
+    lines were recorded with the stacked-rank metric, without wall_ms."""
+    cache = _InstanceCache()
+    lines = [
+        re.sub(r',"wall_ms":\d+\}$', "}", report_json_line(verify_instance(2, 7, 4, t, cache=cache)))
+        for t in (2, 3)
+    ]
+    assert lines == [
+        '{"q":2,"n":7,"k":4,"t":2,"bound_satisfied":false,"class_size":1605,'
+        '"connected":true,"component_count":1,"diameter_delta":3,"diameter_gamma":null,'
+        '"isometric":true,"witnesses":[],"caps_hit":["gamma_pairs"]}',
+        '{"q":2,"n":7,"k":4,"t":3,"bound_satisfied":false,"class_size":30,'
+        '"connected":true,"component_count":1,"diameter_delta":3,"diameter_gamma":null,'
+        '"isometric":true,"witnesses":[],"caps_hit":["gamma_pairs"]}',
+    ]
