@@ -7,13 +7,13 @@ brute-force oracle side of the package: vertex sets are enumerated
 completely (pivot-pattern generation, canonically sorted), edges are
 held as a bucket incidence (each vertex lists the cliques of the graph
 it lies in), and distances come from genuine breadth-first search over
-that incidence (bit-parallel from all sources at once).
+that incidence (bit-parallel from any set of sources at once).
 
-Graph distance in the full graph coincides with k - dim(x ∩ y).  The
-full graph's BFS diameter is re-checked against min(k, n-k), and the
-isometry check compares BFS distance in the induced subgraph with
-k - dim(x ∩ y).  That metric never reads the graph's edges: it counts
-the projective points each pair of subspaces shares.
+Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
+distance-transitive, so BFS from one source, checked against the closed
+form, fixes its diameter min(k, n-k); the isometry check compares
+all-pairs BFS distance in the induced subgraph with k - dim(x ∩ y).
+That metric never reads edges: it counts the points two subspaces share.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ class SubspaceIndex:
         self._key_to_id: dict[bytes, int] | None = None
         self._strength_all: np.ndarray | None = None
         self._point_keys: np.ndarray | None = None
+        self._incidence: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.bases.shape[0]
@@ -102,6 +103,12 @@ class SubspaceIndex:
             lead = np.take_along_axis(pts, (pts != 0).argmax(axis=2)[..., None], axis=2)
             self._point_keys = mul[pts, inv[lead]].astype(np.int64) @ ctx.q ** np.arange(n)
         return self._point_keys
+
+    def incidence(self) -> np.ndarray:
+        """V x h bucket ids of every subspace, see GrassmannGraph.incidence."""
+        if self._incidence is None:
+            self._incidence = _bucket_incidence(self.ctx, self.bases, self.n, self.k)
+        return self._incidence
 
 
 def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -210,9 +217,6 @@ class GrassmannGraph:
     def num_vertices(self) -> int:
         return int(self.vertex_ids.shape[0])
 
-    def vertex_bases(self) -> np.ndarray:
-        return self.index.bases[self.vertex_ids]
-
     def subspace_at(self, i: int) -> Subspace:
         return self.index.subspace_at(int(self.vertex_ids[i]))
 
@@ -229,20 +233,21 @@ class GrassmannGraph:
         Each bucket is a clique and every edge lies in exactly one bucket:
         for k <= n-k the buckets of x are its [k]_q hyperplanes, otherwise
         the [n-k]_q (k+1)-spaces containing x, so h = min([k]_q, [n-k]_q).
+        The rows are the index's incidence at vertex_ids, ids recompacted.
         """
         if self._incidence is None:
-            self._incidence = _bucket_incidence(
-                self.index.ctx, self.vertex_bases(), self.index.n, self.index.k
-            )
+            rows = self.index.incidence()[self.vertex_ids]
+            self._incidence = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
         return self._incidence
 
     def adjacency(self) -> np.ndarray:
         """Dense boolean adjacency, one spread of the identity bitsets; kept
         for the tests and the bench tracer, no verification route calls it."""
         if self._adjacency is None:
-            bits = _identity_bits(self.num_vertices)
-            _spread(self.incidence(), _identity_bits(self.num_vertices), bits[None])
-            self._adjacency = _unpack(bits, self.num_vertices)
+            v = self.num_vertices
+            bits = _source_bits(v, np.arange(v))
+            _spread(self.incidence(), _source_bits(v, np.arange(v)), bits[None])
+            self._adjacency = _unpack(bits, v)
             np.fill_diagonal(self._adjacency, False)
         return self._adjacency
 
@@ -251,23 +256,12 @@ def build_gamma(index: SubspaceIndex) -> GrassmannGraph:
     return GrassmannGraph(index, None, np.arange(len(index), dtype=np.int64))
 
 
-def build_delta(
-    index: SubspaceIndex, t: int, gamma: GrassmannGraph | None = None
-) -> GrassmannGraph:
-    """Subgraph induced on the strength-t class.
-
-    When the full graph's incidence has already been built, pass it as
-    `gamma`: the induced incidence is its row slice, ids recompacted.
-    """
+def build_delta(index: SubspaceIndex, t: int) -> GrassmannGraph:
+    """Subgraph induced on the strength-t class."""
     if not 1 <= t <= index.k:
         raise BadTError(f"t must be in [1, k={index.k}], got {t}")
-    mask = index.strength_all() >= t
-    ids = np.nonzero(mask)[0].astype(np.int64)
-    graph = GrassmannGraph(index, t, ids)
-    if gamma is not None and gamma._incidence is not None and gamma.index is index:
-        rows = gamma._incidence[ids]
-        graph._incidence = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
-    return graph
+    ids = np.nonzero(index.strength_all() >= t)[0].astype(np.int64)
+    return GrassmannGraph(index, t, ids)
 
 
 def _annihilators(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -297,6 +291,10 @@ def _bucket_incidence(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.nd
     of x's annihilator, so both sides reduce to hyperplanes of a basis
     block B.  N_lam B, with N_lam the annihilator of a point lam of F_q^k,
     spans a hyperplane of x; one batched RREF canonicalizes them all.
+    A bucket's key reads its RREF entries as big-endian base-q digits, so
+    ids follow the row-major order of the RREFs.  After the flip k <= n-k,
+    so (k-1) n < 2 k (n-k) and the keys stay below q^((k-1) n) < V^2, which
+    is at most 2^42 under ENUM_CAP.
     """
     if 2 * k > n:
         bases, k = _annihilators(ctx, bases, n, k), n - k
@@ -310,30 +308,30 @@ def _bucket_incidence(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.nd
     for i in range(k):
         spans = add[spans, mul[kernels[None, :, :, i, None], bases[:, None, None, i, :]]]
     canon, _ = bulk.batched_rref(ctx, spans.reshape(v * len(lams), k - 1, n))
-    keys = canon.reshape(v * len(lams), (k - 1) * n)
-    if keys.shape[1] == 0:  # k-1 = 0: the one bucket is the zero space
-        return np.zeros((v, len(lams)), dtype=np.int64)
-    ids = np.unique(keys, axis=0, return_inverse=True)[1]
-    return ids.reshape(v, len(lams)).astype(np.int64)
+    digits = canon.reshape(v * len(lams), (k - 1) * n).astype(np.int64)
+    # k-1 = 0 gives every key 0: the one bucket is the zero space
+    keys = digits @ ctx.q ** np.arange((k - 1) * n)[::-1]
+    return np.unique(keys, return_inverse=True)[1].reshape(v, len(lams)).astype(np.int64)
 
 
 # -- distances ----------------------------------------------------------------------
 #
-# Rows of V x ceil(V/64) uint64 arrays are vertex bitsets.  `_spread` ORs
-# the rows of each bucket's members together and adds the result back into
-# every member, O(V * h * V/64) word operations: all-sources BFS ORs it into
-# the sets reached, the metric counts shared buckets in binary bit planes.
+# Rows of V x ceil(S/64) uint64 arrays are bitsets over S sources.  `_spread`
+# ORs the rows of each bucket's members together and adds the result back
+# into every member, O(V * h * S/64) word operations: BFS ORs it into the
+# sets reached, the metric counts shared buckets in binary bit planes.
 
-def _identity_bits(v: int) -> np.ndarray:
-    bits = np.zeros((v, (v + 63) // 64), dtype=np.uint64)
-    ar = np.arange(v)
-    bits.view(np.uint8)[ar, ar >> 3] = (1 << (ar & 7)).astype(np.uint8)
+def _source_bits(v: int, sources: np.ndarray) -> np.ndarray:
+    """V x ceil(S/64) bitsets in which row sources[s] holds bit s."""
+    s = np.arange(sources.size)
+    bits = np.zeros((v, (sources.size + 63) // 64), dtype=np.uint64)
+    bits.view(np.uint8)[sources, s >> 3] = (1 << (s & 7)).astype(np.uint8)
     return bits
 
 
-def _unpack(bits: np.ndarray, v: int) -> np.ndarray:
-    """V x V boolean matrix of a bitset array."""
-    return np.unpackbits(bits.view(np.uint8), axis=1, count=v, bitorder="little").view(bool)
+def _unpack(bits: np.ndarray, count: int) -> np.ndarray:
+    """Boolean matrix of the first `count` bits of each bitset row."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=count, bitorder="little").view(bool)
 
 
 def _spread(inc: np.ndarray, reach: np.ndarray, planes: np.ndarray) -> None:
@@ -365,32 +363,60 @@ def _check_pairs(v: int, max_pairs: int) -> None:
         raise AllPairsTooLargeError(f"{v} vertices give {v * (v - 1) // 2} pairs > cap {max_pairs}")
 
 
-def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> np.ndarray:
-    """Exact BFS distance between every vertex pair; -1 marks unreachable.
-
-    Runs breadth-first search from all sources at once on reach bitsets,
-    one level per step; the result is cached on the graph.
-    """
-    v = graph.num_vertices
-    _check_pairs(v, max_pairs)
-    if graph._all_pairs is not None:
-        return graph._all_pairs
-    # d(u, w) is the number of levels at which u has not yet reached w
-    dist = np.zeros((v, v), dtype=np.int16)
-    reach = _identity_bits(v)
+def _bfs(inc: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """V x S BFS distances over the incidence, column s from sources[s];
+    -1 marks unreachable.  One spread of the reach bitsets per level."""
+    v = inc.shape[0]
+    # d(u, s) is the number of levels at which u is not yet reached from s
+    dist = np.zeros((v, sources.size), dtype=np.int16)
+    reach = _source_bits(v, sources)
     while True:
-        missing = _unpack(~reach, v)
+        missing = _unpack(~reach, sources.size)
         if not missing.any():
             break
         dist += missing
         new = reach.copy()
-        _spread(graph.incidence(), reach, new[None])
+        _spread(inc, reach, new[None])
         if (new == reach).all():
             dist[missing] = -1
             break
         reach = new
-    graph._all_pairs = dist
     return dist
+
+
+def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> np.ndarray:
+    """Exact BFS distance between every vertex pair; -1 marks unreachable.
+
+    Breadth-first search from all sources at once; the result is cached
+    on the graph.
+    """
+    v = graph.num_vertices
+    _check_pairs(v, max_pairs)
+    if graph._all_pairs is None:
+        graph._all_pairs = _bfs(graph.incidence(), np.arange(v))
+    return graph._all_pairs
+
+
+def gamma_diameter(index: SubspaceIndex) -> int:
+    """The full graph's diameter min(k, n-k), checked by one BFS.
+
+    The graph is distance-transitive: every vertex has q^(i^2) [k i]_q
+    [n-k i]_q vertices at distance i.  BFS from vertex 0 must count exactly
+    these (they sum to V, so an unreached vertex shows as a mismatch);
+    anything else means the engine itself is broken.
+    """
+    q, n, k = index.ctx.q, index.n, index.k
+    dist = _bfs(index.incidence(), np.zeros(1, dtype=np.int64))[:, 0]
+    counts = np.bincount(dist[dist >= 0]).tolist()
+    expect = [
+        q ** (i * i) * subspace_count(k, i, q) * subspace_count(n - k, i, q)
+        for i in range(min(k, n - k) + 1)
+    ]
+    if counts != expect:
+        raise InternalInvariantError(
+            f"full-graph BFS levels {counts} != q^(i^2) [k i]_q [n-k i]_q = {expect}"
+        )
+    return len(expect) - 1
 
 
 def metric_distance_matrix(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> np.ndarray:
@@ -409,7 +435,7 @@ def metric_distance_matrix(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP
     pts = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
     width = max(1, (q_int(kk, q) // q).bit_length())  # [kk]_q // q = [kk-1]_q
     planes = np.zeros((width, v, (v + 63) // 64), dtype=np.uint64)
-    _spread(pts, _identity_bits(v), planes)
+    _spread(pts, _source_bits(v, np.arange(v)), planes)
     dist = np.full((v, v), kk, dtype=np.int16)
     for d in range(1, kk):
         dist -= _unpack(np.bitwise_or.reduce(planes[q_int(d, q).bit_length() - 1 :]), v)
@@ -433,8 +459,8 @@ def diameter_and_connectivity(
 ) -> GraphSummary:
     """Connectivity, diameter and per-component stats from all-sources BFS.
 
-    In full mode the classical diameter formula min(k, n-k) is re-checked
-    and a failure raises, since it would mean the engine itself is broken.
+    Used on the induced subgraph; the full graph's diameter needs no
+    all-pairs pass, see `gamma_diameter`.
     """
     v = graph.num_vertices
     if v == 0:
@@ -449,14 +475,7 @@ def diameter_and_connectivity(
     np.maximum.at(diams, labels.ravel(), dist.max(axis=1))  # unreachable is -1
     diams = diams.tolist()
     connected = comp == 1
-    diameter = diams[0] if connected else inf
-    if graph.mode == "full":
-        expected = min(graph.index.k, graph.index.n - graph.index.k)
-        if not connected or diameter != expected:
-            raise InternalInvariantError(
-                f"full-graph diameter {diameter} != min(k, n-k) = {expected}"
-            )
-    return GraphSummary(connected, diameter, comp, sizes, diams)
+    return GraphSummary(connected, diams[0] if connected else inf, comp, sizes, diams)
 
 
 @dataclass
@@ -482,13 +501,13 @@ def isometry_check(
         return IsometryReport(True, [], 0)
     d_sub = all_pairs_distances(graph, max_pairs=max_pairs)
     d_metric = metric_distance_matrix(graph, max_pairs=max_pairs)
-    mismatch = np.triu(d_sub != d_metric, 1)
-    bad_rows = np.flatnonzero(mismatch.any(axis=1))
+    # both matrices are symmetric, so any mismatch shows among the pairs
+    # (i, j > i) of the bad rows; witnesses are taken from those, row-major
+    bad_rows = np.flatnonzero((d_sub != d_metric).any(axis=1))
     witnesses = []
-    # row by row in row-major order, so memory stays O(V^2) bytes however
-    # many pairs mismatch
     for i in bad_rows:
-        for j in np.flatnonzero(mismatch[i])[: witness_cap - len(witnesses)]:
+        js = i + 1 + np.flatnonzero(d_sub[i, i + 1 :] != d_metric[i, i + 1 :])
+        for j in js[: witness_cap - len(witnesses)]:
             ds = int(d_sub[i, j])
             witnesses.append((int(i), int(j), inf if ds < 0 else ds, int(d_metric[i, j])))
         if len(witnesses) >= witness_cap:

@@ -7,8 +7,10 @@ same checks; each report field has one meaning.  Reports are emitted as
 JSON lines (and a CSV summary) with a fixed key order, so two runs of
 the same config are byte-identical except for the timing field.
 Instances sharing (q, n, k) form one group that shares the enumeration
-and the full graph; groups run in order or, with `workers` > 1, spread
-over at most min(workers, CPU count, number of groups) processes.
+and the full graph's diameter, checked from one BFS source (only the
+induced subgraph meets the pairs cap).  Groups run in order or, with
+`workers` > 1, spread over at most min(workers, CPU count, number of
+groups) processes.
 
 An instance *violates the theorem* when its field is large enough
 (q at least the number of codimension-t coordinate subspaces), nothing
@@ -32,9 +34,9 @@ from .grassmann import (
     ALL_PAIRS_CAP,
     ENUM_CAP,
     build_delta,
-    build_gamma,
     diameter_and_connectivity,
     enumerate_subspaces,
+    gamma_diameter,
     isometry_check,
 )
 
@@ -134,37 +136,21 @@ def _witness_json(graph, rep) -> list:
 
 class _InstanceCache:
     """Per-(q, n, k) artifacts shared across the t values of one group,
-    keyed on the caps too, since they decide what was computed."""
+    keyed on the enumeration cap too, since it decides what was computed.
+    A capped enumeration raises before it builds anything and is not kept."""
 
     def __init__(self):
         self.key = None
         self.index = None
-        self.gamma = None
-        self.gamma_summary = None
-        self.enum_error = None
+        self.diameter_gamma = None
 
-    def load(self, q, n, k, max_vertices, max_pairs):
-        key = (q, n, k, max_vertices, max_pairs)
-        if self.key == key:
-            if self.enum_error is not None:
-                raise self.enum_error
-            return
-        self.key = key
-        self.index = None
-        self.gamma = None
-        self.gamma_summary = None
-        self.enum_error = None
-        ctx = field_of_order(q)
-        try:
-            self.index = enumerate_subspaces(ctx, n, k, max_count=max_vertices)
-        except EnumerationTooLargeError as exc:
-            self.enum_error = exc
-            raise
-        self.gamma = build_gamma(self.index)
-        try:
-            self.gamma_summary = diameter_and_connectivity(self.gamma, max_pairs=max_pairs)
-        except AllPairsTooLargeError:
-            self.gamma_summary = None
+    def load(self, q, n, k, max_vertices):
+        key = (q, n, k, max_vertices)
+        if self.key != key:
+            self.key = None
+            self.index = enumerate_subspaces(field_of_order(q), n, k, max_count=max_vertices)
+            self.diameter_gamma = gamma_diameter(self.index)
+            self.key = key
 
 
 def verify_instance(
@@ -181,26 +167,14 @@ def verify_instance(
     report = _empty_report(q, n, k, t)
     cache = cache or _InstanceCache()
     try:
-        cache.load(q, n, k, max_vertices, max_pairs)
+        cache.load(q, n, k, max_vertices)
     except EnumerationTooLargeError:
         report["caps_hit"] = ["enumeration"]
         report["wall_ms"] = int((time.perf_counter() - started) * 1000)
         return report
-    delta = build_delta(cache.index, t, gamma=cache.gamma)
+    delta = build_delta(cache.index, t)
     report["class_size"] = delta.num_vertices
-
-    if cache.gamma_summary is not None:
-        report["diameter_gamma"] = _diam_json(cache.gamma_summary.diameter)
-    else:
-        report["caps_hit"] = report["caps_hit"] + ["gamma_pairs"]
-
-    if delta.num_vertices == 0:
-        report["connected"] = True
-        report["component_count"] = 0
-        report["isometric"] = True
-        report["wall_ms"] = int((time.perf_counter() - started) * 1000)
-        return report
-
+    report["diameter_gamma"] = cache.diameter_gamma
     try:
         summary = diameter_and_connectivity(delta, max_pairs=max_pairs)
         report["connected"] = summary.connected
@@ -210,7 +184,7 @@ def verify_instance(
         report["isometric"] = iso.isometric
         report["witnesses"] = _witness_json(delta, iso)
     except AllPairsTooLargeError:
-        report["caps_hit"] = report["caps_hit"] + ["pairs"]
+        report["caps_hit"] = ["pairs"]
 
     report["wall_ms"] = int((time.perf_counter() - started) * 1000)
     return report

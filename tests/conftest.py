@@ -66,7 +66,7 @@ def adjacency_pairwise(graph, chunk=1 << 15):
     adjacent iff their stacked bases have rank k + 1."""
     v = graph.num_vertices
     k = graph.index.k
-    bases = graph.vertex_bases()
+    bases = graph.index.bases[graph.vertex_ids]
     adj = np.zeros((v, v), dtype=bool)
     for i in range(v):
         js = np.arange(i + 1, v)
@@ -88,7 +88,7 @@ def metric_ranks_pairwise(graph):
     bases, computed in blocks of whole rows of about 2^16 pairs."""
     v = graph.num_vertices
     k = graph.index.k
-    bases = graph.vertex_bases()
+    bases = graph.index.bases[graph.vertex_ids]
     ctx = graph.index.ctx
     dist = np.zeros((v, v), dtype=np.int16)
     chunk = 1 << 16

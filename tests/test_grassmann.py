@@ -11,7 +11,7 @@ from conftest import (
     metric_ranks_pairwise,
     random_monomial,
 )
-from grasscodes import bulk
+from grasscodes import bulk, grassmann
 from grasscodes.codes import LinearCode, strength
 from grasscodes.errors import (
     AllPairsTooLargeError,
@@ -19,16 +19,19 @@ from grasscodes.errors import (
     DimensionMismatchError,
     EnumerationTooLargeError,
     FieldTooLargeError,
+    InternalInvariantError,
     VertexAbsentError,
 )
 from grasscodes.gf import field_new, field_of_order
 from grasscodes.grassmann import (
     GrassmannGraph,
+    SubspaceIndex,
     all_pairs_distances,
     build_delta,
     build_gamma,
     diameter_and_connectivity,
     enumerate_subspaces,
+    gamma_diameter,
     grassmann_distance,
     isometry_check,
     metric_distance_matrix,
@@ -204,11 +207,8 @@ def test_incidence_adjacency_matches_pairwise_oracle():
         assert inc.shape == (len(idx), min(q_int(k, q), q_int(n - k, q)))
         assert (gamma.adjacency() == adjacency_pairwise(gamma)).all(), (q, n, k)
         for t in range(1, k + 1):
-            sliced = build_delta(idx, t, gamma=gamma)
-            own = build_delta(idx, t)
-            assert sliced._incidence is not None
-            assert (sliced.incidence() == own.incidence()).all()
-            assert (sliced.adjacency() == adjacency_pairwise(own)).all(), (q, n, k, t)
+            delta = build_delta(idx, t)
+            assert (delta.adjacency() == adjacency_pairwise(delta)).all(), (q, n, k, t)
     empty = build_delta(enumerate_subspaces(F2, 4, 2), 2)
     single = build_delta(enumerate_subspaces(F2, 2, 1), 1)
     for g in (empty, single):
@@ -235,16 +235,41 @@ def test_bitset_all_pairs_matches_oracle_bfs():
 
 def test_gamma_distance_distribution():
     """A source of the full graph has q^(i^2) [k i]_q [n-k i]_q vertices
-    at distance i (the Grassmann graph is distance-regular)."""
+    at distance i (the Grassmann graph is distance-regular).  The bitset
+    BFS from a few sources at once gives the oracle's rows, and
+    gamma_diameter accepts the graph."""
     for q, n, k in [(2, 6, 3), (3, 5, 2), (4, 4, 2), (2, 6, 4), (9, 4, 2)]:
-        g = build_gamma(enumerate_subspaces(field_of_order(q), n, k))
-        for src in (0, g.num_vertices // 2, g.num_vertices - 1):
-            counts = np.bincount(bfs_distances(g, src).astype(int)).tolist()
+        idx = enumerate_subspaces(field_of_order(q), n, k)
+        g = build_gamma(idx)
+        sources = np.array([0, g.num_vertices // 2, g.num_vertices - 1])
+        rows = grassmann._bfs(idx.incidence(), sources)
+        for col, src in enumerate(sources):
+            oracle = bfs_distances(g, int(src))
+            assert rows[:, col].tolist() == oracle.astype(int).tolist(), (q, n, k, src)
+            counts = np.bincount(oracle.astype(int)).tolist()
             expect = [
                 q ** (i * i) * subspace_count(k, i, q) * subspace_count(n - k, i, q)
                 for i in range(min(k, n - k) + 1)
             ]
             assert counts == expect, (q, n, k, src)
+        assert gamma_diameter(idx) == min(k, n - k)
+
+
+def test_gamma_diameter_rejects_corrupt_incidence(monkeypatch):
+    """Moving vertex 0 out of one of its buckets changes its BFS levels,
+    which the one-source check must catch."""
+    original = SubspaceIndex.incidence
+
+    def corrupted(index):
+        inc = original(index).copy()
+        inc[0, 0] = inc[0, 1]
+        return inc
+
+    idx = enumerate_subspaces(F2, 4, 2)
+    assert gamma_diameter(idx) == 2
+    monkeypatch.setattr(SubspaceIndex, "incidence", corrupted)
+    with pytest.raises(InternalInvariantError):
+        gamma_diameter(idx)
 
 
 def test_bfs_source_forms():

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from grasscodes import grassmann
 from grasscodes.errors import NotPrimeError
 from grasscodes.gf import field_of_order
 from grasscodes.grassmann import GrassmannGraph, enumerate_subspaces, isometry_check
@@ -91,18 +92,23 @@ def test_caps_enumeration():
 
 
 def test_caps_pairs():
+    """The pairs cap applies to the induced subgraph alone; the full
+    graph's diameter comes from one BFS source and is still reported."""
     rep = verify_instance(2, 4, 2, 1, max_pairs=5)
     validate_report(rep)
-    assert "pairs" in rep["caps_hit"] and "gamma_pairs" in rep["caps_hit"]
+    assert rep["caps_hit"] == ["pairs"]
     assert rep["connected"] is None
+    assert rep["diameter_gamma"] == 2
     assert not is_violation(rep)
 
 
 def test_cache_keys_on_caps():
-    """A shared cache must not reuse artifacts computed under other caps."""
+    """A shared cache must not reuse artifacts computed under another
+    enumeration cap."""
     cache = _InstanceCache()
-    capped = verify_instance(2, 4, 2, 1, max_pairs=10, cache=cache)
-    assert "gamma_pairs" in capped["caps_hit"]
+    for t in (1, 2):  # a repeat meets the cap again, not a half-loaded entry
+        capped = verify_instance(2, 4, 2, t, max_vertices=10, cache=cache)
+        assert capped["caps_hit"] == ["enumeration"]
     shared = verify_instance(2, 4, 2, 2, cache=cache)
     fresh = verify_instance(2, 4, 2, 2)
     assert shared["diameter_gamma"] == fresh["diameter_gamma"] == 2
@@ -191,10 +197,30 @@ def test_shipped_schema_matches_report_fields():
     schema = json.loads(schema_path.read_text())
     assert tuple(schema["required"]) == REPORT_FIELDS
     assert set(schema["properties"]) == set(REPORT_FIELDS)
+    assert schema["properties"]["caps_hit"]["items"]["enum"] == ["enumeration", "pairs"]
     rep = verify_instance(3, 3, 2, 1)
     validate_report(rep)
     for f in REPORT_FIELDS:
         assert f in schema["properties"]
+
+
+def test_full_graph_gets_no_all_pairs_pass(monkeypatch):
+    """Only the induced subgraph is verified over all pairs; the full
+    graph is checked from one BFS source."""
+    original = grassmann.all_pairs_distances
+    seen = []
+
+    def guarded(graph, *args, **kwargs):
+        if graph.t is None:
+            raise AssertionError("all-pairs BFS on the full graph")
+        seen.append(graph.t)
+        return original(graph, *args, **kwargs)
+
+    monkeypatch.setattr(grassmann, "all_pairs_distances", guarded)
+    cache = _InstanceCache()
+    reports = [verify_instance(3, 4, 2, t, cache=cache) for t in (1, 2)]
+    assert [r["diameter_gamma"] for r in reports] == [2, 2]
+    assert seen  # the guard sat on the route the induced subgraph takes
 
 
 def test_run_sweep_clamps_workers(monkeypatch):
@@ -260,8 +286,8 @@ def test_sweep_matches_golden():
 
 def test_reports_at_n7_through_annihilators():
     """(2,7,4,t): min(k, n-k) = 3 reached through annihilators.  Γ has
-    more pairs than ALL_PAIRS_CAP, so Δ builds its own incidence.  The
-    lines were recorded with the stacked-rank metric, without wall_ms."""
+    more pairs than ALL_PAIRS_CAP, which its one-source check never needs.
+    The lines were recorded with the stacked-rank metric, without wall_ms."""
     cache = _InstanceCache()
     lines = [
         re.sub(r',"wall_ms":\d+\}$', "}", report_json_line(verify_instance(2, 7, 4, t, cache=cache)))
@@ -269,9 +295,9 @@ def test_reports_at_n7_through_annihilators():
     ]
     assert lines == [
         '{"q":2,"n":7,"k":4,"t":2,"bound_satisfied":false,"class_size":1605,'
-        '"connected":true,"component_count":1,"diameter_delta":3,"diameter_gamma":null,'
-        '"isometric":true,"witnesses":[],"caps_hit":["gamma_pairs"]}',
+        '"connected":true,"component_count":1,"diameter_delta":3,"diameter_gamma":3,'
+        '"isometric":true,"witnesses":[],"caps_hit":[]}',
         '{"q":2,"n":7,"k":4,"t":3,"bound_satisfied":false,"class_size":30,'
-        '"connected":true,"component_count":1,"diameter_delta":3,"diameter_gamma":null,'
-        '"isometric":true,"witnesses":[],"caps_hit":["gamma_pairs"]}',
+        '"connected":true,"component_count":1,"diameter_delta":3,"diameter_gamma":3,'
+        '"isometric":true,"witnesses":[],"caps_hit":[]}',
     ]
