@@ -12,6 +12,8 @@ import numpy as np
 
 from .gf import FieldCtx
 
+_CHUNK = 1 << 16  # coefficient vectors per block in min_weight_in_span
+
 
 def batched_rref(ctx: FieldCtx, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RREF every matrix in a (B, r, c) uint8 batch.  Returns (rref, ranks)."""
@@ -80,10 +82,10 @@ def span_words(ctx: FieldCtx, basis: np.ndarray, encs: np.ndarray) -> np.ndarray
     return words
 
 
-def min_weight_in_span(ctx: FieldCtx, basis, chunk: int = 1 << 16) -> int:
+def min_weight_in_span(ctx: FieldCtx, basis) -> int:
     """Minimum Hamming weight over the nonzero words of the row span.
 
-    Exhaustive over all q^k - 1 nonzero coefficient vectors, chunked.
+    Exhaustive over all q^k - 1 nonzero coefficient vectors, _CHUNK at a time.
     basis must have independent rows (weights are still correct otherwise,
     but the zero word would then be revisited under nonzero coefficients).
     """
@@ -92,8 +94,8 @@ def min_weight_in_span(ctx: FieldCtx, basis, chunk: int = 1 << 16) -> int:
     q = ctx.q
     total = q**k
     best = n + 1
-    for start in range(1, total, chunk):
-        encs = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(1, total, _CHUNK):
+        encs = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         words = span_words(ctx, basis, encs)
         w = int((words != 0).sum(axis=1).min())
         if w < best:

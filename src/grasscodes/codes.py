@@ -101,8 +101,9 @@ class MonomialMap:
         n = len(self.perm)
         if sorted(self.perm) != list(range(n)):
             raise DimensionMismatchError("perm is not a permutation")
-        if len(self.scalars) != n or any(s == 0 for s in self.scalars):
-            raise DimensionMismatchError("need n nonzero scalars")
+        q = self.ctx.q
+        if len(self.scalars) != n or any(not 1 <= s < q for s in self.scalars):
+            raise DimensionMismatchError(f"need {n} nonzero scalars in [1, {q})")
 
     @property
     def n(self) -> int:
@@ -120,7 +121,7 @@ class MonomialMap:
         for j, (dest, s) in enumerate(zip(self.perm, self.scalars)):
             for i in range(m.nrows):
                 out[i][dest] = ctx.mul(s, m.rows[i][j])
-        return MatrixGF(ctx, out, ncols=self.n)
+        return MatrixGF._trusted(ctx, tuple(map(tuple, out)), self.n)
 
     def compose(self, other: "MonomialMap") -> "MonomialMap":
         """self ∘ other: apply other first, then self."""
@@ -243,8 +244,8 @@ def column_rank(ctx: FieldCtx, rows: Sequence[Sequence[int]], cols: Sequence[int
 
     k minus it is the dimension of the code's meet with the coordinate
     subspace zeroing `cols`."""
-    sub = MatrixGF(ctx, [[r[j] for j in cols] for r in rows], ncols=len(cols))
-    _, rank = rref(sub)
+    sub = tuple(tuple(r[j] for j in cols) for r in rows)
+    _, rank = rref(MatrixGF._trusted(ctx, sub, len(cols)))
     return rank
 
 
@@ -277,24 +278,19 @@ def has_strength(c: LinearCode, t: int, criterion: Criterion = "dual_distance") 
 
 
 def strength(c: LinearCode) -> int:
-    """Largest t with strength t (0 = degenerate), capped at k.
+    """Largest t <= k with strength t (0 = degenerate), cached on the code.
 
-    Equals dual minimum distance minus 1 (INFINITE capping at k), found
-    as the shortest dependent generator-column subset, so it never needs
-    a dual codeword enumeration.
+    Found by the t-column test of `has_strength` for t = 1, 2, ... (every
+    t columns independent implies every t - 1 are).  It equals the dual
+    minimum distance minus 1 (INFINITE capping at k) with no dual
+    codeword enumeration.  Membership in the strength-t class is the
+    single t-column test; this scan is for reporting the value.
     """
     if c._strength is None:
-        n, k = c.n, c.k
-        rows = c.generator.rows
-        found = None
-        for s in range(1, min(k + 1, n) + 1):
-            for cols in itertools.combinations(range(n), s):
-                if column_rank(c.ctx, rows, cols) < s:
-                    found = s
-                    break
-            if found is not None:
-                break
-        c._strength = k if found is None else min(found - 1, k)
+        t = 0
+        while t < c.k and has_strength(c, t + 1, "columns"):
+            t += 1
+        c._strength = t
     return c._strength
 
 
@@ -318,7 +314,7 @@ def apply_monomial(m: MonomialMap, c: LinearCode) -> LinearCode:
     """Image code; parameters and strength are preserved."""
     if m.n != c.n or m.ctx != c.ctx:
         raise DimensionMismatchError("map and code live in different spaces")
-    return LinearCode.from_generator(c.ctx, m.apply_to_matrix(c.generator).rows, n=c.n)
+    return LinearCode(Subspace._row_space(m.apply_to_matrix(c.generator)))
 
 
 # -- generator-matrix text format -----------------------------------------------

@@ -19,26 +19,25 @@ That metric never reads edges: it counts the points two subspaces share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 
 import numpy as np
 
 from . import bulk
-from .codes import LinearCode
 from .errors import (
     AllPairsTooLargeError,
     BadTError,
     DimensionMismatchError,
     EnumerationTooLargeError,
     InternalInvariantError,
-    VertexAbsentError,
 )
 from .gf import FieldCtx
 from .linalg import MatrixGF, Subspace, projective_reps, q_int, rref, subspace_count
 
 ENUM_CAP = 1 << 21
 ALL_PAIRS_CAP = 1 << 25  # max number of vertex pairs in all-pairs verification
+_WITNESS_CAP = 100  # the report schema's maxItems for witnesses
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -56,7 +55,6 @@ class SubspaceIndex:
         self.n = n
         self.k = k
         self.bases = bases
-        self._key_to_id: dict[bytes, int] | None = None
         self._strength_all: np.ndarray | None = None
         self._point_keys: np.ndarray | None = None
         self._incidence: np.ndarray | None = None
@@ -65,23 +63,8 @@ class SubspaceIndex:
         return self.bases.shape[0]
 
     def subspace_at(self, i: int) -> Subspace:
-        rows = [tuple(int(x) for x in r) for r in self.bases[i]]
-        return Subspace(self.ctx, self.n, MatrixGF(self.ctx, rows, ncols=self.n))
-
-    def index_of(self, s) -> int:
-        """Position of a Subspace/LinearCode in the table."""
-        if isinstance(s, LinearCode):
-            s = s.space
-        if self._key_to_id is None:
-            flat = self.bases.reshape(len(self), -1)
-            self._key_to_id = {flat[i].tobytes(): i for i in range(len(self))}
-        key = np.array(
-            [x for row in s.basis.rows for x in row], dtype=np.uint8
-        ).tobytes()
-        got = self._key_to_id.get(key)
-        if got is None:
-            raise VertexAbsentError("subspace not found in index")
-        return got
+        rows = tuple(map(tuple, self.bases[i].tolist()))
+        return Subspace(self.ctx, self.n, MatrixGF._trusted(self.ctx, rows, self.n))
 
     def strength_all(self) -> np.ndarray:
         """Strength of every subspace, via shortest dependent column subsets."""
@@ -219,13 +202,6 @@ class GrassmannGraph:
 
     def subspace_at(self, i: int) -> Subspace:
         return self.index.subspace_at(int(self.vertex_ids[i]))
-
-    def position_of(self, s) -> int:
-        gid = self.index.index_of(s)
-        pos = np.searchsorted(self.vertex_ids, gid)
-        if pos >= self.num_vertices or self.vertex_ids[pos] != gid:
-            raise VertexAbsentError("subspace is not a vertex of this graph")
-        return int(pos)
 
     def incidence(self) -> np.ndarray:
         """V x h array of bucket ids, numbered 0.. in canonical key order.
@@ -450,14 +426,12 @@ class GraphSummary:
     connected: bool
     diameter: object  # int, math.inf (disconnected), or None (empty graph)
     component_count: int
-    component_sizes: list[int] = field(default_factory=list)
-    component_diameters: list[int] = field(default_factory=list)
 
 
 def diameter_and_connectivity(
     graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP
 ) -> GraphSummary:
-    """Connectivity, diameter and per-component stats from all-sources BFS.
+    """Connectivity, diameter and component count from all-sources BFS.
 
     Used on the induced subgraph; the full graph's diameter needs no
     all-pairs pass, see `gamma_diameter`.
@@ -466,16 +440,11 @@ def diameter_and_connectivity(
     if v == 0:
         return GraphSummary(True, None, 0)
     dist = all_pairs_distances(graph, max_pairs=max_pairs)
-    # a vertex's first reachable position names its component, which
-    # numbers components in order of their first vertex
-    firsts, labels = np.unique((dist >= 0).argmax(axis=1), return_inverse=True)
-    comp = firsts.size
-    sizes = np.bincount(labels.ravel(), minlength=comp).tolist()
-    diams = np.zeros(comp, dtype=dist.dtype)
-    np.maximum.at(diams, labels.ravel(), dist.max(axis=1))  # unreachable is -1
-    diams = diams.tolist()
-    connected = comp == 1
-    return GraphSummary(connected, diams[0] if connected else inf, comp, sizes, diams)
+    # a vertex's first reachable position names its component
+    comp = np.unique((dist >= 0).argmax(axis=1)).size
+    if comp > 1:
+        return GraphSummary(False, inf, comp)
+    return GraphSummary(True, int(dist.max()), 1)
 
 
 @dataclass
@@ -485,12 +454,10 @@ class IsometryReport:
     checked_pairs: int
 
 
-def isometry_check(
-    graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP, witness_cap: int = 100
-) -> IsometryReport:
+def isometry_check(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> IsometryReport:
     """Compare BFS distance inside the induced subgraph with k - dim(x ∩ y).
 
-    Witnesses list up to witness_cap violating pairs as
+    Witnesses list up to _WITNESS_CAP violating pairs as
     (position_i, position_j, subgraph_distance, metric_distance), with
     inf standing for pairs in different components.
     """
@@ -507,9 +474,9 @@ def isometry_check(
     witnesses = []
     for i in bad_rows:
         js = i + 1 + np.flatnonzero(d_sub[i, i + 1 :] != d_metric[i, i + 1 :])
-        for j in js[: witness_cap - len(witnesses)]:
+        for j in js[: _WITNESS_CAP - len(witnesses)]:
             ds = int(d_sub[i, j])
             witnesses.append((int(i), int(j), inf if ds < 0 else ds, int(d_metric[i, j])))
-        if len(witnesses) >= witness_cap:
+        if len(witnesses) >= _WITNESS_CAP:
             break
     return IsometryReport(bad_rows.size == 0, witnesses, v * (v - 1) // 2)

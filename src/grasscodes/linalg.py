@@ -12,6 +12,10 @@ whose rows with a vanishing left half hold the meet's RREF basis).
 Hyperplanes of a subspace are written down in closed form from their
 functionals, with no kernel computation per hyperplane.
 
+Entries are validated where they enter, by `MatrixGF(...)` and so by
+`Subspace.from_vectors`; matrices derived from valid ones (RREFs, stacks,
+Zassenhaus meets) are wrapped by `MatrixGF._trusted` without a re-check.
+
 Everything here is immutable after construction and pure, sized for
 exact desk-scale work: ambient dimensions in the tens, not thousands.
 """
@@ -53,7 +57,9 @@ def projective_reps(ctx: FieldCtx, dim: int) -> Iterator[Vector]:
 # -- matrices ---------------------------------------------------------------
 
 class MatrixGF:
-    """Dense row-major matrix over a FieldCtx; rows may be empty."""
+    """Dense row-major matrix over a FieldCtx; rows may be empty.
+
+    The constructor checks the shape and that every entry is in [0, q)."""
 
     __slots__ = ("ctx", "rows", "nrows", "ncols")
 
@@ -78,13 +84,21 @@ class MatrixGF:
                     raise ValueError(f"entry {x} outside GF({q}) encoding range")
 
     @classmethod
+    def _trusted(cls, ctx: FieldCtx, rows: tuple[Vector, ...], ncols: int) -> "MatrixGF":
+        """Trusting constructor for a matrix derived from valid ones: rows
+        must be int tuples of length ncols with entries in [0, q)."""
+        m = object.__new__(cls)
+        m.ctx, m.rows, m.nrows, m.ncols = ctx, rows, len(rows), ncols
+        return m
+
+    @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "MatrixGF":
         return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def stack(self, other: "MatrixGF") -> "MatrixGF":
         if other.ncols != self.ncols or other.ctx != self.ctx:
             raise AmbientMismatchError("cannot stack matrices of different shape/field")
-        return MatrixGF(self.ctx, self.rows + other.rows, ncols=self.ncols)
+        return MatrixGF._trusted(self.ctx, self.rows + other.rows, self.ncols)
 
     def __eq__(self, other):
         return (
@@ -123,7 +137,7 @@ def rref(m: MatrixGF) -> tuple[MatrixGF, int]:
         r += 1
         if r == nrows:
             break
-    return MatrixGF(ctx, rows, ncols=ncols), r
+    return MatrixGF._trusted(ctx, tuple(map(tuple, rows)), ncols), r
 
 
 def _pivot_columns(rref_rows: Sequence[Sequence[int]], rank: int) -> list[int]:
@@ -151,13 +165,17 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        m = MatrixGF(ctx, vectors, ncols=ambient_dim)
+        return cls._row_space(MatrixGF(ctx, vectors, ncols=ambient_dim))
+
+    @classmethod
+    def _row_space(cls, m: MatrixGF) -> "Subspace":
+        """Row space of a matrix already validated or derived from valid ones."""
         red, rank = rref(m)
-        return cls(ctx, ambient_dim, MatrixGF(ctx, red.rows[:rank], ncols=ambient_dim))
+        return cls(m.ctx, m.ncols, MatrixGF._trusted(m.ctx, red.rows[:rank], m.ncols))
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        return cls(ctx, ambient_dim, MatrixGF(ctx, [], ncols=ambient_dim))
+        return cls(ctx, ambient_dim, MatrixGF._trusted(ctx, (), ambient_dim))
 
     @classmethod
     def full(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
@@ -252,10 +270,10 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     a._check_ambient(b)
     ctx, n = a.ctx, a.ambient_dim
     zeros = (0,) * n
-    stacked = [r + r for r in a.basis.rows] + [r + zeros for r in b.basis.rows]
-    red, rank = rref(MatrixGF(ctx, stacked, ncols=2 * n))
-    meet = [r[n:] for r in red.rows[:rank] if not any(r[:n])]
-    result = Subspace(ctx, n, MatrixGF(ctx, meet, ncols=n))
+    stacked = tuple(r + r for r in a.basis.rows) + tuple(r + zeros for r in b.basis.rows)
+    red, rank = rref(MatrixGF._trusted(ctx, stacked, 2 * n))
+    meet = tuple(r[n:] for r in red.rows[:rank] if not any(r[:n]))
+    result = Subspace(ctx, n, MatrixGF._trusted(ctx, meet, n))
     if result.dim + subspace_sum(a, b).dim != a.dim + b.dim:
         raise InternalInvariantError("modular dimension identity failed in intersect")
     return result

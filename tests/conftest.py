@@ -6,9 +6,9 @@ from math import inf
 import numpy as np
 
 from grasscodes import bulk
-from grasscodes.codes import LinearCode, MonomialMap
+from grasscodes.codes import LinearCode, MonomialMap, strength
 from grasscodes.errors import VertexAbsentError
-from grasscodes.linalg import MatrixGF, Subspace
+from grasscodes.linalg import MatrixGF, Subspace, intersect
 
 
 def vadd(ctx, u, v):
@@ -107,6 +107,45 @@ def metric_ranks_pairwise(graph):
     return dist
 
 
+def index_of(index, s):
+    """Position of a Subspace/LinearCode in a SubspaceIndex, by comparing
+    its RREF entries with every row of the table."""
+    if isinstance(s, LinearCode):
+        s = s.space
+    if (s.dim, s.ambient_dim) != (index.k, index.n):
+        raise VertexAbsentError("subspace not found in index")
+    key = np.array(s.basis.rows, dtype=np.uint8).reshape(1, -1)
+    hits = np.flatnonzero((index.bases.reshape(len(index), -1) == key).all(axis=1))
+    if hits.size == 0:
+        raise VertexAbsentError("subspace not found in index")
+    return int(hits[0])
+
+
+def position_of(graph, s):
+    """Position of a Subspace/LinearCode among a graph's vertices."""
+    gid = index_of(graph.index, s)
+    pos = np.searchsorted(graph.vertex_ids, gid)
+    if pos >= graph.num_vertices or graph.vertex_ids[pos] != gid:
+        raise VertexAbsentError("subspace is not a vertex of this graph")
+    return int(pos)
+
+
+def verify_step_certificate(x, y, t, cert):
+    """Re-derive every recorded check of a step from scratch (independent routes)."""
+    z = cert.z_code
+    expected_span = Subspace.from_vectors(
+        x.ctx, x.n, list(cert.hyperplane_used.basis.rows) + [cert.coset_rep]
+    )
+    return (
+        z.space == expected_span
+        and intersect(x.space, z.space).dim == cert.dim_x_meet_z
+        and intersect(z.space, y.space).dim == cert.dim_z_meet_y
+        and (strength(z) >= t) == cert.class_member
+        and x.space.contains(cert.hyperplane_used)
+        and y.space.contains_vector(cert.coset_rep)
+    )
+
+
 def bfs_distances(graph, source):
     """Single-source BFS distances (float array, inf for unreachable).
 
@@ -119,7 +158,7 @@ def bfs_distances(graph, source):
         if not 0 <= src < graph.num_vertices:
             raise VertexAbsentError(f"position {src} out of range")
     else:
-        src = graph.position_of(source)
+        src = position_of(graph, source)
     inc = graph.incidence()
     dist = np.full(graph.num_vertices, inf)
     dist[src] = 0

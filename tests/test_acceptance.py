@@ -10,7 +10,7 @@ clause, and that instance must satisfy all but the diameter clause.
 import random
 from math import comb, inf
 
-from conftest import bfs_distances, random_monomial
+from conftest import bfs_distances, random_monomial, verify_step_certificate
 from grasscodes.codes import (
     CRITERIA,
     INFINITE,
@@ -28,7 +28,6 @@ from grasscodes.construct import (
     scan_stats,
     step_toward,
     vandermonde_mds,
-    verify_step_certificate,
 )
 from grasscodes.gf import field_of_order
 from grasscodes.grassmann import (

@@ -196,6 +196,14 @@ def test_apply_monomial_mismatch():
         apply_monomial(m, C32)
 
 
+@pytest.mark.parametrize("scalars", [(0, 1, 1), (-1, 1, 1), (5, 1, 1), (7, 1, 1), (1, 1)])
+def test_monomial_rejects_bad_scalars(scalars):
+    """Scalars must be n elements of [1, q): a negative or oversized one
+    would otherwise act as some other scalar or fail inside the field."""
+    with pytest.raises(DimensionMismatchError):
+        MonomialMap(F5, (0, 1, 2), scalars)
+
+
 def test_monomial_strength_invariance_randomized():
     rng = random.Random(2024)
     for q in (2, 3, 4, 5, 7, 8, 9):

@@ -1,8 +1,10 @@
 import pytest
 
+from conftest import verify_step_certificate
 from grasscodes import construct
 from grasscodes.codes import (
     LinearCode,
+    MonomialMap,
     apply_monomial,
     classify,
     coordinate_subspace,
@@ -19,7 +21,6 @@ from grasscodes.construct import (
     shrink,
     step_toward,
     vandermonde_mds,
-    verify_step_certificate,
 )
 from grasscodes.errors import (
     BadInnerSubspaceError,
@@ -88,14 +89,14 @@ def test_vandermonde_strength_grid(q):
 # -- steps -------------------------------------------------------------------------
 
 def test_step_d1_reaches_target():
-    """At distance 1 the only valid step is y itself."""
+    """At distance 1 the only valid step is y, returned as the caller's object."""
     codes = strength_class(F3, 3, 2, 1)
     found = 0
     for x in codes:
         for y in codes:
             if x != y and intersect(x.space, y.space).dim == 1:
                 cert = step_toward(x, y, 1)
-                assert cert.z_code == y
+                assert cert.z_code is y
                 assert cert.dim_x_meet_z == 1 and cert.dim_z_meet_y == 2
                 assert verify_step_certificate(x, y, 1, cert)
                 found += 1
@@ -190,12 +191,12 @@ def test_count_step_codes_bound_and_oracle():
 
 
 def test_scan_stats_counted():
-    scan_stats.reset()
     x = vandermonde_mds(F5, 4, 2)
     y = opposite_code(x, 2).code
+    before = (scan_stats.meet_checks, scan_stats.meet_violations)
     step_toward(x, y, 2)
-    assert scan_stats.meet_checks > 0
-    assert scan_stats.meet_violations == 0
+    assert scan_stats.meet_checks > before[0]
+    assert scan_stats.meet_violations == before[1]
 
 
 # -- shrink ------------------------------------------------------------------------
@@ -311,7 +312,7 @@ def test_geodesic_disjoint_pair_gf5():
     y = opposite_code(x, 1).code
     assert intersect(x.space, y.space).dim == 0
     path = geodesic_path(x, y, 1)
-    assert len(path) == 3 and path[0] == x and path[-1] == y
+    assert len(path) == 3 and path[0] is x and path[-1] is y
     assert path_is_valid(path, 1)
 
 
@@ -398,13 +399,40 @@ def test_opposite_overlapping_case():
 
 
 def test_opposite_construction_chain():
+    """The witness is σ⁻¹∘μ_λ∘σ, rebuilt from c and λ: σ moves the RREF
+    pivots to the front, μ_λ swaps the first two k-blocks and scales the
+    source block [k, 2k) by λ (2k <= n here), and it maps c onto D."""
     c = vandermonde_mds(F7, 5, 2)
     res = opposite_code(c, 2)
-    sigma = res.info_set_map
-    assert apply_monomial(sigma, c) == res.permuted_code
-    mu = sigma.compose(res.witness).compose(sigma.inverse())
-    assert apply_monomial(mu, res.permuted_code) == res.scaled_code
-    assert apply_monomial(sigma.inverse(), res.scaled_code) == res.code
+    n, k = c.n, c.k
+    pivots = [next(j for j, v in enumerate(r) if v) for r in c.generator.rows]
+    order = pivots + [j for j in range(n) if j not in pivots]
+    sigma = MonomialMap(F7, tuple(order.index(j) for j in range(n)), (1,) * n)
+    mu = MonomialMap(
+        F7,
+        tuple((j + k) % (2 * k) if j < 2 * k else j for j in range(n)),
+        tuple(res.lam if k <= j < 2 * k else 1 for j in range(n)),
+    )
+    assert res.witness == sigma.inverse().compose(mu).compose(sigma)
+    assert apply_monomial(res.witness, c) == res.code
+
+
+def test_construct_never_scans_strength_in_class(monkeypatch):
+    """On in-class inputs membership is the t-column test alone: the
+    full strength scan is only reached to word a failure."""
+    def no_scan(c):
+        raise AssertionError("strength scan on an in-class input")
+
+    monkeypatch.setattr(construct, "strength", no_scan)
+    x = vandermonde_mds(F7, 6, 3)
+    y = opposite_code(x, 1).code
+    assert len(geodesic_path(x, y, 1)) == 4  # two merges, then one step
+    assert shrink(x, Subspace.zero(F7, 6), 1).k == 2
+    f11 = field_new(11)
+    z = vandermonde_mds(f11, 5, 2)
+    w = opposite_code(z, 2).code
+    assert step_toward(z, w, 2).dim_z_meet_y == 1
+    assert len(geodesic_path(z, w, 2)) == 3
 
 
 def test_opposite_full_space():

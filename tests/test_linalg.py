@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from conftest import dot, vadd
+from grasscodes.codes import LinearCode
 from grasscodes.errors import (
     AmbientMismatchError,
+    DimensionMismatchError,
     NotSubspaceError,
 )
 from grasscodes.gf import field_new, field_of_order
@@ -51,6 +53,32 @@ def test_rref_hand_example():
     # hand Gaussian elimination: r2 += r1
     assert red.rows == ((1, 0, 1), (0, 1, 1))
     assert rank == 2
+
+
+@pytest.mark.parametrize(
+    "rows,ncols,error",
+    [
+        ([[1, 2], [1]], None, DimensionMismatchError),  # ragged
+        ([[1, 2], [1, 0, 2]], 2, DimensionMismatchError),  # ragged
+        ([[1, 3]], None, ValueError),  # entry q
+        ([[0, -1]], 2, ValueError),  # negative entry
+        ([[1, 2]], 3, DimensionMismatchError),  # ncols disagrees
+        ([], None, DimensionMismatchError),  # no rows, no ncols
+    ],
+)
+def test_constructors_validate_rows(rows, ncols, error):
+    """Rows handed in from outside are checked by every public constructor."""
+    with pytest.raises(error):
+        MatrixGF(F3, rows, ncols=ncols)
+    if ncols is not None:
+        with pytest.raises(error):
+            Subspace.from_vectors(F3, ncols, rows)
+    if rows:
+        with pytest.raises(error):
+            LinearCode.from_generator(F3, rows, n=ncols)
+    else:
+        with pytest.raises(error):
+            LinearCode.from_generator(F3, rows)
 
 
 def test_rref_zero_and_identity():

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import index_of
 from grasscodes import grassmann
 from grasscodes.errors import NotPrimeError
 from grasscodes.gf import field_of_order
@@ -128,7 +129,7 @@ def test_witness_json_on_non_isometric_subgraph():
         "P3": [[1, 1, 1, 0], [0, 0, 0, 1]],
         "S": [[1, 0, 1, 1], [0, 1, 1, 0]],
     }
-    ids = sorted(idx.index_of(Subspace.from_vectors(ctx, 4, r)) for r in rows.values())
+    ids = sorted(index_of(idx, Subspace.from_vectors(ctx, 4, r)) for r in rows.values())
     graph = GrassmannGraph(idx, 1, np.array(ids, dtype=np.int64))
     iso = isometry_check(graph)
     assert not iso.isometric
