@@ -3,7 +3,9 @@
 Subcommands: classify, path, opposite, sweep, enumerate.  Exit codes:
 0 all checks passed; 1 a constructive search failed below the field-size
 bound (not a theorem violation); 2 theorem violated on a bound-satisfied
-instance; 3 resource caps prevented verification; 4 input error.
+instance; 3 resource caps prevented verification; 4 input error (also
+an --out path that cannot be written, or a resumed file holding a line
+that is not a report).
 """
 
 from __future__ import annotations
@@ -198,27 +200,28 @@ def cmd_enumerate(args) -> int:
 def _load_resume_keys(path: Path) -> tuple[set, list[dict]]:
     """Keys and records of the complete lines of a resumed output file.
 
-    A partial last line (a run cut off mid-write) is truncated away, so
+    Every complete line must be a report (`sweep.validate_report`);
+    otherwise ValueError is raised and the file is left as it was.  A
+    partial last line (a run cut off mid-write) is truncated away, so
     appended records start on a line of their own."""
-    keys = set()
+    if not path.exists():
+        return set(), []
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
     olds = []
-    if path.exists():
-        data = path.read_bytes()
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            with path.open("r+b") as fh:
-                fh.truncate(end)
-        for line in data[:end].decode().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                keys.add((rec["q"], rec["n"], rec["k"], rec["t"]))
-                olds.append(rec)
-            except (json.JSONDecodeError, KeyError):
-                continue
-    return keys, olds
+    for lineno, line in enumerate(data[:end].decode().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            sweep_mod.validate_report(rec)
+        except (ValueError, GrassCodesError) as exc:
+            raise ValueError(f"{path}:{lineno} is not a report: {exc}") from exc
+        olds.append(rec)
+    if end < len(data):
+        with path.open("r+b") as fh:
+            fh.truncate(end)
+    return {(r["q"], r["n"], r["k"], r["t"]) for r in olds}, olds
 
 
 def cmd_sweep(args) -> int:
@@ -234,6 +237,9 @@ def cmd_sweep(args) -> int:
     out_path = Path(args.out) if args.out else None
     if args.resume and (out_path is None or args.format != "json"):
         raise ValueError("--resume needs --out and --format json")
+    csv_path = out_path.with_suffix(".csv") if out_path and args.format == "json" else None
+    if csv_path and csv_path == out_path:
+        raise ValueError(f"--out {out_path} would be overwritten by its CSV summary")
     skip: set = set()
     old_reports: list[dict] = []
     if args.resume:
@@ -261,8 +267,7 @@ def cmd_sweep(args) -> int:
         if sink:
             sink.close()
 
-    if out_path and args.format == "json":
-        csv_path = out_path.with_suffix(".csv")
+    if csv_path:
         with csv_path.open("w") as fh:
             fh.write(sweep_mod.csv_header() + "\n")
             for report in reports:
@@ -339,7 +344,7 @@ def main(argv=None) -> int:
     except (AllPairsTooLargeError, EnumerationTooLargeError, TooLargeExactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPPED
-    except (ParseError, FieldMismatchError, NotInCtError, ValueError) as exc:
+    except (ParseError, FieldMismatchError, NotInCtError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GrassCodesError as exc:

@@ -51,36 +51,18 @@ def weight(v: Sequence[int]) -> int:
 
 # -- coordinate subspaces -----------------------------------------------------
 
-@dataclass(frozen=True)
-class CoordSubspace:
-    """Vectors vanishing at the given (1-based, strictly increasing) coordinates."""
+def coordinate_subspace(ctx: FieldCtx, n: int, indices: Iterable[int]) -> Subspace:
+    """Vectors of F_q^n vanishing at the given (1-based, strictly
+    increasing) coordinates, of dimension n - len(indices).
 
-    n: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = self.indices
-        if any(not 1 <= i <= self.n for i in idx) or any(
-            a >= b for a, b in zip(idx, idx[1:])
-        ):
-            raise BadIndicesError(f"indices {idx} not strictly increasing in [1, {self.n}]")
-
-    @property
-    def dim(self) -> int:
-        return self.n - len(self.indices)
-
-    def as_subspace(self, ctx: FieldCtx) -> Subspace:
-        zeroed = set(i - 1 for i in self.indices)
-        rows = [
-            [1 if j == p else 0 for j in range(self.n)]
-            for p in range(self.n)
-            if p not in zeroed
-        ]
-        return Subspace.from_vectors(ctx, self.n, rows)
-
-
-def coordinate_subspace(n: int, indices: Iterable[int]) -> CoordSubspace:
-    return CoordSubspace(n, tuple(indices))
+    Its basis is the unit vectors of the other coordinates in order,
+    which is already RREF, so no elimination is run."""
+    idx = tuple(indices)
+    if any(not 1 <= i <= n for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
+        raise BadIndicesError(f"indices {idx} not strictly increasing in [1, {n}]")
+    coords = range(1, n + 1)
+    rows = tuple(tuple(int(j == p) for j in coords) for p in coords if p not in idx)
+    return Subspace(ctx, n, MatrixGF._trusted(ctx, rows, n))
 
 
 # -- monomial maps --------------------------------------------------------------
@@ -270,8 +252,7 @@ def has_strength(c: LinearCode, t: int, criterion: Criterion = "dual_distance") 
         )
     if criterion == "coord_meet":
         for idx in itertools.combinations(range(1, n + 1), t):
-            cs = coordinate_subspace(n, idx).as_subspace(c.ctx)
-            if intersect(c.space, cs).dim != c.k - t:
+            if intersect(c.space, coordinate_subspace(c.ctx, n, idx)).dim != c.k - t:
                 return False
         return True
     raise ValueError(f"unknown criterion {criterion!r}")
@@ -314,7 +295,7 @@ def apply_monomial(m: MonomialMap, c: LinearCode) -> LinearCode:
     """Image code; parameters and strength are preserved."""
     if m.n != c.n or m.ctx != c.ctx:
         raise DimensionMismatchError("map and code live in different spaces")
-    return LinearCode(Subspace._row_space(m.apply_to_matrix(c.generator)))
+    return LinearCode(Subspace._row_space(c.ctx, c.n, m.apply_to_matrix(c.generator).rows))
 
 
 # -- generator-matrix text format -----------------------------------------------

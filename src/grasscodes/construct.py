@@ -183,7 +183,7 @@ def _step_candidates(x: LinearCode, y: LinearCode, xy: Subspace):
     comp = complement_basis(xy, y.space)
     for h in hyperplanes_containing(x.space, xy):
         for z in _coset_rep_vectors(ctx, comp):
-            span = Subspace.from_vectors(ctx, x.n, list(h.basis.rows) + [z])
+            span = Subspace._row_space(ctx, x.n, h.basis.rows + (z,))
             yield h, z, span
 
 
@@ -297,9 +297,8 @@ def geodesic_path(x: LinearCode, y: LinearCode, t: int) -> list[LinearCode]:
             raise PathFailedError(str(exc), partial_path=path) from exc
         ctx = cur.ctx
         first_rep = complement_basis(xy, y.space)[0]
-        merged = Subspace.from_vectors(
-            ctx, cur.n,
-            list(xprime.space.basis.rows) + list(xy.basis.rows) + [first_rep],
+        merged = Subspace._row_space(
+            ctx, cur.n, xprime.space.basis.rows + xy.basis.rows + (first_rep,)
         )
         if merged.dim != cur.k:
             raise InternalInvariantError(

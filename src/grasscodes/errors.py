@@ -63,10 +63,6 @@ class AllPairsTooLargeError(GrassCodesError):
     """Pair count exceeds the all-pairs verification cap."""
 
 
-class VertexAbsentError(GrassCodesError):
-    """BFS source is not a vertex of the graph."""
-
-
 class InternalInvariantError(GrassCodesError):
     """An internally re-checked identity failed; indicates a bug."""
 

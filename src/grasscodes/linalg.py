@@ -13,8 +13,10 @@ Hyperplanes of a subspace are written down in closed form from their
 functionals, with no kernel computation per hyperplane.
 
 Entries are validated where they enter, by `MatrixGF(...)` and so by
-`Subspace.from_vectors`; matrices derived from valid ones (RREFs, stacks,
-Zassenhaus meets) are wrapped by `MatrixGF._trusted` without a re-check.
+`Subspace.from_vectors` (and `kernel`, which spans through it).  Rows
+derived from valid ones are not re-checked: RREFs, stacks and Zassenhaus
+meets are wrapped by `MatrixGF._trusted`, and derived spans (sums,
+complement candidates, hyperplanes) are reduced by `Subspace._row_space`.
 
 Everything here is immutable after construction and pure, sized for
 exact desk-scale work: ambient dimensions in the tens, not thousands.
@@ -152,7 +154,7 @@ def _pivot_columns(rref_rows: Sequence[Sequence[int]], rank: int) -> list[int]:
 class Subspace:
     """A subspace of F_q^n with a canonical RREF basis (no zero rows)."""
 
-    __slots__ = ("ctx", "ambient_dim", "basis", "dim", "_pivots")
+    __slots__ = ("ctx", "ambient_dim", "basis", "dim")
 
     def __init__(self, ctx: FieldCtx, ambient_dim: int, basis: MatrixGF):
         """Trusting constructor: basis must already be RREF with full row rank.
@@ -161,17 +163,16 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.dim = basis.nrows
-        self._pivots = _pivot_columns(basis.rows, basis.nrows)
 
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> "Subspace":
-        return cls._row_space(MatrixGF(ctx, vectors, ncols=ambient_dim))
+        return cls._row_space(ctx, ambient_dim, MatrixGF(ctx, vectors, ncols=ambient_dim).rows)
 
     @classmethod
-    def _row_space(cls, m: MatrixGF) -> "Subspace":
-        """Row space of a matrix already validated or derived from valid ones."""
-        red, rank = rref(m)
-        return cls(m.ctx, m.ncols, MatrixGF._trusted(m.ctx, red.rows[:rank], m.ncols))
+    def _row_space(cls, ctx: FieldCtx, ambient_dim: int, rows: tuple[Vector, ...]) -> "Subspace":
+        """Span of int-tuple rows already validated or derived from valid ones."""
+        red, rank = rref(MatrixGF._trusted(ctx, rows, ambient_dim))
+        return cls(ctx, ambient_dim, MatrixGF._trusted(ctx, red.rows[:rank], ambient_dim))
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
@@ -186,7 +187,7 @@ class Subspace:
     def coords_of(self, v: Sequence[int]) -> Vector | None:
         """Coefficients of v over the basis, or None if v is outside."""
         ctx = self.ctx
-        coeffs = tuple(v[p] for p in self._pivots)
+        coeffs = tuple(v[p] for p in _pivot_columns(self.basis.rows, self.dim))
         residual = list(v)
         for c, row in zip(coeffs, self.basis.rows):
             if c:
@@ -257,7 +258,7 @@ def kernel(m: MatrixGF) -> Subspace:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     a._check_ambient(b)
-    return Subspace.from_vectors(a.ctx, a.ambient_dim, a.basis.rows + b.basis.rows)
+    return Subspace._row_space(a.ctx, a.ambient_dim, a.basis.rows + b.basis.rows)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -287,16 +288,15 @@ def complement_basis(inner: Subspace, outer: Subspace) -> list[Vector]:
     """
     if not outer.contains(inner):
         raise NotSubspaceError("inner is not contained in outer")
-    ctx = inner.ctx
-    acc = list(inner.basis.rows)
+    acc = inner.basis.rows
     rank = inner.dim
     out = []
     for row in outer.basis.rows:
-        cand = Subspace.from_vectors(ctx, outer.ambient_dim, acc + [row])
+        cand = Subspace._row_space(inner.ctx, outer.ambient_dim, acc + (row,))
         if cand.dim > rank:
-            acc.append(row)
+            acc += (row,)
             rank = cand.dim
-            out.append(tuple(row))
+            out.append(row)
         if rank == outer.dim:
             break
     return out
@@ -317,7 +317,7 @@ def hyperplanes_containing(x: Subspace, u: Subspace) -> Iterator[Subspace]:
         raise NotSubspaceError("u must have codimension at least 1 in x")
     ctx = x.ctx
     k = x.dim
-    u_coords = MatrixGF(ctx, [x.coords_of(r) for r in u.basis.rows], ncols=k)
+    u_coords = MatrixGF._trusted(ctx, tuple(x.coords_of(r) for r in u.basis.rows), k)
     w = kernel(u_coords)  # functionals on x vanishing on u
     wrows = w.basis.rows
     xrows = x.basis.rows
@@ -332,8 +332,8 @@ def hyperplanes_containing(x: Subspace, u: Subspace) -> Iterator[Subspace]:
         for j in range(k):
             if j != p:
                 f = ctx.neg(ctx.mul(c[j], inv_p))
-                h_rows.append([ctx.add(a, ctx.mul(f, b)) for a, b in zip(xrows[j], xrows[p])])
-        yield Subspace.from_vectors(ctx, x.ambient_dim, h_rows)
+                h_rows.append(tuple(ctx.add(a, ctx.mul(f, b)) for a, b in zip(xrows[j], xrows[p])))
+        yield Subspace._row_space(ctx, x.ambient_dim, tuple(h_rows))
 
 
 # -- counting ------------------------------------------------------------------

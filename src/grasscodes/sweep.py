@@ -207,7 +207,9 @@ def is_violation(report: dict) -> bool:
 
 
 def validate_report(report: dict) -> None:
-    """Schema check: exact keys and JSON-compatible types."""
+    """Schema check: a dict with exact keys and JSON-compatible types."""
+    if not isinstance(report, dict):
+        raise GrassCodesError(f"report must be a JSON object, got {report!r}")
     if tuple(report.keys()) != REPORT_FIELDS:
         raise GrassCodesError(
             f"report keys {tuple(report.keys())} != schema {REPORT_FIELDS}"

@@ -7,8 +7,12 @@ import numpy as np
 
 from grasscodes import bulk
 from grasscodes.codes import LinearCode, MonomialMap, strength
-from grasscodes.errors import VertexAbsentError
+from grasscodes.errors import GrassCodesError
 from grasscodes.linalg import MatrixGF, Subspace, intersect
+
+
+class VertexAbsentError(GrassCodesError):
+    """A subspace or position looked up is not a vertex of the graph."""
 
 
 def vadd(ctx, u, v):

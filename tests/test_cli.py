@@ -222,6 +222,35 @@ def test_sweep_resume_needs_json_out(capsys):
     assert main(["sweep", "--q", "2", "--n", "3", "--resume"]) == 4
 
 
+@pytest.mark.parametrize("line", ["5", '{"q":2,"n":3,"k":1,"t":1}'])
+def test_sweep_resume_rejects_non_report_lines(tmp_path, capsys, line):
+    out = tmp_path / "reports.jsonl"
+    assert main(["sweep", "--q", "2", "--n", "3", "--t", "1", "--out", str(out)]) == 0
+    before = out.read_bytes() + line.encode() + b"\n" + b'{"q":3,'
+    out.write_bytes(before)
+    args = ["sweep", "--q", "2,3", "--n", "3", "--t", "1", "--out", str(out), "--resume"]
+    assert main(args) == 4
+    assert "is not a report" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def test_sweep_out_equal_to_csv_summary(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    out.write_bytes(b"keep me\n")
+    assert main(["sweep", "--q", "3", "--n", "2", "--out", str(out)]) == 4
+    assert "CSV summary" in capsys.readouterr().err
+    assert out.read_bytes() == b"keep me\n"
+
+
+def test_out_in_missing_directory(tmp_path, vandermonde_file, capsys):
+    missing = tmp_path / "no" / "such"
+    assert main(["sweep", "--q", "3", "--n", "2", "--out", str(missing / "r.jsonl")]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["classify", vandermonde_file, "--out", str(missing / "c.json")]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.exists()
+
+
 def test_sweep_csv_format(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["sweep", "--q", "3", "--n", "3", "--t", "1",

@@ -165,17 +165,20 @@ def test_criteria_agree_exhaustive_small():
 
 
 def test_coordinate_subspace_examples():
-    cs = coordinate_subspace(3, (1,))
-    assert cs.dim == 2
-    s = cs.as_subspace(F2)
+    s = coordinate_subspace(F2, 3, (1,))
+    assert s.dim == 2
     assert set(s.vectors()) == {(0, a, b) for a in (0, 1) for b in (0, 1)}
-    cs2 = coordinate_subspace(4, (1, 3)).as_subspace(F2)
+    cs2 = coordinate_subspace(F2, 4, (1, 3))
     assert set(cs2.vectors()) == {(0, a, 0, b) for a in (0, 1) for b in (0, 1)}
-    assert coordinate_subspace(3, (1, 2, 3)).as_subspace(F2).dim == 0
+    assert coordinate_subspace(F2, 3, (1, 2, 3)).dim == 0
+    # the trusted identity rows are the RREF basis a validated span gives
+    for idx in itertools.combinations(range(1, 5), 2):
+        cs = coordinate_subspace(F3, 4, idx)
+        assert cs == Subspace.from_vectors(F3, 4, cs.basis.rows)
     with pytest.raises(BadIndicesError):
-        coordinate_subspace(3, (2, 1))
+        coordinate_subspace(F2, 3, (2, 1))
     with pytest.raises(BadIndicesError):
-        coordinate_subspace(3, (0, 1))
+        coordinate_subspace(F2, 3, (0, 1))
 
 
 def test_apply_monomial_examples():

@@ -233,7 +233,7 @@ def test_shrink_bad_inner():
 def meets_with_colors(x, t):
     """Oracle: x's meets with the codimension-t coordinate subspaces."""
     return [
-        intersect(x.space, coordinate_subspace(x.n, color).as_subspace(x.ctx))
+        intersect(x.space, coordinate_subspace(x.ctx, x.n, color))
         for color in coordinate_tuples(x.n, t)
     ]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    VertexAbsentError,
     adjacency_pairwise,
     bfs_distances,
     index_of,
@@ -22,7 +23,6 @@ from grasscodes.errors import (
     EnumerationTooLargeError,
     FieldTooLargeError,
     InternalInvariantError,
-    VertexAbsentError,
 )
 from grasscodes.gf import field_new, field_of_order
 from grasscodes.grassmann import (

@@ -280,6 +280,32 @@ def test_complement_basis():
                          Subspace.from_vectors(F3, 3, [(0, 1, 0)]))
 
 
+def test_derived_spans_skip_entry_validation(monkeypatch):
+    """Subspaces derived from valid ones are built without the validating
+    MatrixGF constructor: with it disabled, coordinate subspaces, sums,
+    meets, complements and the columns / coord_meet strength tests run."""
+    from grasscodes.codes import LinearCode, coordinate_subspace, has_strength
+
+    F5 = field_new(5)
+    x = LinearCode.from_generator(F5, [(1, 0, 1, 1), (0, 1, 1, 2)])
+    y = LinearCode.from_generator(F5, [(1, 1, 0, 3), (0, 1, 4, 1)])
+    u = Subspace.from_vectors(F5, 4, [x.generator.rows[0]])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("MatrixGF validated a derived matrix")
+
+    monkeypatch.setattr(MatrixGF, "__init__", refuse)
+    cs = coordinate_subspace(F5, 4, (2, 4))
+    assert cs.dim == 2
+    assert subspace_sum(x.space, y.space).dim == 4
+    assert intersect(x.space, y.space).dim == 0
+    assert intersect(x.space, cs).dim == 0
+    assert len(complement_basis(u, x.space)) == 1
+    for criterion in ("columns", "coord_meet"):
+        assert has_strength(x, 2, criterion)
+        assert not has_strength(x, 3, criterion)
+
+
 def test_extended_span_meet_bound():
     """For a strength-t code x, a hyperplane h of x, and any vector y
     outside x, the span <h, y> meets each codimension-t coordinate
@@ -299,7 +325,7 @@ def test_extended_span_meet_bound():
                 t_max = strength(LinearCode(x))
                 for t in range(1, t_max + 1):
                     coords = [
-                        coordinate_subspace(n, idx).as_subspace(ctx)
+                        coordinate_subspace(ctx, n, idx)
                         for idx in itertools.combinations(range(1, n + 1), t)
                     ]
                     for h in hyperplanes_containing(x, Subspace.zero(ctx, n)):
