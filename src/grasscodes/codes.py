@@ -212,10 +212,11 @@ def min_distance(c: LinearCode, max_words: int = EXACT_WORD_CAP):
     return best
 
 
-def dual_min_distance(c: LinearCode, max_words: int = EXACT_WORD_CAP):
-    """Minimum distance of the dual code (cached on the code)."""
+def dual_min_distance(c: LinearCode):
+    """Minimum distance of the dual code, cached on the code; raises
+    TooLargeExactError above EXACT_WORD_CAP dual words."""
     if c._dual_min_distance is None:
-        c._dual_min_distance = min_distance(dual(c), max_words=max_words)
+        c._dual_min_distance = min_distance(dual(c))
     return c._dual_min_distance
 
 

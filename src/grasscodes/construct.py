@@ -18,12 +18,12 @@ subspaces, one per t-set of coordinates.  A step candidate <H, z> is in
 the class iff it meets every one of them in dimension k - t; the theory
 says the meet never exceeds k - t + 1, so a candidate failing the test
 has at least one color, and with q at least the number of colors some
-coset of the scan has none.  `step_toward` and `count_step_codes`
-measure every color of every candidate and refuse to pass any meet
-above the bound; `scan_stats` counts both, so a run can assert that
-checks happened and none failed.  `shrink` tests each hyperplane by its
-t-column ranks, and a geodesic computes each meet with the target once,
-handing it from move to move.
+coset of the scan has none.  `step_toward` measures every color of
+every candidate it tries and refuses to pass any meet above the bound;
+`scan_stats` counts both, so a run can assert that checks happened and
+none failed.  `shrink` tests each hyperplane by its t-column ranks, and
+a geodesic computes each meet with the target once, handing it from
+move to move.
 
 Membership in the class is decided everywhere by the same t-column test
 (`has_strength(c, t, "columns")`): inputs, merged codes and opposite
@@ -177,27 +177,14 @@ def _coset_rep_vectors(ctx: FieldCtx, comp: list[Vector]):
 
 
 def _step_candidates(x: LinearCode, y: LinearCode, xy: Subspace):
-    """Deterministic (hyperplane, rep, span) scan order shared by
-    step_toward and count_step_codes; xy is x ∩ y."""
+    """Deterministic (hyperplane, rep, span) scan order of step_toward;
+    xy is x ∩ y."""
     ctx = x.ctx
     comp = complement_basis(xy, y.space)
     for h in hyperplanes_containing(x.space, xy):
         for z in _coset_rep_vectors(ctx, comp):
             span = Subspace._row_space(ctx, x.n, h.basis.rows + (z,))
             yield h, z, span
-
-
-def _step_preconditions(x: LinearCode, y: LinearCode, t: int) -> tuple[int, Subspace]:
-    """The distance d and the meet x ∩ y of a pair a step can be made on."""
-    _require_strength(x, t, "x")
-    _require_strength(y, t, "y")
-    xy = intersect(x.space, y.space)
-    d = x.k - xy.dim
-    if d == 0:
-        raise StepDepthError("codes are equal; no step to make")
-    if d > t:
-        raise StepDepthError(f"pair distance {d} exceeds strength {t}")
-    return d, xy
 
 
 def _forced_meet(cur: LinearCode, z: Subspace, y: LinearCode, d: int) -> Subspace:
@@ -225,7 +212,14 @@ def step_toward(x: LinearCode, y: LinearCode, t: int) -> StepCertificate:
     and ultimately raise NoStepFound.  At distance 1 the step lands on y,
     and y itself is returned, so a path ends on the caller's code.
     """
-    d, xy = _step_preconditions(x, y, t)
+    _require_strength(x, t, "x")
+    _require_strength(y, t, "y")
+    xy = intersect(x.space, y.space)
+    d = x.k - xy.dim
+    if d == 0:
+        raise StepDepthError("codes are equal; no step to make")
+    if d > t:
+        raise StepDepthError(f"pair distance {d} exceeds strength {t}")
     for h, z, span in _step_candidates(x, y, xy):
         if _span_in_class(span, t):
             zy = _forced_meet(x, span, y, d)
@@ -234,16 +228,6 @@ def step_toward(x: LinearCode, y: LinearCode, t: int) -> StepCertificate:
     raise NoStepFoundError(
         f"no strength-{t} step between the codes (q={x.ctx.q} below the bound?)"
     )
-
-
-def count_step_codes(x: LinearCode, y: LinearCode, t: int) -> int:
-    """Number of distinct valid step codes over the whole scan domain."""
-    _, xy = _step_preconditions(x, y, t)
-    found = set()
-    for _, _, span in _step_candidates(x, y, xy):
-        if _span_in_class(span, t):
-            found.add(span)
-    return len(found)
 
 
 # -- dimension shrink --------------------------------------------------------------------

@@ -8,15 +8,19 @@ basis with no rows and an explicit ambient dimension).
 Each linear-algebra job has one exact routine: `rref` (row space, rank),
 `kernel` (right null space), `subspace_sum` (one RREF of the stacked
 bases) and `intersect` (one RREF of the Zassenhaus matrix [[A, A], [B, 0]],
-whose rows with a vanishing left half hold the meet's RREF basis).
-Hyperplanes of a subspace are written down in closed form from their
-functionals, with no kernel computation per hyperplane.
+whose rows with a vanishing left half hold the meet's RREF basis).  Each
+scalar fact is read from the one elimination that produces it: a meet's
+dimension identity from its own Zassenhaus RREF, and a containment from
+the coordinates over the outer basis that the caller needs anyway
+(`complement_basis`, `hyperplanes_containing`).  Hyperplanes of a
+subspace are written down in closed form from their functionals, with no
+kernel computation per hyperplane.
 
 Entries are validated where they enter, by `MatrixGF(...)` and so by
 `Subspace.from_vectors` (and `kernel`, which spans through it).  Rows
 derived from valid ones are not re-checked: RREFs, stacks and Zassenhaus
-meets are wrapped by `MatrixGF._trusted`, and derived spans (sums,
-complement candidates, hyperplanes) are reduced by `Subspace._row_space`.
+meets are wrapped by `MatrixGF._trusted`, and derived spans (sums and
+hyperplanes) are reduced by `Subspace._row_space`.
 
 Everything here is immutable after construction and pure, sized for
 exact desk-scale work: ambient dimensions in the tens, not thousands.
@@ -264,42 +268,47 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """a ∩ b by Zassenhaus: one RREF of the rows [a_i | a_i] and [b_j | 0].
 
-    The rows of the result whose left half vanishes carry, in their right
-    half, the RREF basis of the meet.  dim(a ∩ b) + dim(a + b) = dim a +
-    dim b is re-checked against an independently computed sum.
+    The rows of the result with a nonzero left half span a + b; those
+    whose left half vanishes carry, in their right half, the RREF basis of
+    the meet.  The stacked rows are independent, so the same elimination
+    must have rank dim a + dim b, which is dim(a + b) + dim(a ∩ b): that
+    is re-checked on every call.
     """
     a._check_ambient(b)
     ctx, n = a.ctx, a.ambient_dim
     zeros = (0,) * n
     stacked = tuple(r + r for r in a.basis.rows) + tuple(r + zeros for r in b.basis.rows)
     red, rank = rref(MatrixGF._trusted(ctx, stacked, 2 * n))
-    meet = tuple(r[n:] for r in red.rows[:rank] if not any(r[:n]))
-    result = Subspace(ctx, n, MatrixGF._trusted(ctx, meet, n))
-    if result.dim + subspace_sum(a, b).dim != a.dim + b.dim:
+    if rank != a.dim + b.dim:
         raise InternalInvariantError("modular dimension identity failed in intersect")
-    return result
+    meet = tuple(r[n:] for r in red.rows[:rank] if not any(r[:n]))
+    return Subspace(ctx, n, MatrixGF._trusted(ctx, meet, n))
+
+
+def _coords_within(outer: Subspace, inner: Subspace, error: str) -> tuple[Vector, ...]:
+    """Coordinates of inner's basis rows over outer's basis; raises
+    NotSubspaceError(error) unless inner ⊆ outer."""
+    outer._check_ambient(inner)
+    coords = tuple(outer.coords_of(r) for r in inner.basis.rows)
+    if None in coords:
+        raise NotSubspaceError(error)
+    return coords
 
 
 def complement_basis(inner: Subspace, outer: Subspace) -> list[Vector]:
     """Rows of outer's RREF basis completing a basis of inner to one of outer.
 
-    Deterministic: scans outer's canonical basis rows in order and keeps
-    those that grow the span.  Requires inner ⊆ outer.
+    Deterministic: row i of outer is kept unless some vector of inner has
+    its last nonzero coordinate over outer's basis at i, i.e. unless i is
+    a pivot of inner's coordinates read right to left.  Those are exactly
+    the rows a scan in order drops for lying in the span of inner and the
+    rows before them.  Requires inner ⊆ outer.
     """
-    if not outer.contains(inner):
-        raise NotSubspaceError("inner is not contained in outer")
-    acc = inner.basis.rows
-    rank = inner.dim
-    out = []
-    for row in outer.basis.rows:
-        cand = Subspace._row_space(inner.ctx, outer.ambient_dim, acc + (row,))
-        if cand.dim > rank:
-            acc += (row,)
-            rank = cand.dim
-            out.append(row)
-        if rank == outer.dim:
-            break
-    return out
+    coords = _coords_within(outer, inner, "inner is not contained in outer")
+    k = outer.dim
+    red, rank = rref(MatrixGF._trusted(inner.ctx, tuple(c[::-1] for c in coords), k))
+    dropped = {k - 1 - p for p in _pivot_columns(red.rows, rank)}
+    return [row for i, row in enumerate(outer.basis.rows) if i not in dropped]
 
 
 def hyperplanes_containing(x: Subspace, u: Subspace) -> Iterator[Subspace]:
@@ -311,14 +320,12 @@ def hyperplanes_containing(x: Subspace, u: Subspace) -> Iterator[Subspace]:
     j != p, p the first nonzero of c.  Functionals are enumerated as
     canonical projective representatives of the solution space, ascending.
     """
-    if not x.contains(u):
-        raise NotSubspaceError("u is not contained in x")
+    u_coords = _coords_within(x, u, "u is not contained in x")
     if u.dim > x.dim - 1:
         raise NotSubspaceError("u must have codimension at least 1 in x")
     ctx = x.ctx
     k = x.dim
-    u_coords = MatrixGF._trusted(ctx, tuple(x.coords_of(r) for r in u.basis.rows), k)
-    w = kernel(u_coords)  # functionals on x vanishing on u
+    w = kernel(MatrixGF._trusted(ctx, u_coords, k))  # functionals on x vanishing on u
     wrows = w.basis.rows
     xrows = x.basis.rows
     for lam in projective_reps(ctx, w.dim):

@@ -5,9 +5,9 @@ from math import inf
 
 import numpy as np
 
-from grasscodes import bulk
+from grasscodes import bulk, construct
 from grasscodes.codes import LinearCode, MonomialMap, strength
-from grasscodes.errors import GrassCodesError
+from grasscodes.errors import GrassCodesError, NotSubspaceError
 from grasscodes.linalg import MatrixGF, Subspace, intersect
 
 
@@ -148,6 +148,33 @@ def verify_step_certificate(x, y, t, cert):
         and x.space.contains(cert.hyperplane_used)
         and y.space.contains_vector(cert.coset_rep)
     )
+
+
+def complement_basis_greedy(inner, outer):
+    """Oracle for `linalg.complement_basis`: scan outer's RREF basis rows
+    in order and keep each one that grows the span of inner and the rows
+    kept so far, one rank computation per row."""
+    if not outer.contains(inner):
+        raise NotSubspaceError("inner is not contained in outer")
+    acc = list(inner.basis.rows)
+    out = []
+    for row in outer.basis.rows:
+        if Subspace.from_vectors(outer.ctx, outer.ambient_dim, acc + [row]).dim > len(acc):
+            acc.append(row)
+            out.append(row)
+    return out
+
+
+def count_step_codes(x, y, t):
+    """Number of distinct strength-t codes over step_toward's whole scan
+    domain from x toward y.  Each candidate is tested by
+    `construct._span_in_class`, so every color counts in `scan_stats`."""
+    xy = intersect(x.space, y.space)
+    return len({
+        span
+        for _, _, span in construct._step_candidates(x, y, xy)
+        if construct._span_in_class(span, t)
+    })
 
 
 def bfs_distances(graph, source):

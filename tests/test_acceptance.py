@@ -10,7 +10,12 @@ clause, and that instance must satisfy all but the diameter clause.
 import random
 from math import comb, inf
 
-from conftest import bfs_distances, random_monomial, verify_step_certificate
+from conftest import (
+    bfs_distances,
+    count_step_codes,
+    random_monomial,
+    verify_step_certificate,
+)
 from grasscodes.codes import (
     CRITERIA,
     INFINITE,
@@ -22,7 +27,6 @@ from grasscodes.codes import (
     weight,
 )
 from grasscodes.construct import (
-    count_step_codes,
     geodesic_path,
     opposite_code,
     scan_stats,

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import verify_step_certificate
+from conftest import count_step_codes, verify_step_certificate
 from grasscodes import construct
 from grasscodes.codes import (
     LinearCode,
@@ -14,7 +14,6 @@ from grasscodes.codes import (
 from grasscodes.construct import (
     StepCertificate,
     coordinate_tuples,
-    count_step_codes,
     geodesic_path,
     opposite_code,
     scan_stats,

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import dot, vadd
+from grasscodes import linalg
 from grasscodes.codes import LinearCode
 from grasscodes.errors import (
     AmbientMismatchError,
@@ -26,6 +27,7 @@ from grasscodes.linalg import (
 
 F2 = field_new(2)
 F3 = field_new(3)
+F5 = field_new(5)
 
 
 def e(n, i):
@@ -241,6 +243,8 @@ def test_hyperplanes_containing_not_subspace():
     u = Subspace.from_vectors(F2, 3, [e(3, 3)])
     with pytest.raises(NotSubspaceError):
         list(hyperplanes_containing(x, u))
+    with pytest.raises(AmbientMismatchError):
+        list(hyperplanes_containing(x, Subspace.zero(F2, 4)))
 
 
 def test_q_int_values():
@@ -278,6 +282,66 @@ def test_complement_basis():
     with pytest.raises(NotSubspaceError):
         complement_basis(Subspace.from_vectors(F3, 3, [(1, 0, 0)]),
                          Subspace.from_vectors(F3, 3, [(0, 1, 0)]))
+    with pytest.raises(AmbientMismatchError):
+        complement_basis(Subspace.zero(F3, 2), x)
+
+
+def test_complement_basis_matches_greedy_scan():
+    """The right-to-left pivot rule keeps the same rows as the in-order
+    scan that keeps each row growing the span, on every pair inner ⊆ outer
+    of F_2^4, F_3^3, F_4^3 and F_9^3."""
+    from conftest import all_subspaces as rref_subspaces
+    from conftest import complement_basis_greedy
+
+    pairs = 0
+    for q, n in ((2, 4), (3, 3), (4, 3), (9, 3)):
+        ctx = field_of_order(q)
+        spaces = [s for k in range(n + 1) for s in rref_subspaces(ctx, n, k)]
+        for outer in spaces:
+            for inner in spaces:
+                if inner.dim <= outer.dim and outer.contains(inner):
+                    assert complement_basis(inner, outer) == complement_basis_greedy(inner, outer)
+                    pairs += 1
+    assert pairs == 2339
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+X5 = Subspace.from_vectors(F5, 5, [(1, 0, 1, 1, 1), (0, 1, 1, 2, 3), (0, 0, 1, 4, 2)])
+U5 = Subspace.from_vectors(F5, 5, [(1, 0, 1, 1, 1), (0, 1, 1, 2, 3)])
+
+
+def test_intersect_runs_one_rref(monkeypatch):
+    """The meet and its dimension check come from one Zassenhaus RREF."""
+    y = Subspace.from_vectors(F5, 5, [(1, 0, 1, 1, 1), (0, 1, 0, 0, 1), (0, 0, 0, 1, 1)])
+    rrefs = _count_calls(monkeypatch, linalg, "rref")
+    assert intersect(X5, y).dim == 1
+    assert len(rrefs) == 1
+
+
+@pytest.mark.parametrize("inner", [Subspace.zero(F5, 5), U5])
+def test_complement_basis_runs_one_rref(monkeypatch, inner):
+    rrefs = _count_calls(monkeypatch, linalg, "rref")
+    assert len(complement_basis(inner, X5)) == X5.dim - inner.dim
+    assert len(rrefs) == 1
+
+
+def test_hyperplanes_containing_takes_coordinates_once(monkeypatch):
+    """u's coordinates over x serve both the containment check and the
+    functional system."""
+    coords = _count_calls(monkeypatch, Subspace, "coords_of")
+    next(hyperplanes_containing(X5, U5))
+    assert len(coords) == U5.dim
 
 
 def test_derived_spans_skip_entry_validation(monkeypatch):
@@ -286,7 +350,6 @@ def test_derived_spans_skip_entry_validation(monkeypatch):
     meets, complements and the columns / coord_meet strength tests run."""
     from grasscodes.codes import LinearCode, coordinate_subspace, has_strength
 
-    F5 = field_new(5)
     x = LinearCode.from_generator(F5, [(1, 0, 1, 1), (0, 1, 1, 2)])
     y = LinearCode.from_generator(F5, [(1, 1, 0, 3), (0, 1, 4, 1)])
     u = Subspace.from_vectors(F5, 4, [x.generator.rows[0]])
