@@ -323,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", help="default: every k in [1, n-1]")
     p.add_argument("--t", help="default: every t in [1, k]")
     p.add_argument("--max-vertices", type=int, default=ENUM_CAP)
-    p.add_argument("--max-pairs", type=int, default=ALL_PAIRS_CAP)
+    p.add_argument("--max-pairs", type=int, default=ALL_PAIRS_CAP,
+                   help="cap on the distances verified per strength class: "
+                   "orbit representatives x vertices (default 2^25)")
     p.add_argument("--workers", type=int, default=1,
                    help="processes, clamped to min(N, CPU count, (q, n, k) groups)")
     p.add_argument("--out", help="JSONL output path, overwritten unless --resume "

@@ -60,7 +60,8 @@ class EnumerationTooLargeError(GrassCodesError):
 
 
 class AllPairsTooLargeError(GrassCodesError):
-    """Pair count exceeds the all-pairs verification cap."""
+    """A distance block exceeds the pairs cap: representatives x V for the
+    per-orbit verification, V(V-1)/2 pairs for the all-pairs oracles."""
 
 
 class InternalInvariantError(GrassCodesError):

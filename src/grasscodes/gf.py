@@ -264,6 +264,11 @@ class FieldCtx:
 
     # -- iteration --------------------------------------------------------
 
+    def primitive(self) -> int:
+        """A generator of the multiplicative group: its powers are all the
+        nonzero elements."""
+        return self._exp[1] if self._exp is not None else self._find_generator()
+
     def elements(self) -> range:
         return range(self.q)
 

@@ -11,9 +11,14 @@ that incidence (bit-parallel from any set of sources at once).
 
 Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
 distance-transitive, so BFS from one source, checked against the closed
-form, fixes its diameter min(k, n-k); the isometry check compares
-all-pairs BFS distance in the induced subgraph with k - dim(x ∩ y).
-That metric never reads edges: it counts the points two subspaces share.
+form, fixes its diameter min(k, n-k).  Coordinate permutations, column
+scalings and the Frobenius map preserve strength and dim(x ∩ y), so they
+map the strength-t graph onto itself without moving any distance: BFS
+from one representative per orbit of these maps decides connectivity and
+the diameter, and the isometry check compares those BFS rows with
+k - dim(x ∩ y) from the same sources.  That metric never reads edges: it
+counts the points two subspaces share.  All-pairs BFS and the V x V
+metric stay as the oracles the per-orbit route is tested against.
 """
 
 from __future__ import annotations
@@ -36,8 +41,11 @@ from .gf import FieldCtx
 from .linalg import MatrixGF, Subspace, projective_reps, q_int, rref, subspace_count
 
 ENUM_CAP = 1 << 21
-ALL_PAIRS_CAP = 1 << 25  # max number of vertex pairs in all-pairs verification
+# max size of a distance block: representatives x V per verified graph, or
+# the V(V-1)/2 pairs of the all-pairs oracles
+ALL_PAIRS_CAP = 1 << 25
 _WITNESS_CAP = 100  # the report schema's maxItems for witnesses
+_WITNESS_BATCH = 64  # BFS sources per pass while collecting witnesses
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -58,6 +66,7 @@ class SubspaceIndex:
         self._strength_all: np.ndarray | None = None
         self._point_keys: np.ndarray | None = None
         self._incidence: np.ndarray | None = None
+        self._orbits: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.bases.shape[0]
@@ -93,6 +102,21 @@ class SubspaceIndex:
             self._incidence = _bucket_incidence(self.ctx, self.bases, self.n, self.k)
         return self._incidence
 
+    def orbit_labels(self) -> np.ndarray:
+        """Position of the smallest member of every subspace's orbit under
+        coordinate permutations, column scalings and the Frobenius map.
+
+        Built on first use, never by the enumeration itself.  Every map in
+        the group preserves strength, so an orbit holding two strengths
+        means the engine is broken."""
+        if self._orbits is None:
+            labels = _orbit_labels(self.ctx, self.bases, self.n, self.k)
+            strengths = self.strength_all()
+            if (strengths[labels] != strengths).any():
+                raise InternalInvariantError("a symmetry orbit holds codes of different strength")
+            self._orbits = labels
+        return self._orbits
+
 
 def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
     v = bases.shape[0]
@@ -114,6 +138,75 @@ def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndar
                 alive[hit] = False
     out = np.where(dual_dist == 0, k, np.minimum(dual_dist - 1, k)).astype(np.int16)
     return out
+
+
+def _orbit_labels(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Orbit labels of the lex-sorted RREF bases, see SubspaceIndex.orbit_labels.
+
+    The group is generated by the transposition (0 1), the n-cycle, scaling
+    column 0 by a primitive element and, when e > 1, the entrywise
+    Frobenius map a -> a^p.  Each generator's image of every subspace is
+    re-RREFed and found by its big-endian base-q key, which gives the
+    generator as a permutation of positions.  When 2k > n the keys are
+    taken on the annihilators: annihilation commutes with permutations and
+    the Frobenius map and inverts scalings, so the same generators give the
+    same orbits, and the keys stay below q^(min(k, n-k) n) < V^2, the
+    bound of _bucket_incidence.
+    """
+    mul = ctx.np_tables()[2]
+    if 2 * k > n:
+        bases, _ = bulk.batched_rref(ctx, _annihilators(ctx, bases, n, k))
+    v, kk = bases.shape[:2]
+    weights = ctx.q ** np.arange(kk * n, dtype=np.int64)[::-1]
+    keys = bases.reshape(v, kk * n).astype(np.int64) @ weights
+    # the index is lex-sorted, so its own keys are in order; annihilators' are not
+    order = np.argsort(keys, kind="stable") if kk < k else np.arange(v)
+    keys = keys[order]
+
+    images = []
+    if n > 1:
+        images += [bases[:, :, [1, 0, *range(2, n)]], bases[:, :, np.roll(np.arange(n), 1)]]
+    if ctx.q > 2:
+        scaled = bases.copy()
+        scaled[:, :, 0] = mul[scaled[:, :, 0], ctx.primitive()]
+        images.append(scaled)
+    if ctx.e > 1:
+        frob = np.array([ctx.pow(a, ctx.p) for a in range(ctx.q)], dtype=np.uint8)
+        images.append(frob[bases])
+    perms = []
+    for image in images:
+        canon, _ = bulk.batched_rref(ctx, image)
+        want = canon.reshape(v, kk * n).astype(np.int64) @ weights
+        at = np.minimum(np.searchsorted(keys, want), v - 1)
+        if (keys[at] != want).any():
+            raise InternalInvariantError("a symmetry image is missing from the index")
+        perms.append(order[at])
+
+    def step(lab):
+        low = lab.copy()
+        for perm in perms:
+            np.minimum(low, lab[perm], out=low)
+            low[perm] = np.minimum(low[perm], lab)
+        return low
+
+    return _min_labels(v, step)
+
+
+def _min_labels(v: int, step) -> np.ndarray:
+    """Smallest member of each class of the equivalence generated by `step`:
+    step(lab) lowers each label to the least label among its neighbours.
+    Min-label propagation, with pointer jumping after every step."""
+    lab = np.arange(v)
+    while True:
+        new = step(lab)
+        while True:
+            jumped = new[new]
+            if (jumped == new).all():
+                break
+            new = jumped
+        if (new == lab).all():
+            return lab
+        lab = new
 
 
 def enumerate_subspaces(
@@ -189,8 +282,11 @@ class GrassmannGraph:
         self.t = t
         self.vertex_ids = vertex_ids
         self._incidence: np.ndarray | None = None
+        self._buckets: _Buckets | None = None
+        self._points: _Buckets | None = None
+        self._orbits: np.ndarray | None = None
+        self._orbit_dist: np.ndarray | None = None
         self._adjacency: np.ndarray | None = None
-        self._all_pairs: np.ndarray | None = None
 
     @property
     def mode(self) -> str:
@@ -216,13 +312,47 @@ class GrassmannGraph:
             self._incidence = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
         return self._incidence
 
+    def buckets(self) -> _Buckets:
+        """The incidence with its buckets' members gathered, for every BFS."""
+        if self._buckets is None:
+            self._buckets = _Buckets(self.incidence())
+        return self._buckets
+
+    def point_buckets(self) -> _Buckets:
+        """The vertices' points (see SubspaceIndex.point_keys) as buckets,
+        for the metric."""
+        if self._points is None:
+            keys = self.index.point_keys()[self.vertex_ids]
+            self._points = _Buckets(np.unique(keys, return_inverse=True)[1].reshape(keys.shape))
+        return self._points
+
+    def orbit_labels(self) -> np.ndarray:
+        """Graph position of the representative of every vertex's orbit.
+
+        When the vertex set is a union of the index's symmetry orbits (the
+        full graph and every strength class are), the symmetries are graph
+        automorphisms and the representative is the orbit's smallest
+        position.  Any other vertex set, which only a hand-built graph can
+        have, gets every vertex as its own representative.
+        """
+        if self._orbits is None:
+            labels = self.index.orbit_labels()
+            mine = labels[self.vertex_ids]
+            size = np.bincount(labels, minlength=len(self.index))
+            held = np.bincount(mine, minlength=len(self.index))
+            if (held[mine] == size[mine]).all():
+                self._orbits = np.searchsorted(self.vertex_ids, mine)
+            else:
+                self._orbits = np.arange(self.num_vertices)
+        return self._orbits
+
     def adjacency(self) -> np.ndarray:
         """Dense boolean adjacency, one spread of the identity bitsets; kept
         for the tests and the bench tracer, no verification route calls it."""
         if self._adjacency is None:
             v = self.num_vertices
             bits = _source_bits(v, np.arange(v))
-            _spread(self.incidence(), _source_bits(v, np.arange(v)), bits[None])
+            _spread(self.buckets(), _source_bits(v, np.arange(v)), bits[None])
             self._adjacency = _unpack(bits, v)
             np.fill_diagonal(self._adjacency, False)
         return self._adjacency
@@ -297,6 +427,23 @@ def _bucket_incidence(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.nd
 # into every member, O(V * h * S/64) word operations: BFS ORs it into the
 # sets reached, the metric counts shared buckets in binary bit planes.
 
+
+class _Buckets:
+    """A V x h array of bucket ids 0.. with each bucket's members gathered
+    once: `members` lists the vertices bucket by bucket in id order,
+    starts[b] is where bucket b begins, and `cuts` split the buckets into
+    chunks of about V members, which bound the block `_spread` gathers."""
+
+    def __init__(self, inc: np.ndarray):
+        v, h = inc.shape
+        order = np.argsort(inc.ravel(), kind="stable")
+        self.inc = inc
+        self.members = order // h
+        self.starts = np.flatnonzero(np.diff(inc.ravel()[order], prepend=-1))
+        chunks = np.searchsorted(self.starts, np.arange(0, self.members.size, max(v, 1)))
+        self.cuts = np.unique(np.r_[chunks, self.starts.size])
+
+
 def _source_bits(v: int, sources: np.ndarray) -> np.ndarray:
     """V x ceil(S/64) bitsets in which row sources[s] holds bit s."""
     s = np.arange(sources.size)
@@ -310,24 +457,18 @@ def _unpack(bits: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(bits.view(np.uint8), axis=1, count=count, bitorder="little").view(bool)
 
 
-def _spread(inc: np.ndarray, reach: np.ndarray, planes: np.ndarray) -> None:
+def _spread(buckets: _Buckets, reach: np.ndarray, planes: np.ndarray) -> None:
     """Add reach[w] to row u of the L bit planes once per bucket u shares
-    with w (inc: V x h bucket ids 0..).  The top plane is ORed, so a single
-    plane is the OR spread of BFS, and counts below 2^L are exact."""
-    v, h = inc.shape
-    # members of every bucket in id order, and where each bucket begins
-    order = np.argsort(inc.ravel(), kind="stable")
-    members = order // h
-    starts = np.flatnonzero(np.diff(inc.ravel()[order], prepend=-1))
+    with w.  The top plane is ORed, so a single plane is the OR spread of
+    BFS, and counts below 2^L are exact."""
+    members, starts, cuts = buckets.members, buckets.starts, buckets.cuts
     merged = np.empty((starts.size, reach.shape[1]), dtype=reach.dtype)
-    # chunks of whole buckets, about V members each, bound the gathered block
-    cuts = np.unique(np.r_[np.searchsorted(starts, np.arange(0, members.size, max(v, 1))), starts.size])
     for b0, b1 in zip(cuts[:-1], cuts[1:]):
         lo = starts[b0]
         hi = starts[b1] if b1 < starts.size else members.size
         merged[b0:b1] = np.bitwise_or.reduceat(reach[members[lo:hi]], starts[b0:b1] - lo, axis=0)
-    for j in range(h):
-        carry = merged[inc[:, j]]
+    for column in buckets.inc.T:
+        carry = merged[column]
         for plane in planes[:-1]:
             plane ^= carry
             carry &= ~plane
@@ -339,10 +480,10 @@ def _check_pairs(v: int, max_pairs: int) -> None:
         raise AllPairsTooLargeError(f"{v} vertices give {v * (v - 1) // 2} pairs > cap {max_pairs}")
 
 
-def _bfs(inc: np.ndarray, sources: np.ndarray) -> np.ndarray:
+def _bfs(buckets: _Buckets, sources: np.ndarray) -> np.ndarray:
     """V x S BFS distances over the incidence, column s from sources[s];
     -1 marks unreachable.  One spread of the reach bitsets per level."""
-    v = inc.shape[0]
+    v = buckets.inc.shape[0]
     # d(u, s) is the number of levels at which u is not yet reached from s
     dist = np.zeros((v, sources.size), dtype=np.int16)
     reach = _source_bits(v, sources)
@@ -352,7 +493,7 @@ def _bfs(inc: np.ndarray, sources: np.ndarray) -> np.ndarray:
             break
         dist += missing
         new = reach.copy()
-        _spread(inc, reach, new[None])
+        _spread(buckets, reach, new[None])
         if (new == reach).all():
             dist[missing] = -1
             break
@@ -360,17 +501,29 @@ def _bfs(inc: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _components(buckets: _Buckets) -> np.ndarray:
+    """Smallest position in every vertex's connected component, by min-label
+    propagation through the buckets."""
+
+    def step(lab):
+        if not buckets.starts.size:
+            return lab
+        low = np.minimum.reduceat(lab[buckets.members], buckets.starts)
+        return np.minimum(lab, low[buckets.inc].min(axis=1))
+
+    return _min_labels(buckets.inc.shape[0], step)
+
+
 def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> np.ndarray:
     """Exact BFS distance between every vertex pair; -1 marks unreachable.
 
-    Breadth-first search from all sources at once; the result is cached
-    on the graph.
+    Breadth-first search from all sources at once: the oracle that the
+    per-orbit route of diameter_and_connectivity and isometry_check is
+    tested against.
     """
     v = graph.num_vertices
     _check_pairs(v, max_pairs)
-    if graph._all_pairs is None:
-        graph._all_pairs = _bfs(graph.incidence(), np.arange(v))
-    return graph._all_pairs
+    return _bfs(graph.buckets(), np.arange(v))
 
 
 def gamma_diameter(index: SubspaceIndex) -> int:
@@ -382,7 +535,7 @@ def gamma_diameter(index: SubspaceIndex) -> int:
     anything else means the engine itself is broken.
     """
     q, n, k = index.ctx.q, index.n, index.k
-    dist = _bfs(index.incidence(), np.zeros(1, dtype=np.int64))[:, 0]
+    dist = _bfs(_Buckets(index.incidence()), np.zeros(1, dtype=np.int64))[:, 0]
     counts = np.bincount(dist[dist >= 0]).tolist()
     expect = [
         q ** (i * i) * subspace_count(k, i, q) * subspace_count(n - k, i, q)
@@ -395,8 +548,8 @@ def gamma_diameter(index: SubspaceIndex) -> int:
     return len(expect) - 1
 
 
-def metric_distance_matrix(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> np.ndarray:
-    """The matrix of k - dim(x ∩ y) over the graph's vertex set.
+def _metric_rows(graph: GrassmannGraph, sources: np.ndarray) -> np.ndarray:
+    """V x S matrix of k - dim(x ∩ y) between every vertex and each source.
 
     x and y share s points with (q-1)s + 1 = q^dim(x ∩ y), counted in bit
     planes wide enough for [kk-1]_q, the most two distinct kk-spaces share
@@ -406,17 +559,39 @@ def metric_distance_matrix(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP
     """
     index, v = graph.index, graph.num_vertices
     q, kk = index.ctx.q, min(index.k, index.n - index.k)
-    _check_pairs(v, max_pairs)
-    keys = index.point_keys()[graph.vertex_ids]
-    pts = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
     width = max(1, (q_int(kk, q) // q).bit_length())  # [kk]_q // q = [kk-1]_q
-    planes = np.zeros((width, v, (v + 63) // 64), dtype=np.uint64)
-    _spread(pts, _source_bits(v, np.arange(v)), planes)
-    dist = np.full((v, v), kk, dtype=np.int16)
+    planes = np.zeros((width, v, (sources.size + 63) // 64), dtype=np.uint64)
+    _spread(graph.point_buckets(), _source_bits(v, sources), planes)
+    dist = np.full((v, sources.size), kk, dtype=np.int16)
     for d in range(1, kk):
-        dist -= _unpack(np.bitwise_or.reduce(planes[q_int(d, q).bit_length() - 1 :]), v)
-    np.fill_diagonal(dist, 0)
+        dist -= _unpack(np.bitwise_or.reduce(planes[q_int(d, q).bit_length() - 1 :]), sources.size)
+    dist[sources, np.arange(sources.size)] = 0
     return dist
+
+
+def metric_distance_matrix(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> np.ndarray:
+    """The matrix of k - dim(x ∩ y) over the graph's vertex set: the oracle
+    for the per-orbit metric rows, see _metric_rows."""
+    v = graph.num_vertices
+    _check_pairs(v, max_pairs)
+    return _metric_rows(graph, np.arange(v))
+
+
+def _orbit_bfs(graph: GrassmannGraph, max_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, V x R BFS distances from them), see
+    GrassmannGraph.orbit_labels; computed once per graph and shared by
+    diameter_and_connectivity and isometry_check.  The R x V block is what
+    max_pairs caps."""
+    v = graph.num_vertices
+    reps = np.flatnonzero(graph.orbit_labels() == np.arange(v))
+    if reps.size * v > max_pairs:
+        raise AllPairsTooLargeError(
+            f"{reps.size} orbit representatives x {v} vertices = {reps.size * v} "
+            f"distances > cap {max_pairs}"
+        )
+    if graph._orbit_dist is None:
+        graph._orbit_dist = _bfs(graph.buckets(), reps)
+    return reps, graph._orbit_dist
 
 
 # -- verification summaries -----------------------------------------------------------
@@ -431,20 +606,23 @@ class GraphSummary:
 def diameter_and_connectivity(
     graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP
 ) -> GraphSummary:
-    """Connectivity, diameter and component count from all-sources BFS.
+    """Connectivity, diameter and component count from BFS out of one
+    representative per symmetry orbit.
 
-    Used on the induced subgraph; the full graph's diameter needs no
-    all-pairs pass, see `gamma_diameter`.
+    A symmetry maps the representative's BFS row onto that of every vertex
+    of its orbit, so the graph is connected when every representative
+    reaches every vertex, and its diameter is the largest representative
+    eccentricity.  Only a disconnected graph has its components counted,
+    by label propagation over the incidence.  Used on the induced
+    subgraph; the full graph's diameter is checked from one BFS source,
+    see `gamma_diameter`.
     """
-    v = graph.num_vertices
-    if v == 0:
+    if graph.num_vertices == 0:
         return GraphSummary(True, None, 0)
-    dist = all_pairs_distances(graph, max_pairs=max_pairs)
-    # a vertex's first reachable position names its component
-    comp = np.unique((dist >= 0).argmax(axis=1)).size
-    if comp > 1:
-        return GraphSummary(False, inf, comp)
-    return GraphSummary(True, int(dist.max()), 1)
+    _, dist = _orbit_bfs(graph, max_pairs)
+    if (dist >= 0).all():
+        return GraphSummary(True, int(dist.max()), 1)
+    return GraphSummary(False, inf, int(np.unique(_components(graph.buckets())).size))
 
 
 @dataclass
@@ -457,26 +635,36 @@ class IsometryReport:
 def isometry_check(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> IsometryReport:
     """Compare BFS distance inside the induced subgraph with k - dim(x ∩ y).
 
+    The representatives' BFS rows (shared with diameter_and_connectivity)
+    are compared with their metric rows; symmetries preserve both, so the
+    graph is isometric when these agree.  checked_pairs counts the
+    V(V-1)/2 pairs that verdict covers.
+
     Witnesses list up to _WITNESS_CAP violating pairs as
-    (position_i, position_j, subgraph_distance, metric_distance), with
-    inf standing for pairs in different components.
+    (position_i, position_j > position_i, subgraph_distance,
+    metric_distance) in row-major order, with inf standing for pairs in
+    different components.  Only orbits of mismatching representatives hold
+    one; their rows are searched in position order, _WITNESS_BATCH BFS
+    sources at a time.
     """
     if graph.mode != "induced":
         raise BadTError("isometry check applies to the induced subgraph")
     v = graph.num_vertices
     if v <= 1:
         return IsometryReport(True, [], 0)
-    d_sub = all_pairs_distances(graph, max_pairs=max_pairs)
-    d_metric = metric_distance_matrix(graph, max_pairs=max_pairs)
-    # both matrices are symmetric, so any mismatch shows among the pairs
-    # (i, j > i) of the bad rows; witnesses are taken from those, row-major
-    bad_rows = np.flatnonzero((d_sub != d_metric).any(axis=1))
+    pairs = v * (v - 1) // 2
+    reps, d_sub = _orbit_bfs(graph, max_pairs)
+    bad = reps[(d_sub != _metric_rows(graph, reps)).any(axis=0)]
+    rows = np.flatnonzero(np.isin(graph.orbit_labels(), bad))
     witnesses = []
-    for i in bad_rows:
-        js = i + 1 + np.flatnonzero(d_sub[i, i + 1 :] != d_metric[i, i + 1 :])
-        for j in js[: _WITNESS_CAP - len(witnesses)]:
-            ds = int(d_sub[i, j])
-            witnesses.append((int(i), int(j), inf if ds < 0 else ds, int(d_metric[i, j])))
-        if len(witnesses) >= _WITNESS_CAP:
-            break
-    return IsometryReport(bad_rows.size == 0, witnesses, v * (v - 1) // 2)
+    for lo in range(0, rows.size, _WITNESS_BATCH):
+        sources = rows[lo : lo + _WITNESS_BATCH]
+        d_sub, d_metric = _bfs(graph.buckets(), sources), _metric_rows(graph, sources)
+        for col, i in enumerate(sources):
+            js = i + 1 + np.flatnonzero(d_sub[i + 1 :, col] != d_metric[i + 1 :, col])
+            for j in js[: _WITNESS_CAP - len(witnesses)]:
+                ds = int(d_sub[j, col])
+                witnesses.append((int(i), int(j), inf if ds < 0 else ds, int(d_metric[j, col])))
+            if len(witnesses) == _WITNESS_CAP:
+                return IsometryReport(False, witnesses, pairs)
+    return IsometryReport(bad.size == 0, witnesses, pairs)

@@ -6,9 +6,11 @@ with witnesses, resource caps hit, wall time.  Every instance runs the
 same checks; each report field has one meaning.  Reports are emitted as
 JSON lines (and a CSV summary) with a fixed key order, so two runs of
 the same config are byte-identical except for the timing field.
-Instances sharing (q, n, k) form one group that shares the enumeration
-and the full graph's diameter, checked from one BFS source (only the
-induced subgraph meets the pairs cap).  Groups run in order or, with
+Instances sharing (q, n, k) form one group that shares the enumeration,
+the symmetry orbits and the full graph's diameter, checked from one BFS
+source.  The induced subgraph is verified by BFS from one representative
+per symmetry orbit (see grassmann), and only that representatives x V
+distance block meets the pairs cap.  Groups run in order or, with
 `workers` > 1, spread over at most min(workers, CPU count, number of
 groups) processes.
 

@@ -211,3 +211,35 @@ def random_monomial(ctx, n, rng):
     rng.shuffle(perm)
     scalars = tuple(rng.randrange(1, ctx.q) for _ in range(n))
     return MonomialMap(ctx, tuple(perm), scalars)
+
+
+def summary_all_pairs(graph):
+    """Connectivity, diameter and component count read off all-pairs BFS:
+    a vertex's first reachable position names its component."""
+    from grasscodes.grassmann import GraphSummary, all_pairs_distances
+
+    if graph.num_vertices == 0:
+        return GraphSummary(True, None, 0)
+    dist = all_pairs_distances(graph)
+    comp = np.unique((dist >= 0).argmax(axis=1)).size
+    if comp > 1:
+        return GraphSummary(False, inf, comp)
+    return GraphSummary(True, int(dist.max()), 1)
+
+
+def isometry_all_pairs(graph, cap=100):
+    """The isometry verdict and its first `cap` witnesses, row-major over
+    the pairs (i, j > i), from the all-pairs BFS and metric matrices."""
+    from grasscodes.grassmann import IsometryReport, all_pairs_distances, metric_distance_matrix
+
+    v = graph.num_vertices
+    if v <= 1:
+        return IsometryReport(True, [], 0)
+    d_sub = all_pairs_distances(graph)
+    d_metric = metric_distance_matrix(graph)
+    i, j = np.nonzero(np.triu(d_sub != d_metric, 1))
+    witnesses = [
+        (int(a), int(b), inf if d_sub[a, b] < 0 else int(d_sub[a, b]), int(d_metric[a, b]))
+        for a, b in zip(i[:cap], j[:cap])
+    ]
+    return IsometryReport(i.size == 0, witnesses, v * (v - 1) // 2)

@@ -155,6 +155,22 @@ def test_sweep_stdout_and_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_sweep_q5_n5_fits_the_pairs_cap(capsys):
+    """BFS from one representative per symmetry orbit keeps (5,5,2,1)
+    (16,576 vertices) and (5,5,3,1) (19,536), both bound-satisfied, and
+    (5,5,3,2) under the pairs cap, which their V(V-1)/2 pairs exceed."""
+    assert main(["sweep", "--q", "5", "--n", "5"]) == 0
+    reports = {
+        (r["k"], r["t"]): r for r in map(json.loads, capsys.readouterr().out.splitlines())
+    }
+    assert all(r["caps_hit"] == [] for r in reports.values())
+    for k, size in [(2, 16576), (3, 19536)]:
+        r = reports[(k, 1)]
+        assert r["bound_satisfied"] and r["class_size"] == size
+        assert r["connected"] and r["isometric"]
+        assert r["diameter_delta"] == r["diameter_gamma"] == 2
+
+
 def test_sweep_bad_config(capsys):
     assert main(["sweep", "--q", "2", "--n", "2", "--k", "5"]) == 4
     assert main(["sweep", "--q", "6", "--n", "3"]) == 4

@@ -9,10 +9,12 @@ from conftest import (
     adjacency_pairwise,
     bfs_distances,
     index_of,
+    isometry_all_pairs,
     iter_rref_bases,
     metric_ranks_pairwise,
     position_of,
     random_monomial,
+    summary_all_pairs,
 )
 from grasscodes import bulk, grassmann
 from grasscodes.codes import LinearCode, strength
@@ -26,6 +28,7 @@ from grasscodes.errors import (
 )
 from grasscodes.gf import field_new, field_of_order
 from grasscodes.grassmann import (
+    ALL_PAIRS_CAP,
     GrassmannGraph,
     SubspaceIndex,
     all_pairs_distances,
@@ -244,7 +247,7 @@ def test_gamma_distance_distribution():
         idx = enumerate_subspaces(field_of_order(q), n, k)
         g = build_gamma(idx)
         sources = np.array([0, g.num_vertices // 2, g.num_vertices - 1])
-        rows = grassmann._bfs(idx.incidence(), sources)
+        rows = grassmann._bfs(grassmann._Buckets(idx.incidence()), sources)
         for col, src in enumerate(sources):
             oracle = bfs_distances(g, int(src))
             assert rows[:, col].tolist() == oracle.astype(int).tolist(), (q, n, k, src)
@@ -499,3 +502,146 @@ def test_monomial_maps_are_graph_automorphisms():
             mi = position_of(delta, apply_monomial(m, LinearCode(delta.subspace_at(i))))
             mj = position_of(delta, apply_monomial(m, LinearCode(delta.subspace_at(j))))
             assert dist[mi, mj] == dist[i, j]
+
+
+# -- the per-orbit route -------------------------------------------------------------
+
+
+def orbit_partition_oracle(idx):
+    """Smallest member of every subspace's orbit, by closing each basis under
+    the generators applied row by row in scalar arithmetic, re-canonicalised
+    by Subspace.from_vectors and looked up by index_of (union-find)."""
+    ctx, n = idx.ctx, idx.n
+    alpha = next(
+        a for a in range(1, ctx.q) if len({ctx.pow(a, m) for m in range(ctx.q - 1)}) == ctx.q - 1
+    )
+    maps = [
+        lambda r: (r[1], r[0]) + r[2:],
+        lambda r: r[1:] + r[:1],
+        lambda r: (ctx.mul(alpha, r[0]),) + r[1:],
+        lambda r: tuple(ctx.pow(a, ctx.p) for a in r),
+    ]
+    parent = list(range(len(idx)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(idx)):
+        rows = idx.subspace_at(i).basis.rows
+        for f in maps:
+            j = index_of(idx, Subspace.from_vectors(ctx, n, [f(r) for r in rows]))
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    return np.array([find(i) for i in range(len(idx))])
+
+
+@pytest.mark.parametrize(
+    "q, n, k",
+    [
+        (2, 5, 2),
+        (4, 4, 2),  # Frobenius
+        (3, 5, 3),  # 2k > n: keys on the annihilators
+        (9, 3, 2),  # both
+        (8, 3, 1),
+    ],
+)
+def test_orbit_labels_match_scalar_closure(q, n, k):
+    idx = enumerate_subspaces(field_of_order(q), n, k)
+    labels = idx.orbit_labels()
+    assert labels.tolist() == orbit_partition_oracle(idx).tolist()
+    strengths = idx.strength_all()
+    assert (strengths[labels] == strengths).all()
+
+
+def test_orbit_labels_are_lazy():
+    """Enumeration builds no orbit labels; they are built once, on first use."""
+    idx = enumerate_subspaces(F3, 4, 2)
+    assert idx._orbits is None
+    labels = idx.orbit_labels()
+    assert idx.orbit_labels() is labels
+
+
+def test_orbit_labels_reject_mixed_strengths(monkeypatch):
+    """Every symmetry preserves strength, so an orbit holding two strengths
+    means a broken index, which the per-orbit route must refuse.  The last
+    subspace, a coordinate plane, shares its orbit with position 0."""
+    original = SubspaceIndex.strength_all
+
+    def corrupted(index):
+        strengths = original(index).copy()
+        strengths[-1] += 1
+        return strengths
+
+    assert diameter_and_connectivity(build_delta(enumerate_subspaces(F3, 4, 2), 1)).connected
+    monkeypatch.setattr(SubspaceIndex, "strength_all", corrupted)
+    idx = enumerate_subspaces(F3, 4, 2)
+    with pytest.raises(InternalInvariantError):
+        diameter_and_connectivity(build_delta(idx, 1))
+
+
+ORACLE_GROUPS = {
+    q: [(n, k) for n in range(2, 7) for k in range(1, n) if subspace_count(n, k, q) <= 1 << 15]
+    for q in (2, 3, 4, 5, 7, 8, 9)
+}
+
+
+@pytest.mark.parametrize("q", sorted(ORACLE_GROUPS))
+def test_orbit_route_matches_all_pairs_oracle(q):
+    """On every strength class of at most 6,000 vertices over an index of at
+    most 2^15 subspaces, the per-orbit route gives the all-pairs oracles'
+    GraphSummary and IsometryReport field by field, witness lists included.
+    The reduction's premise is pinned too: every vertex has its
+    representative's multiset of BFS and of metric distances."""
+    for n, k in ORACLE_GROUPS[q]:
+        idx = enumerate_subspaces(field_of_order(q), n, k)
+        for t in range(1, k + 1):
+            d = build_delta(idx, t)
+            if not 0 < d.num_vertices <= 6000:
+                continue
+            reps, rows = grassmann._orbit_bfs(d, ALL_PAIRS_CAP)
+            full = all_pairs_distances(d)
+            assert (rows == full[:, reps]).all(), (q, n, k, t)
+            labels = d.orbit_labels()
+            for m in (full, metric_distance_matrix(d)):
+                m = np.sort(m, axis=1)
+                assert (m == m[labels]).all(), (q, n, k, t)
+            assert diameter_and_connectivity(d) == summary_all_pairs(d), (q, n, k, t)
+            assert isometry_check(d) == isometry_all_pairs(d), (q, n, k, t)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_orbit_route_witnesses_of_mds_classes(k):
+    """Δ(4,5,k,k), k = 2, 3: one orbit of 162 MDS codes, diameter 3 against
+    the full graph's 2.  The witnesses are the oracle's first 100 in
+    row-major order."""
+    d = build_delta(enumerate_subspaces(field_of_order(4), 5, k), k)
+    assert d.num_vertices == 162
+    assert grassmann._orbit_bfs(d, ALL_PAIRS_CAP)[0].tolist() == [0]
+    rep = isometry_check(d)
+    assert not rep.isometric and len(rep.witnesses) == 100
+    assert rep == isometry_all_pairs(d)
+    assert diameter_and_connectivity(d).diameter == 3
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_component_count_matches_all_sources(q):
+    """Label propagation counts the components of random vertex subsets of
+    Γ(q,4,2) as all-sources BFS does: sparse hand-picked subsets (every
+    vertex its own representative) and unions of symmetry orbits."""
+    idx = enumerate_subspaces(field_of_order(q), 4, 2)
+    labels = idx.orbit_labels()
+    orbits = np.unique(labels)
+    rng = np.random.default_rng(q)
+    counts = []
+    for trial in range(60):
+        if trial % 2:
+            ids = np.flatnonzero(np.isin(labels, orbits[rng.random(orbits.size) < 0.5]))
+        else:
+            ids = np.sort(rng.choice(len(idx), size=rng.integers(2, 12), replace=False))
+        g = GrassmannGraph(idx, 1, ids.astype(np.int64))
+        summary = diameter_and_connectivity(g)
+        assert summary == summary_all_pairs(g), (q, ids.tolist())
+        counts.append(summary.component_count)
+    assert max(counts) > 2  # disconnected subsets were drawn

@@ -206,22 +206,27 @@ def test_shipped_schema_matches_report_fields():
 
 
 def test_full_graph_gets_no_all_pairs_pass(monkeypatch):
-    """Only the induced subgraph is verified over all pairs; the full
-    graph is checked from one BFS source."""
-    original = grassmann.all_pairs_distances
-    seen = []
+    """No BFS starts from every vertex: the full graph is checked from one
+    source, and each induced subgraph from one representative per symmetry
+    orbit (84 vertices in 4 orbits at t = 1, 8 vertices in one at t = 2).
+    The all-pairs oracle is never called."""
+    original = grassmann._bfs
+    calls = []
 
-    def guarded(graph, *args, **kwargs):
-        if graph.t is None:
-            raise AssertionError("all-pairs BFS on the full graph")
-        seen.append(graph.t)
-        return original(graph, *args, **kwargs)
+    def recording(buckets, sources):
+        calls.append((buckets.inc.shape[0], sources.size))
+        return original(buckets, sources)
 
-    monkeypatch.setattr(grassmann, "all_pairs_distances", guarded)
+    def refuse(*args, **kwargs):
+        raise AssertionError("all-pairs BFS on the sweep route")
+
+    monkeypatch.setattr(grassmann, "_bfs", recording)
+    monkeypatch.setattr(grassmann, "all_pairs_distances", refuse)
     cache = _InstanceCache()
     reports = [verify_instance(3, 4, 2, t, cache=cache) for t in (1, 2)]
     assert [r["diameter_gamma"] for r in reports] == [2, 2]
-    assert seen  # the guard sat on the route the induced subgraph takes
+    assert [r["isometric"] for r in reports] == [True, True]
+    assert calls == [(len(cache.index), 1), (84, 4), (8, 1)]
 
 
 def test_run_sweep_clamps_workers(monkeypatch):
