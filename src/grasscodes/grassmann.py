@@ -506,8 +506,6 @@ def _components(buckets: _Buckets) -> np.ndarray:
     propagation through the buckets."""
 
     def step(lab):
-        if not buckets.starts.size:
-            return lab
         low = np.minimum.reduceat(lab[buckets.members], buckets.starts)
         return np.minimum(lab, low[buckets.inc].min(axis=1))
 
@@ -653,12 +651,12 @@ def isometry_check(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> Iso
     if v <= 1:
         return IsometryReport(True, [], 0)
     pairs = v * (v - 1) // 2
-    reps, d_sub = _orbit_bfs(graph, max_pairs)
-    bad = reps[(d_sub != _metric_rows(graph, reps)).any(axis=0)]
-    rows = np.flatnonzero(np.isin(graph.orbit_labels(), bad))
+    reps, rep_rows = _orbit_bfs(graph, max_pairs)
+    bad = reps[(rep_rows != _metric_rows(graph, reps)).any(axis=0)]
+    suspects = np.flatnonzero(np.isin(graph.orbit_labels(), bad))
     witnesses = []
-    for lo in range(0, rows.size, _WITNESS_BATCH):
-        sources = rows[lo : lo + _WITNESS_BATCH]
+    for lo in range(0, suspects.size, _WITNESS_BATCH):
+        sources = suspects[lo : lo + _WITNESS_BATCH]
         d_sub, d_metric = _bfs(graph.buckets(), sources), _metric_rows(graph, sources)
         for col, i in enumerate(sources):
             js = i + 1 + np.flatnonzero(d_sub[i + 1 :, col] != d_metric[i + 1 :, col])

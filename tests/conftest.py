@@ -8,6 +8,12 @@ import numpy as np
 from grasscodes import bulk, construct
 from grasscodes.codes import LinearCode, MonomialMap, strength
 from grasscodes.errors import GrassCodesError, NotSubspaceError
+from grasscodes.grassmann import (
+    GraphSummary,
+    IsometryReport,
+    all_pairs_distances,
+    metric_distance_matrix,
+)
 from grasscodes.linalg import MatrixGF, Subspace, intersect
 
 
@@ -216,8 +222,6 @@ def random_monomial(ctx, n, rng):
 def summary_all_pairs(graph):
     """Connectivity, diameter and component count read off all-pairs BFS:
     a vertex's first reachable position names its component."""
-    from grasscodes.grassmann import GraphSummary, all_pairs_distances
-
     if graph.num_vertices == 0:
         return GraphSummary(True, None, 0)
     dist = all_pairs_distances(graph)
@@ -230,8 +234,6 @@ def summary_all_pairs(graph):
 def isometry_all_pairs(graph, cap=100):
     """The isometry verdict and its first `cap` witnesses, row-major over
     the pairs (i, j > i), from the all-pairs BFS and metric matrices."""
-    from grasscodes.grassmann import IsometryReport, all_pairs_distances, metric_distance_matrix
-
     v = graph.num_vertices
     if v <= 1:
         return IsometryReport(True, [], 0)
