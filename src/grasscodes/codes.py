@@ -166,9 +166,6 @@ class LinearCode:
     def generator(self) -> MatrixGF:
         return self.space.basis
 
-    def codewords(self):
-        return self.space.vectors()
-
     def __eq__(self, other):
         return isinstance(other, LinearCode) and self.space == other.space
 

@@ -46,7 +46,8 @@ class BadTError(GrassCodesError):
 
 
 class BadIndicesError(GrassCodesError):
-    """Coordinate indices not strictly increasing inside [1, n]."""
+    """Indices not strictly increasing inside their range: coordinate
+    indices inside [1, n], or a graph's vertex ids inside [0, V)."""
 
 
 class TooLargeExactError(GrassCodesError):

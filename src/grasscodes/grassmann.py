@@ -7,7 +7,9 @@ brute-force oracle side of the package: vertex sets are enumerated
 completely (pivot-pattern generation, canonically sorted), edges are
 held as a bucket incidence (each vertex lists the cliques of the graph
 it lies in), and distances come from genuine breadth-first search over
-that incidence (bit-parallel from any set of sources at once).
+that incidence (bit-parallel from any set of sources at once).  Points,
+buckets and symmetry orbits are keyed on one small RREF basis per subspace
+(its annihilator's when 2k > n); `_Buckets` numbers shared keys.
 
 Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
 distance-transitive, so BFS from one source, checked against the closed
@@ -32,13 +34,14 @@ import numpy as np
 from . import bulk
 from .errors import (
     AllPairsTooLargeError,
+    BadIndicesError,
     BadTError,
     DimensionMismatchError,
     EnumerationTooLargeError,
     InternalInvariantError,
 )
 from .gf import FieldCtx
-from .linalg import MatrixGF, Subspace, projective_reps, q_int, rref, subspace_count
+from .linalg import MatrixGF, Subspace, q_int, rref, subspace_count
 
 ENUM_CAP = 1 << 21
 # max size of a distance block: representatives x V per verified graph, or
@@ -64,6 +67,7 @@ class SubspaceIndex:
         self.k = k
         self.bases = bases
         self._strength_all: np.ndarray | None = None
+        self._small: np.ndarray | None = None
         self._point_keys: np.ndarray | None = None
         self._incidence: np.ndarray | None = None
         self._orbits: np.ndarray | None = None
@@ -81,25 +85,39 @@ class SubspaceIndex:
             self._strength_all = _bulk_strengths(self.ctx, self.bases, self.n, self.k)
         return self._strength_all
 
+    def _small_bases(self) -> np.ndarray:
+        """(V, kk, n) RREF bases with kk = min(k, n-k): the subspaces' own
+        bases, or their annihilators' when 2k > n.  Annihilation reverses
+        inclusion and maps dim(x ∩ y) to n - 2k + dim(x ∩ y), so the points,
+        buckets and symmetry orbits below are all read off these."""
+        if self._small is None:
+            self._small = self.bases
+            if 2 * self.k > self.n:
+                annihilators = _annihilators(self.ctx, self.bases, self.n, self.k)
+                self._small = bulk.batched_rref(self.ctx, annihilators)[0]
+        return self._small
+
     def point_keys(self) -> np.ndarray:
-        """V x [kk]_q base-q keys (< q^n <= 2^30 under ENUM_CAP) of the points of
-        every subspace, or of its annihilator (not RREF, so each point is
-        scaled to a leading 1) when 2k > n: kk = min(k, n-k)."""
+        """V x [kk]_q keys (< q^n) of the points λB of every small basis B
+        (see _small_bases), λ running over the points of F_q^kk."""
         if self._point_keys is None:
-            ctx, n, kk = self.ctx, self.n, min(self.k, self.n - self.k)
-            bases = _annihilators(ctx, self.bases, n, self.k) if kk < self.k else self.bases
-            add, sub, mul, inv, neg = ctx.np_tables()
-            pts = np.zeros((len(self), q_int(kk, ctx.q), n), dtype=np.uint8)
-            for i, lam in enumerate(zip(*projective_reps(ctx, kk))):
-                pts = add[pts, mul[np.array(lam, dtype=np.uint8)[None, :, None], bases[:, None, i]]]
-            lead = np.take_along_axis(pts, (pts != 0).argmax(axis=2)[..., None], axis=2)
-            self._point_keys = mul[pts, inv[lead]].astype(np.int64) @ ctx.q ** np.arange(n)
+            self._point_keys = _span_keys(self.ctx, self._small_bases(), 1)
         return self._point_keys
 
     def incidence(self) -> np.ndarray:
-        """V x h bucket ids of every subspace, see GrassmannGraph.incidence."""
+        """V x h bucket keys (< V^2 <= 2^42 under ENUM_CAP) of every subspace.
+
+        Each bucket is a clique and every edge lies in exactly one bucket:
+        for k <= n-k the buckets of x are its [k]_q hyperplanes, otherwise
+        the [n-k]_q (k+1)-spaces containing x, so h = min([k]_q, [n-k]_q).
+        The (k+1)-spaces containing x are the annihilators of the hyperplanes
+        of x's annihilator, so both sides are the hyperplanes NB of a small
+        basis B (see _small_bases), N a hyperplane of F_q^kk, keyed below
+        q^((kk-1) n) < V^2 as (kk-1) n < 2 kk (n-kk).
+        """
         if self._incidence is None:
-            self._incidence = _bucket_incidence(self.ctx, self.bases, self.n, self.k)
+            bases = self._small_bases()
+            self._incidence = _span_keys(self.ctx, bases, bases.shape[1] - 1)
         return self._incidence
 
     def orbit_labels(self) -> np.ndarray:
@@ -110,7 +128,7 @@ class SubspaceIndex:
         the group preserves strength, so an orbit holding two strengths
         means the engine is broken."""
         if self._orbits is None:
-            labels = _orbit_labels(self.ctx, self.bases, self.n, self.k)
+            labels = _orbit_labels(self.ctx, self._small_bases())
             strengths = self.strength_all()
             if (strengths[labels] != strengths).any():
                 raise InternalInvariantError("a symmetry orbit holds codes of different strength")
@@ -140,27 +158,22 @@ def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndar
     return out
 
 
-def _orbit_labels(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Orbit labels of the lex-sorted RREF bases, see SubspaceIndex.orbit_labels.
+def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
+    """Orbit labels of the small RREF bases, see SubspaceIndex.orbit_labels.
 
     The group is generated by the transposition (0 1), the n-cycle, scaling
     column 0 by a primitive element and, when e > 1, the entrywise
     Frobenius map a -> a^p.  Each generator's image of every subspace is
-    re-RREFed and found by its big-endian base-q key, which gives the
-    generator as a permutation of positions.  When 2k > n the keys are
-    taken on the annihilators: annihilation commutes with permutations and
-    the Frobenius map and inverts scalings, so the same generators give the
-    same orbits, and the keys stay below q^(min(k, n-k) n) < V^2, the
-    bound of _bucket_incidence.
+    re-RREFed and found by its key (< q^(kk n) < V^2), which gives the
+    generator as a permutation of positions.  Annihilation commutes with
+    permutations and the Frobenius map and inverts scalings, so on the
+    annihilators the same generators give the same orbits.
     """
     mul = ctx.np_tables()[2]
-    if 2 * k > n:
-        bases, _ = bulk.batched_rref(ctx, _annihilators(ctx, bases, n, k))
-    v, kk = bases.shape[:2]
-    weights = ctx.q ** np.arange(kk * n, dtype=np.int64)[::-1]
-    keys = bases.reshape(v, kk * n).astype(np.int64) @ weights
-    # the index is lex-sorted, so its own keys are in order; annihilators' are not
-    order = np.argsort(keys, kind="stable") if kk < k else np.arange(v)
+    v, _, n = bases.shape
+    keys = _keys(ctx.q, bases)
+    # annihilators' keys are not in index order
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
 
     images = []
@@ -175,8 +188,7 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarra
         images.append(frob[bases])
     perms = []
     for image in images:
-        canon, _ = bulk.batched_rref(ctx, image)
-        want = canon.reshape(v, kk * n).astype(np.int64) @ weights
+        want = _keys(ctx.q, bulk.batched_rref(ctx, image)[0])
         at = np.minimum(np.searchsorted(keys, want), v - 1)
         if (keys[at] != want).any():
             raise InternalInvariantError("a symmetry image is missing from the index")
@@ -272,16 +284,18 @@ def grassmann_distance(x: Subspace, y: Subspace) -> int:
 class GrassmannGraph:
     """Full graph or strength-t induced subgraph over a SubspaceIndex.
 
-    vertex_ids maps graph positions to index positions.  Edges are held as
-    the bucket incidence (see `incidence`), which drives every BFS; the
-    metric slices the index's point keys instead and never reads edges.
+    vertex_ids maps graph positions to index positions, in increasing
+    order.  Bucket keys drive every BFS (see `buckets`); the metric reads
+    point keys instead and never reads edges.
     """
 
     def __init__(self, index: SubspaceIndex, t: int | None, vertex_ids: np.ndarray):
+        ids = vertex_ids
+        if ids.size and not (0 <= ids[0] and ids[-1] < len(index) and (np.diff(ids) > 0).all()):
+            raise BadIndicesError(f"vertex ids not strictly increasing in [0, {len(index)})")
         self.index = index
         self.t = t
         self.vertex_ids = vertex_ids
-        self._incidence: np.ndarray | None = None
         self._buckets: _Buckets | None = None
         self._points: _Buckets | None = None
         self._orbits: np.ndarray | None = None
@@ -299,31 +313,17 @@ class GrassmannGraph:
     def subspace_at(self, i: int) -> Subspace:
         return self.index.subspace_at(int(self.vertex_ids[i]))
 
-    def incidence(self) -> np.ndarray:
-        """V x h array of bucket ids, numbered 0.. in canonical key order.
-
-        Each bucket is a clique and every edge lies in exactly one bucket:
-        for k <= n-k the buckets of x are its [k]_q hyperplanes, otherwise
-        the [n-k]_q (k+1)-spaces containing x, so h = min([k]_q, [n-k]_q).
-        The rows are the index's incidence at vertex_ids, ids recompacted.
-        """
-        if self._incidence is None:
-            rows = self.index.incidence()[self.vertex_ids]
-            self._incidence = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
-        return self._incidence
-
     def buckets(self) -> _Buckets:
-        """The incidence with its buckets' members gathered, for every BFS."""
+        """The vertices' buckets (see SubspaceIndex.incidence), for every BFS."""
         if self._buckets is None:
-            self._buckets = _Buckets(self.incidence())
+            self._buckets = _Buckets(self.index.incidence()[self.vertex_ids])
         return self._buckets
 
     def point_buckets(self) -> _Buckets:
         """The vertices' points (see SubspaceIndex.point_keys) as buckets,
         for the metric."""
         if self._points is None:
-            keys = self.index.point_keys()[self.vertex_ids]
-            self._points = _Buckets(np.unique(keys, return_inverse=True)[1].reshape(keys.shape))
+            self._points = _Buckets(self.index.point_keys()[self.vertex_ids])
         return self._points
 
     def orbit_labels(self) -> np.ndarray:
@@ -390,34 +390,30 @@ def _annihilators(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarra
     return out
 
 
-def _bucket_incidence(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Bucket ids of every vertex, see GrassmannGraph.incidence.
-
-    The (k+1)-spaces containing x are the annihilators of the hyperplanes
-    of x's annihilator, so both sides reduce to hyperplanes of a basis
-    block B.  N_lam B, with N_lam the annihilator of a point lam of F_q^k,
-    spans a hyperplane of x; one batched RREF canonicalizes them all.
-    A bucket's key reads its RREF entries as big-endian base-q digits, so
-    ids follow the row-major order of the RREFs.  After the flip k <= n-k,
-    so (k-1) n < 2 k (n-k) and the keys stay below q^((k-1) n) < V^2, which
-    is at most 2^42 under ENUM_CAP.
-    """
-    if 2 * k > n:
-        bases, k = _annihilators(ctx, bases, n, k), n - k
-    v = bases.shape[0]
-    lams = list(projective_reps(ctx, k))
-    if not lams:
-        return np.zeros((v, 0), dtype=np.int64)
+def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
+    """V x [kk r]_q keys of the r-subspaces of the row spaces of (V, kk, n)
+    bases B: RREF(C B) for the RREF basis C of every r-subspace of F_q^kk,
+    all canonicalized by one batched RREF."""
     add, sub, mul, inv, neg = ctx.np_tables()
-    kernels = _annihilators(ctx, np.array(lams, dtype=np.uint8)[:, None, :], k, 1)
-    spans = np.zeros((v, len(lams), k - 1, n), dtype=np.uint8)
-    for i in range(k):
-        spans = add[spans, mul[kernels[None, :, :, i, None], bases[:, None, None, i, :]]]
-    canon, _ = bulk.batched_rref(ctx, spans.reshape(v * len(lams), k - 1, n))
-    digits = canon.reshape(v * len(lams), (k - 1) * n).astype(np.int64)
-    # k-1 = 0 gives every key 0: the one bucket is the zero space
-    keys = digits @ ctx.q ** np.arange((k - 1) * n)[::-1]
-    return np.unique(keys, return_inverse=True)[1].reshape(v, len(lams)).astype(np.int64)
+    v, kk, n = bases.shape
+    if kk == 0:  # no points, so no hyperplanes either
+        return np.zeros((v, 0), dtype=np.int64)
+    coeffs = enumerate_subspaces(ctx, kk, r).bases
+    spans = np.zeros((v, len(coeffs), r, n), dtype=np.uint8)
+    for i in range(kk):
+        spans = add[spans, mul[coeffs[None, :, :, i, None], bases[:, None, None, i, :]]]
+    canon, _ = bulk.batched_rref(ctx, spans.reshape(v * len(coeffs), r, n))
+    return _keys(ctx.q, canon).reshape(v, len(coeffs))
+
+
+def _keys(q: int, blocks: np.ndarray) -> np.ndarray:
+    """Int64 keys of the trailing (r, c) uint8 blocks, entries read row-major
+    as big-endian base-q digits, by Horner's rule: no int64 copy of them."""
+    keys = np.zeros(blocks.shape[:-2], dtype=np.int64)
+    for i, j in np.ndindex(*blocks.shape[-2:]):
+        keys *= q
+        keys += blocks[..., i, j]
+    return keys
 
 
 # -- distances ----------------------------------------------------------------------
@@ -429,17 +425,20 @@ def _bucket_incidence(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.nd
 
 
 class _Buckets:
-    """A V x h array of bucket ids 0.. with each bucket's members gathered
-    once: `members` lists the vertices bucket by bucket in id order,
-    starts[b] is where bucket b begins, and `cuts` split the buckets into
+    """V x h nonnegative keys, numbered and gathered once: `inc` holds bucket
+    ids 0..B-1 in key order, `members` the vertices bucket by bucket,
+    starts[b] where bucket b begins, and `cuts` split the buckets into
     chunks of about V members, which bound the block `_spread` gathers."""
 
-    def __init__(self, inc: np.ndarray):
-        v, h = inc.shape
-        order = np.argsort(inc.ravel(), kind="stable")
-        self.inc = inc
+    def __init__(self, keys: np.ndarray):
+        v, h = keys.shape
+        order = np.argsort(keys.ravel(), kind="stable")
+        new = np.diff(keys.ravel()[order], prepend=-1) != 0
+        inc = np.empty_like(order)
+        inc[order] = np.cumsum(new) - 1
+        self.inc = inc.reshape(v, h)
         self.members = order // h
-        self.starts = np.flatnonzero(np.diff(inc.ravel()[order], prepend=-1))
+        self.starts = np.flatnonzero(new)
         chunks = np.searchsorted(self.starts, np.arange(0, self.members.size, max(v, 1)))
         self.cuts = np.unique(np.r_[chunks, self.starts.size])
 

@@ -71,6 +71,11 @@ def all_codes(ctx, n, k):
     return [LinearCode(s) for s in all_subspaces(ctx, n, k)]
 
 
+def codewords(c):
+    """Every codeword of the LinearCode c, by enumerating its span."""
+    return c.space.vectors()
+
+
 def adjacency_pairwise(graph, chunk=1 << 15):
     """Adjacency by direct rank tests on all stacked pairs: x and y are
     adjacent iff their stacked bases have rank k + 1."""
@@ -196,7 +201,7 @@ def bfs_distances(graph, source):
             raise VertexAbsentError(f"position {src} out of range")
     else:
         src = position_of(graph, source)
-    inc = graph.incidence()
+    inc = graph.buckets().inc
     dist = np.full(graph.num_vertices, inf)
     dist[src] = 0
     num_buckets = int(inc.max()) + 1 if inc.size else 0

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import codewords
 from grasscodes.bulk import (
     batched_rank,
     batched_rref,
@@ -59,6 +60,6 @@ def test_min_weight_matches_enumeration(q, n, k):
     code = LinearCode.from_generator(ctx, rows, n=n)
     if code.k == 0:
         return
-    brute = min(weight(v) for v in code.codewords() if any(v))
+    brute = min(weight(v) for v in codewords(code) if any(v))
     fast = min_weight_in_span(ctx, [list(r) for r in code.generator.rows])
     assert fast == brute == min_distance(code)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 from math import inf
 
@@ -20,6 +21,7 @@ from grasscodes import bulk, grassmann
 from grasscodes.codes import LinearCode, strength
 from grasscodes.errors import (
     AllPairsTooLargeError,
+    BadIndicesError,
     BadTError,
     DimensionMismatchError,
     EnumerationTooLargeError,
@@ -30,6 +32,7 @@ from grasscodes.gf import field_new, field_of_order
 from grasscodes.grassmann import (
     ALL_PAIRS_CAP,
     GrassmannGraph,
+    GraphSummary,
     SubspaceIndex,
     all_pairs_distances,
     build_delta,
@@ -208,7 +211,7 @@ def test_incidence_adjacency_matches_pairwise_oracle():
     for q, n, k in INCIDENCE_CASES:
         idx = enumerate_subspaces(field_of_order(q), n, k)
         gamma = build_gamma(idx)
-        inc = gamma.incidence()
+        inc = gamma.buckets().inc
         assert inc.shape == (len(idx), min(q_int(k, q), q_int(n - k, q)))
         assert (gamma.adjacency() == adjacency_pairwise(gamma)).all(), (q, n, k)
         for t in range(1, k + 1):
@@ -219,6 +222,53 @@ def test_incidence_adjacency_matches_pairwise_oracle():
     for g in (empty, single):
         assert g.adjacency().shape == (g.num_vertices, g.num_vertices)
         assert not g.adjacency().any()
+
+
+def test_buckets_number_raw_keys():
+    """_Buckets numbers raw keys (gaps, any order) 0..B-1 in key order, as
+    np.unique would, and gathers the same members and starts."""
+    rng = np.random.default_rng(5)
+    cases = [rng.choice(1 << 40, size=40, replace=False)[rng.integers(0, 40, size=(30, 4))]]
+    cases += [np.array([[7, 3, 9]]), np.zeros((5, 0), dtype=np.int64)]
+    for keys in cases:
+        raw = grassmann._Buckets(keys)
+        ids = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+        compact = grassmann._Buckets(ids)
+        assert (raw.inc == ids).all() and raw.inc.shape == keys.shape
+        assert raw.members.tolist() == compact.members.tolist()
+        assert raw.starts.tolist() == compact.starts.tolist()
+        assert raw.cuts.tolist() == compact.cuts.tolist()
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 5, 3), (3, 4, 3)])
+def test_annihilators_built_once(monkeypatch, q, n, k):
+    """When 2k > n, points, buckets and orbits all read one annihilator
+    table of the index's bases."""
+    idx = enumerate_subspaces(field_of_order(q), n, k)
+    original = grassmann._annihilators
+    calls = []
+
+    def counted(ctx, bases, *args):
+        calls.append(bases is idx.bases)
+        return original(ctx, bases, *args)
+
+    monkeypatch.setattr(grassmann, "_annihilators", counted)
+    idx.point_keys(), idx.incidence(), idx.orbit_labels()
+    assert sum(calls) == 1
+
+
+def test_incidence_keeps_no_int64_digit_copy():
+    """The bucket keys are built without an int64 copy of the V x h RREF
+    digit blocks, 8 V h (k-1) n bytes at (3,6,3)."""
+    idx = enumerate_subspaces(F3, 6, 3)
+    digits = len(idx) * q_int(3, 3) * 2 * 6
+    tracemalloc.start()
+    try:
+        idx.incidence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * digits
 
 
 def test_bitset_all_pairs_matches_oracle_bfs():
@@ -388,7 +438,7 @@ def test_metric_three_bit_planes():
 
 
 def test_metric_reads_no_edges(monkeypatch):
-    """The metric uses neither the graph's adjacency or incidence nor
+    """The metric uses neither the graph's adjacency or buckets nor
     stacked ranks, so the isometry check never compares BFS with the
     graph's own edges.  Δ(2,6,3,1), with min(k, n-k) = 3 on the spaces
     themselves, is pinned to the rank oracle here on every pair."""
@@ -402,7 +452,7 @@ def test_metric_reads_no_edges(monkeypatch):
         raise AssertionError("the metric must not call this")
 
     monkeypatch.setattr(GrassmannGraph, "adjacency", refuse)
-    monkeypatch.setattr(GrassmannGraph, "incidence", refuse)
+    monkeypatch.setattr(GrassmannGraph, "buckets", refuse)
     monkeypatch.setattr(bulk, "batched_rank", refuse)
     for g, want in zip(graphs, expected):
         assert (metric_distance_matrix(g) == want).all()
@@ -441,6 +491,31 @@ def test_single_vertex_graph():
     s = diameter_and_connectivity(d)
     assert s.connected and s.diameter == 0
     assert isometry_check(d).isometric
+
+
+@pytest.mark.parametrize("q, n, k", [(3, 3, 3), (2, 3, 0)])
+def test_one_vertex_indexes(q, n, k):
+    """k in {0, n}: one vertex with no points and no buckets (h = 0)."""
+    idx = enumerate_subspaces(field_of_order(q), n, k)
+    assert len(idx) == 1
+    assert idx.incidence().shape == idx.point_keys().shape == (1, 0)
+    assert idx.orbit_labels().tolist() == [0]
+    assert gamma_diameter(idx) == 0
+    graphs = [build_gamma(idx)] + [build_delta(idx, t) for t in range(1, k + 1)]
+    for g in graphs:
+        assert diameter_and_connectivity(g) == GraphSummary(True, 0, 1)
+        assert metric_distance_matrix(g).tolist() == [[0]]
+    for g in graphs[1:]:
+        assert isometry_check(g).isometric
+
+
+def test_graph_rejects_unordered_vertex_ids():
+    """Graph positions follow index order, so the vertex ids must be
+    strictly increasing index positions."""
+    idx = enumerate_subspaces(F2, 4, 2)
+    for ids in ([2, 0, 1], [0, 1, 1], [3, len(idx)], [-1, 4]):
+        with pytest.raises(BadIndicesError):
+            GrassmannGraph(idx, 1, np.array(ids, dtype=np.int64))
 
 
 def test_disconnected_vertex_subset():
