@@ -140,7 +140,9 @@ def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndar
     v = bases.shape[0]
     dual_dist = np.zeros(v, dtype=np.int16)  # 0 = no dependency found yet
     alive = np.ones(v, dtype=bool)
-    for s in range(1, min(k + 1, n) + 1):
+    # any k+1 columns of k rows are dependent, and dual distance k+1 maps to
+    # strength k just as finding no dependency does, so the scan ends at s = k
+    for s in range(1, k + 1):
         if not alive.any():
             break
         for cols in itertools.combinations(range(n), s):
@@ -162,12 +164,19 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     """Orbit labels of the small RREF bases, see SubspaceIndex.orbit_labels.
 
     The group is generated by the transposition (0 1), the n-cycle, scaling
-    column 0 by a primitive element and, when e > 1, the entrywise
+    the last column by a primitive element and, when e > 1, the entrywise
     Frobenius map a -> a^p.  Each generator's image of every subspace is
-    re-RREFed and found by its key (< q^(kk n) < V^2), which gives the
-    generator as a permutation of positions.  Annihilation commutes with
-    permutations and the Frobenius map and inverts scalings, so on the
-    annihilators the same generators give the same orbits.
+    found by its key (< q^(kk n) < V^2), which gives the generator as a
+    permutation of positions.  Only the two permutation images are
+    re-RREFed.  The Frobenius map fixes 0 and 1, so it maps an RREF basis
+    to an RREF basis.  The scaling leaves alone a row whose only nonzero
+    entry is in the last column, a row e_(n-1) spanning its own image; in
+    every other row the last column holds no pivot, so that image is RREF
+    too.  A permutation conjugates a scaling of one column into a scaling
+    of any other, so this is the group of every column scaling.
+    Annihilation commutes with permutations and the Frobenius map and
+    inverts scalings, so on the annihilators the same generators give the
+    same orbits.
     """
     mul = ctx.np_tables()[2]
     v, _, n = bases.shape
@@ -178,17 +187,19 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
 
     images = []
     if n > 1:
-        images += [bases[:, :, [1, 0, *range(2, n)]], bases[:, :, np.roll(np.arange(n), 1)]]
+        for cols in ([1, 0, *range(2, n)], np.roll(np.arange(n), 1)):
+            images.append(bulk.batched_rref(ctx, bases[:, :, cols])[0])
     if ctx.q > 2:
         scaled = bases.copy()
-        scaled[:, :, 0] = mul[scaled[:, :, 0], ctx.primitive()]
+        last = bases[:, :, -1]
+        scaled[:, :, -1] = np.where(bases[:, :, :-1].any(axis=2), mul[last, ctx.primitive()], last)
         images.append(scaled)
     if ctx.e > 1:
         frob = np.array([ctx.pow(a, ctx.p) for a in range(ctx.q)], dtype=np.uint8)
         images.append(frob[bases])
     perms = []
     for image in images:
-        want = _keys(ctx.q, bulk.batched_rref(ctx, image)[0])
+        want = _keys(ctx.q, image)
         at = np.minimum(np.searchsorted(keys, want), v - 1)
         if (keys[at] != want).any():
             raise InternalInvariantError("a symmetry image is missing from the index")
@@ -392,18 +403,22 @@ def _annihilators(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarra
 
 def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
     """V x [kk r]_q keys of the r-subspaces of the row spaces of (V, kk, n)
-    bases B: RREF(C B) for the RREF basis C of every r-subspace of F_q^kk,
-    all canonicalized by one batched RREF."""
-    add, sub, mul, inv, neg = ctx.np_tables()
+    RREF bases B: the keys of C B for the RREF basis C of every r-subspace
+    of F_q^kk, with no reduction.  C B is already RREF: if B has pivots
+    p_1 < ... < p_kk and row j of C its pivot in column c_j, then column
+    p_i of C B is column i of C, so row j of C B is 0 before p_(c_j) (C is
+    0 before c_j, and B's rows from c_j on are 0 before p_(c_j)), 1 there,
+    and every other row is 0 there.  Both inputs are RREF by construction:
+    enumerate_subspaces builds C, SubspaceIndex._small_bases builds B."""
+    add, _, mul, _, _ = ctx.np_tables()
     v, kk, n = bases.shape
     if kk == 0:  # no points, so no hyperplanes either
         return np.zeros((v, 0), dtype=np.int64)
-    coeffs = enumerate_subspaces(ctx, kk, r).bases
-    spans = np.zeros((v, len(coeffs), r, n), dtype=np.uint8)
-    for i in range(kk):
-        spans = add[spans, mul[coeffs[None, :, :, i, None], bases[:, None, None, i, :]]]
-    canon, _ = bulk.batched_rref(ctx, spans.reshape(v * len(coeffs), r, n))
-    return _keys(ctx.q, canon).reshape(v, len(coeffs))
+    coeffs = enumerate_subspaces(ctx, kk, r).bases[None, :, :, :, None]
+    spans = mul[coeffs[:, :, :, 0], bases[:, None, None, 0, :]]
+    for i in range(1, kk):
+        spans = add[spans, mul[coeffs[:, :, :, i], bases[:, None, None, i, :]]]
+    return _keys(ctx.q, spans)
 
 
 def _keys(q: int, blocks: np.ndarray) -> np.ndarray:

@@ -123,12 +123,15 @@ def test_index_lookup_roundtrip():
 
 
 def test_strength_all_matches_scalar():
-    for ctx, n in ((F2, 4), (F3, 4), (field_of_order(4), 3)):
-        for k in range(1, n + 1):
-            idx = enumerate_subspaces(ctx, n, k)
-            bulk_strengths = idx.strength_all()
-            for i in range(len(idx)):
-                assert int(bulk_strengths[i]) == strength(LinearCode(idx.subspace_at(i)))
+    """The scan reads column subsets of at most k columns; (5,4,2) and
+    (9,3,2) are rich in MDS codes, whose dual distance is k + 1."""
+    cases = [(ctx, n, k) for ctx, n in ((F2, 4), (F3, 4), (field_of_order(4), 3)) for k in range(n + 1)]
+    cases += [(F5, 4, 2), (field_of_order(9), 3, 2)]
+    for ctx, n, k in cases:
+        idx = enumerate_subspaces(ctx, n, k)
+        bulk_strengths = idx.strength_all()
+        for i in range(len(idx)):
+            assert int(bulk_strengths[i]) == strength(LinearCode(idx.subspace_at(i))), (ctx.q, n, k, i)
 
 
 def test_grassmann_distance_examples():
@@ -269,6 +272,91 @@ def test_incidence_keeps_no_int64_digit_copy():
     finally:
         tracemalloc.stop()
     assert peak < 8 * digits
+
+
+def test_point_keys_stay_small():
+    """The point keys peak below four times the V x [kk]_q x n uint8 point
+    blocks at (3,6,3): no reduction copies or gathers them."""
+    idx = enumerate_subspaces(F3, 6, 3)
+    blocks = len(idx) * q_int(3, 3) * 6
+    tracemalloc.start()
+    try:
+        idx.point_keys()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * blocks
+
+
+def test_point_and_bucket_keys_run_no_reduction(monkeypatch):
+    """When k <= n-k the small bases are the index's own, and points and
+    buckets are keyed with no batched RREF (see _span_keys)."""
+    indexes = [enumerate_subspaces(F3, 5, 2), enumerate_subspaces(F2, 6, 3)]
+    expected = [(_row_space_keys(idx, 1), _row_space_keys(idx, idx.k - 1)) for idx in indexes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("span keys must not reduce")
+
+    monkeypatch.setattr(bulk, "batched_rref", refuse)
+    for idx, (points, buckets) in zip(indexes, expected):
+        assert (idx.point_keys() == points).all()
+        assert (idx.incidence() == buckets).all()
+
+
+def _span_blocks(ctx, bases, r):
+    """(V, [kk r]_q, r, n) blocks C B, C the RREF basis of every r-subspace
+    of F_q^kk, before any reduction."""
+    add, _, mul, _, _ = ctx.np_tables()
+    v, kk, n = bases.shape
+    coeffs = enumerate_subspaces(ctx, kk, r).bases
+    spans = np.zeros((v, len(coeffs), r, n), dtype=np.uint8)
+    for i in range(kk):
+        spans = add[spans, mul[coeffs[None, :, :, i, None], bases[:, None, None, i, :]]]
+    return spans
+
+
+def _row_space_keys(idx, r):
+    """Keys of RREF(C B) over the small bases B, reduced by batched_rref."""
+    bases = idx._small_bases()
+    spans = _span_blocks(idx.ctx, bases, r)
+    v, m = spans.shape[:2]
+    canon = bulk.batched_rref(idx.ctx, spans.reshape(v * m, r, idx.n))[0]
+    return grassmann._keys(idx.ctx.q, canon).reshape(v, m)
+
+
+RREF_GRID = {
+    q: [(n, k) for n in range(2, 7) for k in range(1, n) if subspace_count(n, k, q) <= 1 << 15]
+    for q in (2, 3, 4, 5, 7, 8, 9)
+}
+
+
+@pytest.mark.parametrize("q", sorted(RREF_GRID))
+def test_keyed_blocks_are_already_rref(monkeypatch, q):
+    """Every block the engine keys without reducing it is RREF, so batched_rref
+    returns it unchanged: the span blocks C B for every r in 1..kk-1, and
+    every symmetry image _orbit_labels keys (the last-column scaling and the
+    Frobenius image among them)."""
+    ctx = field_of_order(q)
+    keys, seen = grassmann._keys, []
+
+    def recording(q, blocks):
+        seen.append(blocks)
+        return keys(q, blocks)
+
+    monkeypatch.setattr(grassmann, "_keys", recording)
+    for n, k in RREF_GRID[q]:
+        idx = enumerate_subspaces(ctx, n, k)
+        bases = idx._small_bases()
+        for r in range(1, bases.shape[1]):
+            spans = _span_blocks(ctx, bases, r).reshape(-1, r, n)
+            canon, ranks = bulk.batched_rref(ctx, spans)
+            assert (canon == spans).all() and (ranks == r).all(), (q, n, k, r)
+            assert (_row_space_keys(idx, r) == grassmann._span_keys(ctx, bases, r)).all(), (q, n, k, r)
+        seen.clear()
+        grassmann._orbit_labels(ctx, bases)
+        assert len(seen) == 3 + (q > 2) + (ctx.e > 1)
+        for image in seen:
+            assert (bulk.batched_rref(ctx, image)[0] == image).all(), (q, n, k)
 
 
 def test_bitset_all_pairs_matches_oracle_bfs():
@@ -620,6 +708,8 @@ def orbit_partition_oracle(idx):
         (3, 5, 3),  # 2k > n: keys on the annihilators
         (9, 3, 2),  # both
         (8, 3, 1),
+        (5, 4, 1),  # prime fields with q > 2: bases with last row e_(n-1)
+        (7, 4, 2),
     ],
 )
 def test_orbit_labels_match_scalar_closure(q, n, k):
