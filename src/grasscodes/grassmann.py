@@ -189,7 +189,7 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     if n > 1:
         for cols in ([1, 0, *range(2, n)], np.roll(np.arange(n), 1)):
             images.append(bulk.batched_rref(ctx, bases[:, :, cols])[0])
-    if ctx.q > 2:
+    if ctx.q > 2 and n:
         scaled = bases.copy()
         last = bases[:, :, -1]
         scaled[:, :, -1] = np.where(bases[:, :, :-1].any(axis=2), mul[last, ctx.primitive()], last)

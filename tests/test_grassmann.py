@@ -339,19 +339,19 @@ def test_keyed_blocks_are_already_rref(monkeypatch, q):
     ctx = field_of_order(q)
     keys, seen = grassmann._keys, []
 
-    def recording(q, blocks):
+    def recording(base, blocks):
         seen.append(blocks)
-        return keys(q, blocks)
+        return keys(base, blocks)
 
     monkeypatch.setattr(grassmann, "_keys", recording)
     for n, k in RREF_GRID[q]:
         idx = enumerate_subspaces(ctx, n, k)
         bases = idx._small_bases()
         for r in range(1, bases.shape[1]):
-            spans = _span_blocks(ctx, bases, r).reshape(-1, r, n)
-            canon, ranks = bulk.batched_rref(ctx, spans)
-            assert (canon == spans).all() and (ranks == r).all(), (q, n, k, r)
-            assert (_row_space_keys(idx, r) == grassmann._span_keys(ctx, bases, r)).all(), (q, n, k, r)
+            spans = _span_blocks(ctx, bases, r)
+            canon, ranks = bulk.batched_rref(ctx, spans.reshape(-1, r, n))
+            assert (canon == spans.reshape(-1, r, n)).all() and (ranks == r).all(), (q, n, k, r)
+            assert (keys(q, spans) == grassmann._span_keys(ctx, bases, r)).all(), (q, n, k, r)
         seen.clear()
         grassmann._orbit_labels(ctx, bases)
         assert len(seen) == 3 + (q > 2) + (ctx.e > 1)
@@ -581,9 +581,10 @@ def test_single_vertex_graph():
     assert isometry_check(d).isometric
 
 
-@pytest.mark.parametrize("q, n, k", [(3, 3, 3), (2, 3, 0)])
+@pytest.mark.parametrize("q, n, k", [(3, 3, 3), (2, 3, 0), (3, 0, 0)])
 def test_one_vertex_indexes(q, n, k):
-    """k in {0, n}: one vertex with no points and no buckets (h = 0)."""
+    """k in {0, n}: one vertex with no points and no buckets (h = 0); with
+    n = 0 there is no column to scale either."""
     idx = enumerate_subspaces(field_of_order(q), n, k)
     assert len(idx) == 1
     assert idx.incidence().shape == idx.point_keys().shape == (1, 0)
