@@ -30,7 +30,6 @@ from .errors import (
     FieldMismatchError,
     GrassCodesError,
     NoLambdaError,
-    NotInCtError,
     ParseError,
     PathFailedError,
     TooLargeExactError,
@@ -235,9 +234,9 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
     )
     out_path = Path(args.out) if args.out else None
-    if args.resume and (out_path is None or args.format != "json"):
-        raise ValueError("--resume needs --out and --format json")
-    csv_path = out_path.with_suffix(".csv") if out_path and args.format == "json" else None
+    if args.resume and out_path is None:
+        raise ValueError("--resume needs --out")
+    csv_path = out_path.with_suffix(".csv") if out_path else None
     if csv_path and csv_path == out_path:
         raise ValueError(f"--out {out_path} would be overwritten by its CSV summary")
     skip: set = set()
@@ -245,26 +244,13 @@ def cmd_sweep(args) -> int:
     if args.resume:
         skip, old_reports = _load_resume_keys(out_path)
     reports = list(old_reports)
-    sink = out_path.open("a" if args.resume else "w") if out_path else None
-
-    def emit(line: str):
-        if sink:
-            sink.write(line + "\n")
-            sink.flush()
-        else:
-            print(line, flush=True)
-
+    sink = out_path.open("a" if args.resume else "w") if out_path else sys.stdout
     try:
-        if args.format == "csv":
-            emit(sweep_mod.csv_header())
         for report in sweep_mod.run_sweep(config, skip=skip):
             reports.append(report)
-            if args.format == "csv":
-                emit(sweep_mod.report_csv_row(report))
-            else:
-                emit(sweep_mod.report_json_line(report))
+            print(sweep_mod.report_json_line(report), file=sink, flush=True)
     finally:
-        if sink:
+        if out_path:
             sink.close()
 
     if csv_path:
@@ -333,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="append to --out, skipping instances already there; "
                    "a partial last line is dropped")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -346,10 +331,7 @@ def main(argv=None) -> int:
     except (AllPairsTooLargeError, EnumerationTooLargeError, TooLargeExactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPPED
-    except (ParseError, FieldMismatchError, NotInCtError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GrassCodesError as exc:
+    except (GrassCodesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -281,9 +281,7 @@ def geodesic_path(x: LinearCode, y: LinearCode, t: int) -> list[LinearCode]:
             raise PathFailedError(str(exc), partial_path=path) from exc
         ctx = cur.ctx
         first_rep = complement_basis(xy, y.space)[0]
-        merged = Subspace._row_space(
-            ctx, cur.n, xprime.space.basis.rows + xy.basis.rows + (first_rep,)
-        )
+        merged = Subspace._row_space(ctx, cur.n, xprime.space.basis.rows + (first_rep,))
         if merged.dim != cur.k:
             raise InternalInvariantError(
                 f"merged span has dim {merged.dim}, expected {cur.k}"

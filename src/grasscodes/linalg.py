@@ -138,8 +138,8 @@ def rref(m: MatrixGF) -> tuple[MatrixGF, int]:
             rows[r] = [ctx.mul(f, x) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
-                g = rows[i][c]
-                rows[i] = [ctx.sub(x, ctx.mul(g, y)) for x, y in zip(rows[i], rows[r])]
+                g = ctx.neg(rows[i][c])
+                rows[i] = [ctx.add(x, ctx.mul(g, y)) for x, y in zip(rows[i], rows[r])]
         r += 1
         if r == nrows:
             break
@@ -195,7 +195,8 @@ class Subspace:
         residual = list(v)
         for c, row in zip(coeffs, self.basis.rows):
             if c:
-                residual = [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(residual, row)]
+                g = ctx.neg(c)
+                residual = [ctx.add(x, ctx.mul(g, y)) for x, y in zip(residual, row)]
         if any(residual):
             return None
         return coeffs

@@ -42,22 +42,29 @@ from .grassmann import (
     isometry_check,
 )
 
-REPORT_FIELDS = (
-    "q",
-    "n",
-    "k",
-    "t",
-    "bound_satisfied",
-    "class_size",
-    "connected",
-    "component_count",
-    "diameter_delta",
-    "diameter_gamma",
-    "isometric",
-    "witnesses",
-    "caps_hit",
-    "wall_ms",
+# The report schema, in key order: each field's name, its allowed JSON types
+# (a bool never counts as an integer) and, for a list of tags, the allowed
+# tags.  REPORT_FIELDS, the defaults, validation and the CSV columns are all
+# read from this table; docs/report_schema.json must agree with it.
+_SCHEMA = (
+    ("q", ("integer",), None),
+    ("n", ("integer",), None),
+    ("k", ("integer",), None),
+    ("t", ("integer",), None),
+    ("bound_satisfied", ("boolean",), None),
+    ("class_size", ("integer", "null"), None),
+    ("connected", ("boolean", "null"), None),
+    ("component_count", ("integer", "null"), None),
+    ("diameter_delta", ("integer", "null"), None),
+    ("diameter_gamma", ("integer", "null"), None),
+    ("isometric", ("boolean", "null"), None),
+    ("witnesses", ("array",), None),
+    ("caps_hit", ("array",), ("enumeration", "pairs")),
+    ("wall_ms", ("integer",), None),
 )
+_PY_TYPES = {"integer": int, "boolean": bool, "null": type(None), "array": list}
+
+REPORT_FIELDS = tuple(name for name, _, _ in _SCHEMA)
 
 
 @dataclass
@@ -98,22 +105,13 @@ class SweepConfig:
 
 
 def _empty_report(q, n, k, t) -> dict:
-    return {
-        "q": q,
-        "n": n,
-        "k": k,
-        "t": t,
-        "bound_satisfied": q >= comb(n, t),
-        "class_size": None,
-        "connected": None,
-        "component_count": None,
-        "diameter_delta": None,
-        "diameter_gamma": None,
-        "isometric": None,
-        "witnesses": [],
-        "caps_hit": [],
-        "wall_ms": 0,
+    """A report with nothing measured yet: null, an empty list or 0 ms."""
+    report = {
+        name: None if "null" in types else [] if "array" in types else 0
+        for name, types, _ in _SCHEMA
     }
+    report.update(q=q, n=n, k=k, t=t, bound_satisfied=q >= comb(n, t))
+    return report
 
 
 def _diam_json(value):
@@ -209,30 +207,20 @@ def is_violation(report: dict) -> bool:
 
 
 def validate_report(report: dict) -> None:
-    """Schema check: a dict with exact keys and JSON-compatible types."""
+    """Schema check against `_SCHEMA`: the exact keys in order, each value
+    of an allowed JSON type, and list items among the allowed tags."""
     if not isinstance(report, dict):
         raise GrassCodesError(f"report must be a JSON object, got {report!r}")
     if tuple(report.keys()) != REPORT_FIELDS:
         raise GrassCodesError(
             f"report keys {tuple(report.keys())} != schema {REPORT_FIELDS}"
         )
-    for f in ("q", "n", "k", "t"):
-        if not isinstance(report[f], int):
-            raise GrassCodesError(f"{f} must be int")
-    if not isinstance(report["bound_satisfied"], bool):
-        raise GrassCodesError("bound_satisfied must be bool")
-    for f in ("class_size", "component_count", "diameter_delta", "diameter_gamma"):
-        if report[f] is not None and not isinstance(report[f], int):
-            raise GrassCodesError(f"{f} must be int or null")
-    for f in ("connected", "isometric"):
-        if report[f] is not None and not isinstance(report[f], bool):
-            raise GrassCodesError(f"{f} must be bool or null")
-    if not isinstance(report["witnesses"], list) or not isinstance(
-        report["caps_hit"], list
-    ):
-        raise GrassCodesError("witnesses and caps_hit must be lists")
-    if not isinstance(report["wall_ms"], int):
-        raise GrassCodesError("wall_ms must be int")
+    for name, types, tags in _SCHEMA:
+        value = report[name]
+        if not any(type(value) is _PY_TYPES[kind] for kind in types):
+            raise GrassCodesError(f"{name} must be {' or '.join(types)}, got {value!r}")
+        if tags is not None and not all(tag in tags for tag in value):
+            raise GrassCodesError(f"{name} items must be in {tags}, got {value!r}")
 
 
 def report_json_line(report: dict) -> str:
@@ -240,22 +228,21 @@ def report_json_line(report: dict) -> str:
     return json.dumps(report, separators=(",", ":"))
 
 
-CSV_FIELDS = REPORT_FIELDS[:11] + ("witness_count", "caps_hit", "wall_ms")
+CSV_FIELDS = tuple("witness_count" if f == "witnesses" else f for f in REPORT_FIELDS)
+
+
+def _csv_cell(value, tags) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):  # tags are spelled out, anything else counted
+        return ";".join(value) if tags is not None else str(len(value))
+    return str(value)
 
 
 def report_csv_row(report: dict) -> str:
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return str(v)
-
-    vals = [cell(report[f]) for f in REPORT_FIELDS[:11]]
-    vals.append(str(len(report["witnesses"])))
-    vals.append(";".join(report["caps_hit"]))
-    vals.append(str(report["wall_ms"]))
-    return ",".join(vals)
+    return ",".join(_csv_cell(report[name], tags) for name, _, tags in _SCHEMA)
 
 
 def csv_header() -> str:

@@ -238,16 +238,35 @@ def test_sweep_resume_needs_json_out(capsys):
     assert main(["sweep", "--q", "2", "--n", "3", "--resume"]) == 4
 
 
-@pytest.mark.parametrize("line", ["5", '{"q":2,"n":3,"k":1,"t":1}'])
+_REPORT_3311 = (
+    '{"q":3,"n":3,"k":1,"t":1,"bound_satisfied":true,"class_size":4,"connected":true,'
+    '"component_count":1,"diameter_delta":1,"diameter_gamma":1,"isometric":true,'
+    '"witnesses":[],"caps_hit":[],"wall_ms":5}'
+)
+
+
+@pytest.mark.parametrize("line", [
+    "5",
+    '{"q":2,"n":3,"k":1,"t":1}',
+    pytest.param(_REPORT_3311.replace('"caps_hit":[]', '"caps_hit":[5]'), id="caps_hit_5"),
+    pytest.param(_REPORT_3311.replace('"class_size":4', '"class_size":true'),
+                 id="class_size_true"),
+])
 def test_sweep_resume_rejects_non_report_lines(tmp_path, capsys, line):
+    """A line that breaks the schema fails before either output is touched:
+    the two full reports, with one ill-typed field each, used to pass the
+    check and then crash the CSV summary after appending to the JSONL."""
     out = tmp_path / "reports.jsonl"
+    csv_file = tmp_path / "reports.csv"
     assert main(["sweep", "--q", "2", "--n", "3", "--t", "1", "--out", str(out)]) == 0
     before = out.read_bytes() + line.encode() + b"\n" + b'{"q":3,'
     out.write_bytes(before)
+    csv_before = csv_file.read_bytes()
     args = ["sweep", "--q", "2,3", "--n", "3", "--t", "1", "--out", str(out), "--resume"]
     assert main(args) == 4
     assert "is not a report" in capsys.readouterr().err
     assert out.read_bytes() == before
+    assert csv_file.read_bytes() == csv_before
 
 
 def test_sweep_out_equal_to_csv_summary(tmp_path, capsys):
@@ -265,15 +284,6 @@ def test_out_in_missing_directory(tmp_path, vandermonde_file, capsys):
     assert main(["classify", vandermonde_file, "--out", str(missing / "c.json")]) == 4
     assert capsys.readouterr().err.startswith("error: ")
     assert not missing.exists()
-
-
-def test_sweep_csv_format(tmp_path):
-    out = tmp_path / "r.csv"
-    assert main(["sweep", "--q", "3", "--n", "3", "--t", "1",
-                 "--format", "csv", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("q,n,k,t,")
-    assert len(lines) == 3
 
 
 def test_sweep_determinism(tmp_path):

@@ -15,6 +15,7 @@ from grasscodes.linalg import Subspace
 from grasscodes.sweep import (
     CSV_FIELDS,
     REPORT_FIELDS,
+    _SCHEMA,
     SweepConfig,
     _InstanceCache,
     _witness_json,
@@ -192,17 +193,25 @@ def test_run_sweep_workers_agree():
 
 
 def test_shipped_schema_matches_report_fields():
-    import pathlib
-
+    """docs/report_schema.json and the code's table give every field the
+    same JSON types and caps_hit the same tags, and each golden line (with
+    its timing field put back) passes the table's check."""
     schema_path = pathlib.Path(__file__).parent.parent / "docs" / "report_schema.json"
     schema = json.loads(schema_path.read_text())
     assert tuple(schema["required"]) == REPORT_FIELDS
     assert set(schema["properties"]) == set(REPORT_FIELDS)
     assert schema["properties"]["caps_hit"]["items"]["enum"] == ["enumeration", "pairs"]
-    rep = verify_instance(3, 3, 2, 1)
-    validate_report(rep)
-    for f in REPORT_FIELDS:
-        assert f in schema["properties"]
+    for name, types, tags in _SCHEMA:
+        prop = schema["properties"][name]
+        shipped = prop["type"]
+        assert tuple([shipped] if isinstance(shipped, str) else shipped) == types, name
+        enum = prop.get("items", {}).get("enum")
+        assert tags == (tuple(enum) if enum else None), name
+    validate_report(verify_instance(3, 3, 2, 1))
+    for line in GOLDEN.read_text().splitlines():
+        rec = json.loads(line)
+        rec["wall_ms"] = 0
+        validate_report(rec)
 
 
 def test_full_graph_gets_no_all_pairs_pass(monkeypatch):
