@@ -61,12 +61,6 @@ def batched_rref(ctx: FieldCtx, mats: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return a, lead
 
 
-def batched_rank(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
-    """Rank of every matrix in a (B, r, c) uint8 batch."""
-    _, ranks = batched_rref(ctx, mats)
-    return ranks
-
-
 def span_words(ctx: FieldCtx, basis: np.ndarray, encs: np.ndarray) -> np.ndarray:
     """Words sum_i d_i * basis[i] for the base-q digit vectors of encs."""
     add, sub, mul, inv, neg = ctx.np_tables()

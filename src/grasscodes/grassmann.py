@@ -9,7 +9,10 @@ held as a bucket incidence (each vertex lists the cliques of the graph
 it lies in), and distances come from genuine breadth-first search over
 that incidence (bit-parallel from any set of sources at once).  Points,
 buckets and symmetry orbits are keyed on one small RREF basis per subspace
-(its annihilator's when 2k > n); `_Buckets` numbers shared keys.
+(its annihilator's when 2k > n); `_Buckets` numbers shared keys.  The
+strength of every subspace is its dual distance minus one, capped at k,
+read off the dual words of weight at most k that its RREF basis gives
+from each projective point of its free columns, with no reduction.
 
 Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
 distance-transitive, so BFS from one source, checked against the closed
@@ -49,6 +52,7 @@ ENUM_CAP = 1 << 21
 ALL_PAIRS_CAP = 1 << 25
 _WITNESS_CAP = 100  # the report schema's maxItems for witnesses
 _WITNESS_BATCH = 64  # BFS sources per pass while collecting witnesses
+_STRENGTH_CHUNK = 1 << 15  # bases per block in _bulk_strengths
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -80,7 +84,9 @@ class SubspaceIndex:
         return Subspace(self.ctx, self.n, MatrixGF._trusted(self.ctx, rows, self.n))
 
     def strength_all(self) -> np.ndarray:
-        """Strength of every subspace, via shortest dependent column subsets."""
+        """Strength of every subspace as int16: min(d - 1, k) for the
+        minimum distance d of its dual, from the dual words of weight at
+        most k (see _bulk_strengths)."""
         if self._strength_all is None:
             self._strength_all = _bulk_strengths(self.ctx, self.bases, self.n, self.k)
         return self._strength_all
@@ -137,27 +143,88 @@ class SubspaceIndex:
 
 
 def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Strength min(d - 1, k) of every RREF basis B, d its dual distance.
+
+    Let F be B's free columns and B_F the k x (n-k) block of B on them.  A
+    word x is dual to B's rows exactly when x_(p_i) = -(B_F x_F)_i at each
+    pivot p_i, so every nonzero dual word is mu on F and -B_F mu on the
+    pivots for one nonzero mu in F_q^(n-k), and its weight is wt(mu) +
+    #{i : (B_F mu)_i != 0}.  A word of weight above k cannot lower
+    min(d - 1, k) and scaling mu keeps the weight, so mu runs over the
+    projective points of weight at most k: a support of s <= min(k, n-k)
+    free columns, coefficient 1 on the first.  B_F mu is summed over the
+    support from the columns of the multiples c B_F, _STRENGTH_CHUNK bases
+    at a time.
+    """
     v = bases.shape[0]
-    dual_dist = np.zeros(v, dtype=np.int16)  # 0 = no dependency found yet
-    alive = np.ones(v, dtype=bool)
-    # any k+1 columns of k rows are dependent, and dual distance k+1 maps to
-    # strength k just as finding no dependency does, so the scan ends at s = k
-    for s in range(1, k + 1):
-        if not alive.any():
-            break
-        for cols in itertools.combinations(range(n), s):
-            ids = np.nonzero(alive)[0]
-            if ids.size == 0:
-                break
-            sub = bases[ids][:, :, list(cols)]
-            ranks = bulk.batched_rank(ctx, sub)
-            dep = ranks < s
-            if dep.any():
-                hit = ids[dep]
-                dual_dist[hit] = s
-                alive[hit] = False
-    out = np.where(dual_dist == 0, k, np.minimum(dual_dist - 1, k)).astype(np.int16)
+    out = np.full(v, k, dtype=np.int16)
+    if not 0 < k < n:  # k = 0 has strength 0, k = n the zero dual
+        return out
+    terms = min(k, n - k)
+    points = [
+        (s, support, (1, *tail))
+        for s in range(1, terms + 1)
+        for support in itertools.combinations(range(n - k), s)
+        for tail in itertools.product(range(1, ctx.q), repeat=s - 1)
+    ]
+    add_words, nonzero, enc = _word_sums(ctx, terms)
+    enc_mul = enc[ctx.np_tables()[2]]
+    plain = (enc == np.arange(ctx.q)).all()
+    for lo in range(0, v, _STRENGTH_CHUNK):
+        _, b_f = _free_block(bases[lo : lo + _STRENGTH_CHUNK], n)
+        vb = b_f.shape[0]
+        cols = b_f.transpose(2, 1, 0)  # cols[j] is column j of B_F, (k, Vb)
+        # multiples[c - 1, j] is column j of c B_F, encoded
+        multiples = np.empty((ctx.q - 1, n - k, k, vb), dtype=enc.dtype)
+        multiples[0] = cols if plain else enc[cols]
+        if ctx.q > 2:
+            for j in range(n - k):
+                multiples[1:, j] = enc_mul[2:, cols[j]]
+        best = np.full(vb, k + 1, dtype=np.int16)
+        for weight, support, coeffs in points:
+            words = [multiples[c - 1, j] for j, c in zip(support, coeffs)]
+            acc = words[0] if weight == 1 else add_words(words[0], words[1])
+            for word in words[2:]:
+                add_words(acc, word, out=acc)
+            np.minimum(best, weight + nonzero(acc).sum(axis=0, dtype=np.int16), out=best)
+        out[lo : lo + vb] = best - 1
     return out
+
+
+def _word_sums(ctx: FieldCtx, terms: int):
+    """(add, nonzero, enc) for sums of up to `terms` field elements held in
+    an encoding enc[a] where field addition is one integer ufunc: XOR of
+    the elements themselves when p = 2; otherwise plain addition of the
+    base-p digits spread into fields too wide to carry, reduced mod p only
+    in the nonzero test.  Both keep the elements themselves when e = 1 or
+    p = 2, so c = 1 needs no lookup there."""
+    if ctx.p == 2:
+        return np.bitwise_xor, lambda acc: acc != 0, np.arange(ctx.q, dtype=np.uint8)
+    p, e = ctx.p, ctx.e
+    width = (terms * (p - 1)).bit_length()
+    dtype = np.min_scalar_type((1 << (width * e)) - 1)
+    spread = np.array(
+        [sum(a // p**i % p << width * i for i in range(e)) for a in range(ctx.q)], dtype=dtype
+    )
+    mask = dtype.type((1 << width) - 1)
+
+    def nonzero(acc):
+        hit = acc % p != 0 if e == 1 else (acc & mask) % p != 0
+        for i in range(1, e):
+            hit |= (acc >> dtype.type(width * i) & mask) % p != 0
+        return hit
+
+    return np.add, nonzero, spread
+
+
+def _free_block(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(V, n) mask of the free (non-pivot) columns of (V, k, n) RREF bases
+    and the (V, k, n-k) block of the bases on them, read through the mask
+    with no index arrays."""
+    v, k, _ = bases.shape
+    free = np.ones((v, n), dtype=bool)
+    free[np.arange(v)[:, None], (bases != 0).argmax(axis=2)] = False
+    return free, bases[np.broadcast_to(free[:, None, :], bases.shape)].reshape(v, k, n - k)
 
 
 def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
@@ -385,19 +452,16 @@ def _annihilators(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarra
     """(V, n-k, n) bases of the annihilators of the RREF bases (V, k, n).
 
     Free column f of an RREF basis gives the kernel vector e_f minus
-    sum_i bases[i, f] e_(pivot i).
+    sum_i bases[i, f] e_(pivot i): row j of the block is e_j on the free
+    columns and minus column j of B_F (see _free_block) on the pivots.
     """
     neg = ctx.np_tables()[4]
     v = bases.shape[0]
-    vi = np.arange(v)[:, None, None]
-    pivots = (bases != 0).argmax(axis=2)
-    is_pivot = np.zeros((v, n), dtype=bool)
-    is_pivot[vi[:, :, 0], pivots] = True
-    free = np.argsort(is_pivot, axis=1, kind="stable")[:, : n - k]
-    out = np.zeros((v, n - k, n), dtype=np.uint8)
-    fi = np.arange(n - k)[None, None, :]
-    out[vi[:, 0], fi[0], free] = 1
-    out[vi, fi, pivots[:, :, None]] = neg[bases[vi, np.arange(k)[None, :, None], free[:, None, :]]]
+    free, b_f = _free_block(bases, n)
+    out = np.empty((v, n - k, n), dtype=np.uint8)
+    on_free = np.broadcast_to(free[:, None, :], out.shape)
+    out[on_free] = np.tile(np.eye(n - k, dtype=np.uint8).ravel(), v)
+    out[~on_free] = neg[b_f.transpose(0, 2, 1)].ravel()
     return out
 
 

@@ -42,29 +42,47 @@ from .grassmann import (
     isometry_check,
 )
 
-# The report schema, in key order: each field's name, its allowed JSON types
-# (a bool never counts as an integer) and, for a list of tags, the allowed
-# tags.  REPORT_FIELDS, the defaults, validation and the CSV columns are all
-# read from this table; docs/report_schema.json must agree with it.
+# The report schema, in key order.  A spec is (allowed JSON types, detail),
+# where a bool never counts as an integer and the detail constrains what a
+# value holds: an array's item spec, an object's (field, spec) pairs in key
+# order, or a string's allowed tags.  REPORT_FIELDS, the defaults,
+# validation and the CSV columns are all read from this table;
+# docs/report_schema.json must agree with it.
+_INTEGER = (("integer",), None)
+_MATRIX = (("array",), (("array",), _INTEGER))
+_WITNESS = (("object",), (
+    ("x", _MATRIX),
+    ("y", _MATRIX),
+    ("d_subgraph", (("integer", "null"), None)),
+    ("d_metric", _INTEGER),
+))
+_CAP_TAG = (("string",), ("enumeration", "pairs"))
 _SCHEMA = (
-    ("q", ("integer",), None),
-    ("n", ("integer",), None),
-    ("k", ("integer",), None),
-    ("t", ("integer",), None),
-    ("bound_satisfied", ("boolean",), None),
-    ("class_size", ("integer", "null"), None),
-    ("connected", ("boolean", "null"), None),
-    ("component_count", ("integer", "null"), None),
-    ("diameter_delta", ("integer", "null"), None),
-    ("diameter_gamma", ("integer", "null"), None),
-    ("isometric", ("boolean", "null"), None),
-    ("witnesses", ("array",), None),
-    ("caps_hit", ("array",), ("enumeration", "pairs")),
-    ("wall_ms", ("integer",), None),
+    ("q", _INTEGER),
+    ("n", _INTEGER),
+    ("k", _INTEGER),
+    ("t", _INTEGER),
+    ("bound_satisfied", (("boolean",), None)),
+    ("class_size", (("integer", "null"), None)),
+    ("connected", (("boolean", "null"), None)),
+    ("component_count", (("integer", "null"), None)),
+    ("diameter_delta", (("integer", "null"), None)),
+    ("diameter_gamma", (("integer", "null"), None)),
+    ("isometric", (("boolean", "null"), None)),
+    ("witnesses", (("array",), _WITNESS)),
+    ("caps_hit", (("array",), _CAP_TAG)),
+    ("wall_ms", _INTEGER),
 )
-_PY_TYPES = {"integer": int, "boolean": bool, "null": type(None), "array": list}
+_PY_TYPES = {
+    "integer": int,
+    "boolean": bool,
+    "null": type(None),
+    "array": list,
+    "object": dict,
+    "string": str,
+}
 
-REPORT_FIELDS = tuple(name for name, _, _ in _SCHEMA)
+REPORT_FIELDS = tuple(name for name, _ in _SCHEMA)
 
 
 @dataclass
@@ -108,7 +126,7 @@ def _empty_report(q, n, k, t) -> dict:
     """A report with nothing measured yet: null, an empty list or 0 ms."""
     report = {
         name: None if "null" in types else [] if "array" in types else 0
-        for name, types, _ in _SCHEMA
+        for name, (types, _) in _SCHEMA
     }
     report.update(q=q, n=n, k=k, t=t, bound_satisfied=q >= comb(n, t))
     return report
@@ -208,19 +226,38 @@ def is_violation(report: dict) -> bool:
 
 def validate_report(report: dict) -> None:
     """Schema check against `_SCHEMA`: the exact keys in order, each value
-    of an allowed JSON type, and list items among the allowed tags."""
-    if not isinstance(report, dict):
-        raise GrassCodesError(f"report must be a JSON object, got {report!r}")
-    if tuple(report.keys()) != REPORT_FIELDS:
-        raise GrassCodesError(
-            f"report keys {tuple(report.keys())} != schema {REPORT_FIELDS}"
-        )
-    for name, types, tags in _SCHEMA:
-        value = report[name]
-        if not any(type(value) is _PY_TYPES[kind] for kind in types):
-            raise GrassCodesError(f"{name} must be {' or '.join(types)}, got {value!r}")
-        if tags is not None and not all(tag in tags for tag in value):
-            raise GrassCodesError(f"{name} items must be in {tags}, got {value!r}")
+    of an allowed JSON type, every witness an object of the witness fields
+    and every cap an allowed tag."""
+    problem = _problem(report, ("object",), _SCHEMA)
+    if problem:
+        raise GrassCodesError(f"report{problem}")
+
+
+def _problem(value, types: tuple, detail) -> str | None:
+    """Where and how value breaks the spec (types, detail), or None."""
+    if type(value) not in [_PY_TYPES[kind] for kind in types]:
+        return f" must be {' or '.join(types)}, got {value!r}"
+    if detail is None or value is None:
+        return None
+    if type(value) is list:
+        item_types, item_detail = detail
+        # items with no detail of their own are type-checked inline
+        fine = [_PY_TYPES[kind] for kind in item_types] if item_detail is None else []
+        for i, item in enumerate(value):
+            problem = None if type(item) in fine else _problem(item, *detail)
+            if problem:
+                return f"[{i}]{problem}"
+    elif type(value) is dict:
+        names = tuple(name for name, _ in detail)
+        if tuple(value) != names:
+            return f" keys {tuple(value)} != schema {names}"
+        for name, spec in detail:
+            problem = _problem(value[name], *spec)
+            if problem:
+                return f".{name}{problem}"
+    elif value not in detail:
+        return f" must be one of {detail}, got {value!r}"
+    return None
 
 
 def report_json_line(report: dict) -> str:
@@ -231,18 +268,18 @@ def report_json_line(report: dict) -> str:
 CSV_FIELDS = tuple("witness_count" if f == "witnesses" else f for f in REPORT_FIELDS)
 
 
-def _csv_cell(value, tags) -> str:
+def _csv_cell(value, items) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, list):  # tags are spelled out, anything else counted
-        return ";".join(value) if tags is not None else str(len(value))
+    if isinstance(value, list):  # tags are spelled out, witnesses counted
+        return ";".join(value) if items is _CAP_TAG else str(len(value))
     return str(value)
 
 
 def report_csv_row(report: dict) -> str:
-    return ",".join(_csv_cell(report[name], tags) for name, _, tags in _SCHEMA)
+    return ",".join(_csv_cell(report[name], items) for name, (_, items) in _SCHEMA)
 
 
 def csv_header() -> str:

@@ -5,7 +5,8 @@ from math import inf
 
 import numpy as np
 
-from grasscodes import bulk, construct
+from grasscodes import construct
+from grasscodes.bulk import batched_rref
 from grasscodes.codes import LinearCode, MonomialMap, strength
 from grasscodes.errors import GrassCodesError, NotSubspaceError
 from grasscodes.grassmann import (
@@ -76,6 +77,28 @@ def codewords(c):
     return c.space.vectors()
 
 
+def batched_rank(ctx, mats):
+    """Rank of every matrix in a (B, r, c) uint8 batch, by batched RREF."""
+    return batched_rref(ctx, mats)[1]
+
+
+def strengths_by_column_rank(ctx, bases, n, k):
+    """Strength of every (V, k, n) basis from its shortest dependent column
+    subset: the dual distance is the size s of the smallest set of columns
+    of rank below s, and the strength is min(s - 1, k), or k when no s <= k
+    is found.  One batched rank per column subset, over the bases whose
+    dual distance is still unknown."""
+    dual_dist = np.zeros(bases.shape[0], dtype=np.int16)  # 0 = no dependency yet
+    for s in range(1, k + 1):
+        for cols in itertools.combinations(range(n), s):
+            ids = np.flatnonzero(dual_dist == 0)
+            if ids.size == 0:
+                break
+            dep = batched_rank(ctx, bases[ids][:, :, list(cols)]) < s
+            dual_dist[ids[dep]] = s
+    return np.where(dual_dist == 0, k, np.minimum(dual_dist - 1, k)).astype(np.int16)
+
+
 def adjacency_pairwise(graph, chunk=1 << 15):
     """Adjacency by direct rank tests on all stacked pairs: x and y are
     adjacent iff their stacked bases have rank k + 1."""
@@ -91,7 +114,7 @@ def adjacency_pairwise(graph, chunk=1 << 15):
                 (np.broadcast_to(bases[i], (jblock.size, k, graph.index.n)), bases[jblock]),
                 axis=1,
             )
-            ranks = bulk.batched_rank(graph.index.ctx, stacked)
+            ranks = batched_rank(graph.index.ctx, stacked)
             hit = jblock[ranks == k + 1]
             adj[i, hit] = True
             adj[hit, i] = True
@@ -115,7 +138,7 @@ def metric_ranks_pairwise(graph):
         stop = max(start + 1, int(np.searchsorted(ends, before + chunk, "right")))
         i, j = np.nonzero(np.arange(start, stop)[:, None] < np.arange(v))
         i += start
-        ranks = bulk.batched_rank(ctx, np.concatenate((bases[i], bases[j]), axis=1))
+        ranks = batched_rank(ctx, np.concatenate((bases[i], bases[j]), axis=1))
         dist[i, j] = ranks - k
         dist[j, i] = ranks - k
         start = stop

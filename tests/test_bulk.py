@@ -3,13 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import codewords
-from grasscodes.bulk import (
-    batched_rank,
-    batched_rref,
-    min_weight_in_span,
-    span_words,
-)
+from conftest import batched_rank, codewords
+from grasscodes.bulk import batched_rref, min_weight_in_span, span_words
 from grasscodes.codes import LinearCode, min_distance, weight
 from grasscodes.gf import field_of_order
 from grasscodes.linalg import MatrixGF, rref

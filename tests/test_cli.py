@@ -251,11 +251,16 @@ _REPORT_3311 = (
     pytest.param(_REPORT_3311.replace('"caps_hit":[]', '"caps_hit":[5]'), id="caps_hit_5"),
     pytest.param(_REPORT_3311.replace('"class_size":4', '"class_size":true'),
                  id="class_size_true"),
+    pytest.param(_REPORT_3311.replace('"witnesses":[]', '"witnesses":[5]'), id="witnesses_5"),
+    pytest.param(_REPORT_3311.replace(
+        '"witnesses":[]', '"witnesses":[{"x":[[1,0,1]],"y":[[0,1,1]],"d_subgraph":2}]'
+    ), id="witness_without_d_metric"),
 ])
 def test_sweep_resume_rejects_non_report_lines(tmp_path, capsys, line):
     """A line that breaks the schema fails before either output is touched:
-    the two full reports, with one ill-typed field each, used to pass the
-    check and then crash the CSV summary after appending to the JSONL."""
+    the full reports, with one ill-typed field each, used to pass the
+    check; the first two then crashed the CSV summary after appending to
+    the JSONL, and the witness lines were counted into witness_count."""
     out = tmp_path / "reports.jsonl"
     csv_file = tmp_path / "reports.csv"
     assert main(["sweep", "--q", "2", "--n", "3", "--t", "1", "--out", str(out)]) == 0

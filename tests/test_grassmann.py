@@ -15,6 +15,7 @@ from conftest import (
     metric_ranks_pairwise,
     position_of,
     random_monomial,
+    strengths_by_column_rank,
     summary_all_pairs,
 )
 from grasscodes import bulk, grassmann
@@ -123,8 +124,10 @@ def test_index_lookup_roundtrip():
 
 
 def test_strength_all_matches_scalar():
-    """The scan reads column subsets of at most k columns; (5,4,2) and
-    (9,3,2) are rich in MDS codes, whose dual distance is k + 1."""
+    """The dual-word kernel agrees with the scalar column-independence test
+    of codes.strength; (5,4,2) and (9,3,2) are rich in MDS codes, whose
+    dual distance is k + 1: every point of weight at most k gives a dual
+    word heavier than k, and the strength is the cap k."""
     cases = [(ctx, n, k) for ctx, n in ((F2, 4), (F3, 4), (field_of_order(4), 3)) for k in range(n + 1)]
     cases += [(F5, 4, 2), (field_of_order(9), 3, 2)]
     for ctx, n, k in cases:
@@ -132,6 +135,51 @@ def test_strength_all_matches_scalar():
         bulk_strengths = idx.strength_all()
         for i in range(len(idx)):
             assert int(bulk_strengths[i]) == strength(LinearCode(idx.subspace_at(i))), (ctx.q, n, k, i)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_strength_all_matches_column_rank_oracle(q):
+    """Every index of at most 2^15 subspaces with n <= 6, every k in 0..n,
+    and (3,0,0): the dual-word kernel gives the strengths of the shortest
+    dependent column subsets."""
+    cases = [
+        (n, k) for n in range(1, 7) for k in range(n + 1) if subspace_count(n, k, q) <= 1 << 15
+    ]
+    if q == 3:
+        cases.append((0, 0))
+    for n, k in cases:
+        idx = enumerate_subspaces(field_of_order(q), n, k)
+        want = strengths_by_column_rank(idx.ctx, idx.bases, n, k)
+        got = idx.strength_all()
+        assert got.dtype == np.int16 and (got == want).all(), (q, n, k)
+
+
+def test_strength_all_runs_no_reduction(monkeypatch):
+    """Strengths are read off the RREF bases as they are: no batched RREF,
+    on an index with k < n-k, one with k > n-k and one of two blocks."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strengths must not reduce")
+
+    monkeypatch.setattr(bulk, "batched_rref", refuse)
+    for q, n, k in [(2, 6, 2), (4, 5, 3), (3, 6, 3)]:
+        assert len(enumerate_subspaces(field_of_order(q), n, k).strength_all())
+
+
+def test_strength_all_stays_small():
+    """(3,6,3) spans two blocks of bases; its strengths match the column
+    rank oracle and peak below four times the V x k x n uint8 bases (the
+    column-subset scan peaked at 5.3 times)."""
+    idx = enumerate_subspaces(F3, 6, 3)
+    tracemalloc.start()
+    try:
+        got = idx.strength_all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(idx) > grassmann._STRENGTH_CHUNK
+    assert (got == strengths_by_column_rank(F3, idx.bases, 6, 3)).all()
+    assert peak < 4 * idx.bases.nbytes
 
 
 def test_grassmann_distance_examples():
@@ -541,7 +589,7 @@ def test_metric_reads_no_edges(monkeypatch):
 
     monkeypatch.setattr(GrassmannGraph, "adjacency", refuse)
     monkeypatch.setattr(GrassmannGraph, "buckets", refuse)
-    monkeypatch.setattr(bulk, "batched_rank", refuse)
+    monkeypatch.setattr(bulk, "batched_rref", refuse)
     for g, want in zip(graphs, expected):
         assert (metric_distance_matrix(g) == want).all()
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import index_of
 from grasscodes import grassmann
-from grasscodes.errors import NotPrimeError
+from grasscodes.errors import GrassCodesError, NotPrimeError
 from grasscodes.gf import field_of_order
 from grasscodes.grassmann import GrassmannGraph, enumerate_subspaces, isometry_check
 from grasscodes.linalg import Subspace
@@ -192,26 +192,58 @@ def test_run_sweep_workers_agree():
     assert seq == par
 
 
+def _shipped_spec(node):
+    """A JSON-schema node of docs/report_schema.json in the form of the
+    code's table: (types, detail), an enum node being a string of tags."""
+    if "enum" in node:
+        return ("string",), tuple(node["enum"])
+    types = node["type"]
+    types = (types,) if isinstance(types, str) else tuple(types)
+    if "items" in node:
+        return types, _shipped_spec(node["items"])
+    if "properties" in node:
+        assert set(node["properties"]) == set(node["required"])
+        assert node["additionalProperties"] is False
+        fields = node["properties"]
+        return types, tuple((name, _shipped_spec(fields[name])) for name in node["required"])
+    return types, None
+
+
 def test_shipped_schema_matches_report_fields():
-    """docs/report_schema.json and the code's table give every field the
-    same JSON types and caps_hit the same tags, and each golden line (with
-    its timing field put back) passes the table's check."""
+    """docs/report_schema.json and the code's table give every field, and
+    every field of a witness, the same JSON types in the same key order,
+    and caps_hit the same tags; each golden line (with its timing field put
+    back) passes the table's check."""
     schema_path = pathlib.Path(__file__).parent.parent / "docs" / "report_schema.json"
     schema = json.loads(schema_path.read_text())
     assert tuple(schema["required"]) == REPORT_FIELDS
-    assert set(schema["properties"]) == set(REPORT_FIELDS)
-    assert schema["properties"]["caps_hit"]["items"]["enum"] == ["enumeration", "pairs"]
-    for name, types, tags in _SCHEMA:
-        prop = schema["properties"][name]
-        shipped = prop["type"]
-        assert tuple([shipped] if isinstance(shipped, str) else shipped) == types, name
-        enum = prop.get("items", {}).get("enum")
-        assert tags == (tuple(enum) if enum else None), name
+    assert _shipped_spec(schema) == (("object",), _SCHEMA)
+    assert schema["properties"]["witnesses"]["maxItems"] == grassmann._WITNESS_CAP
     validate_report(verify_instance(3, 3, 2, 1))
+    witnessed = 0
     for line in GOLDEN.read_text().splitlines():
         rec = json.loads(line)
         rec["wall_ms"] = 0
         validate_report(rec)
+        witnessed += len(rec["witnesses"])
+    assert witnessed > 0
+
+
+@pytest.mark.parametrize("witness", [
+    5,
+    {"x": [[1, 0, 1]], "y": [[0, 1, 1]], "d_subgraph": 2},
+    {"x": [[1, 0, 1]], "y": [[0, 1, 1]], "d_metric": 2, "d_subgraph": 2},
+    {"x": [1, 0, 1], "y": [[0, 1, 1]], "d_subgraph": 2, "d_metric": 2},
+    {"x": [[1, 0, 1]], "y": [[0, 1, 1]], "d_subgraph": 2, "d_metric": None},
+    {"x": [[1, 0, 1]], "y": [[0, 1, True]], "d_subgraph": None, "d_metric": 2},
+])
+def test_validate_report_checks_witness_items(witness):
+    """Each witness is the schema's {x, y, d_subgraph, d_metric} object:
+    keys in order, bases as lists of integer rows, d_metric an integer."""
+    report = verify_instance(3, 3, 1, 1)
+    report["witnesses"] = [witness]
+    with pytest.raises(GrassCodesError, match=r"witnesses\[0\]"):
+        validate_report(report)
 
 
 def test_full_graph_gets_no_all_pairs_pass(monkeypatch):
@@ -284,12 +316,18 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "sweep_golden.jsonl"
 
 def test_sweep_matches_golden():
     """Report lines are byte-identical, apart from wall_ms, to the shipped
-    output of `sweep --q 2,3,4,5,7 --n 2-4` plus `sweep --q 2 --n 6 --k 3`.
-    The grid holds the known single-vertex gap (2,2,1,1), empty classes,
-    and (2,6,3,t), recorded when its metric came from stacked ranks."""
+    output of `sweep --q 2,3,4,5,7 --n 2-4`, `sweep --q 2 --n 6 --k 3` and
+    the benchmark's groups (9,4,2), (4,5,2) and (2,5,2).  The grid holds
+    the known single-vertex gap (2,2,1,1), empty classes, (2,6,3,t),
+    recorded when its metric came from stacked ranks, and (4,5,2,2), whose
+    class is connected but not isometric (its first 100 witnesses)."""
     configs = [
         SweepConfig(q_list=[2, 3, 4, 5, 7], n_list=[2, 3, 4]),
         SweepConfig(q_list=[2], n_list=[6], k_list=[3]),
+        *(
+            SweepConfig(q_list=[q], n_list=[n], k_list=[k])
+            for q, n, k in ((9, 4, 2), (4, 5, 2), (2, 5, 2))
+        ),
     ]
     lines = [
         re.sub(r',"wall_ms":\d+\}$', "}", report_json_line(r))
