@@ -9,10 +9,12 @@ held as a bucket incidence (each vertex lists the cliques of the graph
 it lies in), and distances come from genuine breadth-first search over
 that incidence (bit-parallel from any set of sources at once).  Points,
 buckets and symmetry orbits are keyed on one small RREF basis per subspace
-(its annihilator's when 2k > n); `_Buckets` numbers shared keys.  The
-strength of every subspace is its dual distance minus one, capped at k,
-read off the dual words of weight at most k that its RREF basis gives
-from each projective point of its free columns, with no reduction.
+(its annihilator's, coordinates reversed, when 2k > n); each r's span keys
+and their `_Buckets` are built once, so BFS and the metric share them when
+buckets are points.  The strength of every subspace is its dual distance
+minus one, capped at k, read off the dual words of weight at most k that
+its RREF basis gives from each projective point of its free columns, with
+no reduction.
 
 Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
 distance-transitive, so BFS from one source, checked against the closed
@@ -72,8 +74,7 @@ class SubspaceIndex:
         self.bases = bases
         self._strength_all: np.ndarray | None = None
         self._small: np.ndarray | None = None
-        self._point_keys: np.ndarray | None = None
-        self._incidence: np.ndarray | None = None
+        self._span_keys: dict[int, np.ndarray] = {}
         self._orbits: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -93,38 +94,31 @@ class SubspaceIndex:
 
     def _small_bases(self) -> np.ndarray:
         """(V, kk, n) RREF bases with kk = min(k, n-k): the subspaces' own
-        bases, or their annihilators' when 2k > n.  Annihilation reverses
-        inclusion and maps dim(x ∩ y) to n - 2k + dim(x ∩ y), so the points,
-        buckets and symmetry orbits below are all read off these."""
+        bases, or when 2k > n their annihilators' with rows and columns
+        reversed, RREF as built (see _annihilators).  Annihilation maps
+        dim(x ∩ y) to n - 2k + dim(x ∩ y), and reversal is an isomorphism
+        mapping the group of permutations, scalings and Frobenius onto
+        itself, so points, buckets and orbits are all read off these."""
         if self._small is None:
             self._small = self.bases
             if 2 * self.k > self.n:
-                annihilators = _annihilators(self.ctx, self.bases, self.n, self.k)
-                self._small = bulk.batched_rref(self.ctx, annihilators)[0]
+                self._small = _annihilators(self.ctx, self.bases, self.n, self.k)[:, ::-1, ::-1]
         return self._small
 
-    def point_keys(self) -> np.ndarray:
-        """V x [kk]_q keys (< q^n) of the points λB of every small basis B
-        (see _small_bases), λ running over the points of F_q^kk."""
-        if self._point_keys is None:
-            self._point_keys = _span_keys(self.ctx, self._small_bases(), 1)
-        return self._point_keys
+    def span_keys(self, r: int) -> np.ndarray:
+        """V x [kk r]_q keys (< q^(r n)) of the r-subspaces of every small
+        basis (see _small_bases and _span_keys), built once per r.
 
-    def incidence(self) -> np.ndarray:
-        """V x h bucket keys (< V^2 <= 2^42 under ENUM_CAP) of every subspace.
-
-        Each bucket is a clique and every edge lies in exactly one bucket:
-        for k <= n-k the buckets of x are its [k]_q hyperplanes, otherwise
-        the [n-k]_q (k+1)-spaces containing x, so h = min([k]_q, [n-k]_q).
-        The (k+1)-spaces containing x are the annihilators of the hyperplanes
-        of x's annihilator, so both sides are the hyperplanes NB of a small
-        basis B (see _small_bases), N a hyperplane of F_q^kk, keyed below
-        q^((kk-1) n) < V^2 as (kk-1) n < 2 kk (n-kk).
+        r = 1 gives the points the metric counts, r = kk - 1 the buckets
+        of every BFS: each is a clique and every edge lies in exactly one.
+        For k <= n-k the buckets of x are its [k]_q hyperplanes, otherwise
+        the [n-k]_q (k+1)-spaces containing x, the annihilators of the
+        hyperplanes of x's annihilator; so h = min([k]_q, [n-k]_q), keyed
+        below q^((kk-1) n) < V^2 as (kk-1) n < 2 kk (n-kk).
         """
-        if self._incidence is None:
-            bases = self._small_bases()
-            self._incidence = _span_keys(self.ctx, bases, bases.shape[1] - 1)
-        return self._incidence
+        if r not in self._span_keys:
+            self._span_keys[r] = _span_keys(self.ctx, self._small_bases(), r)
+        return self._span_keys[r]
 
     def orbit_labels(self) -> np.ndarray:
         """Position of the smallest member of every subspace's orbit under
@@ -242,7 +236,8 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     too.  A permutation conjugates a scaling of one column into a scaling
     of any other, so this is the group of every column scaling.
     Annihilation commutes with permutations and the Frobenius map and
-    inverts scalings, so on the annihilators the same generators give the
+    inverts scalings, and reversing coordinates maps the group onto
+    itself, so on the reversed annihilators the same generators give the
     same orbits.
     """
     mul = ctx.np_tables()[2]
@@ -363,8 +358,8 @@ class GrassmannGraph:
     """Full graph or strength-t induced subgraph over a SubspaceIndex.
 
     vertex_ids maps graph positions to index positions, in increasing
-    order.  Bucket keys drive every BFS (see `buckets`); the metric reads
-    point keys instead and never reads edges.
+    order.  The r = kk - 1 span keys drive every BFS (see `buckets`); the
+    metric counts the points, r = 1, and never reads edges.
     """
 
     def __init__(self, index: SubspaceIndex, t: int | None, vertex_ids: np.ndarray):
@@ -374,8 +369,7 @@ class GrassmannGraph:
         self.index = index
         self.t = t
         self.vertex_ids = vertex_ids
-        self._buckets: _Buckets | None = None
-        self._points: _Buckets | None = None
+        self._buckets: dict[int, _Buckets] = {}
         self._orbits: np.ndarray | None = None
         self._orbit_dist: np.ndarray | None = None
         self._adjacency: np.ndarray | None = None
@@ -391,18 +385,16 @@ class GrassmannGraph:
     def subspace_at(self, i: int) -> Subspace:
         return self.index.subspace_at(int(self.vertex_ids[i]))
 
-    def buckets(self) -> _Buckets:
-        """The vertices' buckets (see SubspaceIndex.incidence), for every BFS."""
-        if self._buckets is None:
-            self._buckets = _Buckets(self.index.incidence()[self.vertex_ids])
-        return self._buckets
+    def span_buckets(self, r: int) -> _Buckets:
+        """The vertices' span keys (see SubspaceIndex.span_keys) numbered as
+        buckets, once per r."""
+        if r not in self._buckets:
+            self._buckets[r] = _Buckets(self.index.span_keys(r)[self.vertex_ids])
+        return self._buckets[r]
 
-    def point_buckets(self) -> _Buckets:
-        """The vertices' points (see SubspaceIndex.point_keys) as buckets,
-        for the metric."""
-        if self._points is None:
-            self._points = _Buckets(self.index.point_keys()[self.vertex_ids])
-        return self._points
+    def buckets(self) -> _Buckets:
+        """The buckets of every BFS: r = kk - 1 with kk = min(k, n-k)."""
+        return self.span_buckets(min(self.index.k, self.index.n - self.index.k) - 1)
 
     def orbit_labels(self) -> np.ndarray:
         """Graph position of the representative of every vertex's orbit.
@@ -454,6 +446,10 @@ def _annihilators(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarra
     Free column f of an RREF basis gives the kernel vector e_f minus
     sum_i bases[i, f] e_(pivot i): row j of the block is e_j on the free
     columns and minus column j of B_F (see _free_block) on the pivots.
+    So row j is e_(f_j) plus entries only at pivots p_i < f_j, and every
+    other row is 0 at f_j: with rows and columns reversed, each row leads
+    with the 1 of its e_(f_j), in a column cleared in the other rows, and
+    the leads move right down the rows, so the block is RREF as built.
     """
     neg = ctx.np_tables()[4]
     v = bases.shape[0]
@@ -473,7 +469,8 @@ def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
     p_i of C B is column i of C, so row j of C B is 0 before p_(c_j) (C is
     0 before c_j, and B's rows from c_j on are 0 before p_(c_j)), 1 there,
     and every other row is 0 there.  Both inputs are RREF by construction:
-    enumerate_subspaces builds C, SubspaceIndex._small_bases builds B."""
+    enumerate_subspaces builds C, and SubspaceIndex._small_bases gives B as
+    the index's own bases or the reversed annihilators (see _annihilators)."""
     add, _, mul, _, _ = ctx.np_tables()
     v, kk, n = bases.shape
     if kk == 0:  # no points, so no hyperplanes either
@@ -611,7 +608,8 @@ def gamma_diameter(index: SubspaceIndex) -> int:
     anything else means the engine itself is broken.
     """
     q, n, k = index.ctx.q, index.n, index.k
-    dist = _bfs(_Buckets(index.incidence()), np.zeros(1, dtype=np.int64))[:, 0]
+    buckets = _Buckets(index.span_keys(min(k, n - k) - 1))
+    dist = _bfs(buckets, np.zeros(1, dtype=np.int64))[:, 0]
     counts = np.bincount(dist[dist >= 0]).tolist()
     expect = [
         q ** (i * i) * subspace_count(k, i, q) * subspace_count(n - k, i, q)
@@ -629,7 +627,7 @@ def _metric_rows(graph: GrassmannGraph, sources: np.ndarray) -> np.ndarray:
 
     x and y share s points with (q-1)s + 1 = q^dim(x ∩ y), counted in bit
     planes wide enough for [kk-1]_q, the most two distinct kk-spaces share
-    (see SubspaceIndex.point_keys; dim(x⊥ ∩ y⊥) = n - 2k + dim(x ∩ y)).
+    (see SubspaceIndex.span_keys; dim(x⊥ ∩ y⊥) = n - 2k + dim(x ∩ y)).
     Off the diagonal s is some [e]_q, and [d]_q > 2 [d-1]_q, so s >= [d]_q
     exactly when s has a bit at or above the top bit of [d]_q.
     """
@@ -637,7 +635,7 @@ def _metric_rows(graph: GrassmannGraph, sources: np.ndarray) -> np.ndarray:
     q, kk = index.ctx.q, min(index.k, index.n - index.k)
     width = max(1, (q_int(kk, q) // q).bit_length())  # [kk]_q // q = [kk-1]_q
     planes = np.zeros((width, v, (sources.size + 63) // 64), dtype=np.uint64)
-    _spread(graph.point_buckets(), _source_bits(v, sources), planes)
+    _spread(graph.span_buckets(1), _source_bits(v, sources), planes)
     dist = np.full((v, sources.size), kk, dtype=np.int16)
     for d in range(1, kk):
         dist -= _unpack(np.bitwise_or.reduce(planes[q_int(d, q).bit_length() - 1 :]), sources.size)

@@ -24,6 +24,7 @@ sweep is the measuring instrument, not the judge.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -35,6 +36,7 @@ from .gf import field_of_order
 from .grassmann import (
     ALL_PAIRS_CAP,
     ENUM_CAP,
+    _WITNESS_CAP,
     build_delta,
     diameter_and_connectivity,
     enumerate_subspaces,
@@ -42,35 +44,36 @@ from .grassmann import (
     isometry_check,
 )
 
-# The report schema, in key order.  A spec is (allowed JSON types, detail),
-# where a bool never counts as an integer and the detail constrains what a
-# value holds: an array's item spec, an object's (field, spec) pairs in key
-# order, or a string's allowed tags.  REPORT_FIELDS, the defaults,
-# validation and the CSV columns are all read from this table;
-# docs/report_schema.json must agree with it.
-_INTEGER = (("integer",), None)
-_MATRIX = (("array",), (("array",), _INTEGER))
+# The report schema, in key order.  A spec is (allowed JSON types, detail,
+# limits), where a bool never counts as an integer, the detail constrains
+# what a value holds (an array's item spec, an object's (field, spec) pairs
+# in key order, or a string's allowed tags) and the limits are JSON-schema
+# (keyword, bound) pairs: an integer's minimum, an array's maxItems.
+# REPORT_FIELDS, the defaults, validation and the CSV columns are all read
+# from this table; docs/report_schema.json must agree with it.
+_INTEGER = (("integer",), None, ())
+_MATRIX = (("array",), (("array",), _INTEGER, ()), ())
 _WITNESS = (("object",), (
     ("x", _MATRIX),
     ("y", _MATRIX),
-    ("d_subgraph", (("integer", "null"), None)),
+    ("d_subgraph", (("integer", "null"), None, ())),
     ("d_metric", _INTEGER),
-))
-_CAP_TAG = (("string",), ("enumeration", "pairs"))
+), ())
+_CAP_TAG = (("string",), ("enumeration", "pairs"), ())
 _SCHEMA = (
-    ("q", _INTEGER),
-    ("n", _INTEGER),
-    ("k", _INTEGER),
-    ("t", _INTEGER),
-    ("bound_satisfied", (("boolean",), None)),
-    ("class_size", (("integer", "null"), None)),
-    ("connected", (("boolean", "null"), None)),
-    ("component_count", (("integer", "null"), None)),
-    ("diameter_delta", (("integer", "null"), None)),
-    ("diameter_gamma", (("integer", "null"), None)),
-    ("isometric", (("boolean", "null"), None)),
-    ("witnesses", (("array",), _WITNESS)),
-    ("caps_hit", (("array",), _CAP_TAG)),
+    ("q", (("integer",), None, (("minimum", 2),))),
+    ("n", (("integer",), None, (("minimum", 2),))),
+    ("k", (("integer",), None, (("minimum", 1),))),
+    ("t", (("integer",), None, (("minimum", 1),))),
+    ("bound_satisfied", (("boolean",), None, ())),
+    ("class_size", (("integer", "null"), None, ())),
+    ("connected", (("boolean", "null"), None, ())),
+    ("component_count", (("integer", "null"), None, ())),
+    ("diameter_delta", (("integer", "null"), None, ())),
+    ("diameter_gamma", (("integer", "null"), None, ())),
+    ("isometric", (("boolean", "null"), None, ())),
+    ("witnesses", (("array",), _WITNESS, (("maxItems", _WITNESS_CAP),))),
+    ("caps_hit", (("array",), _CAP_TAG, ())),
     ("wall_ms", _INTEGER),
 )
 _PY_TYPES = {
@@ -102,12 +105,13 @@ class SweepConfig:
             raise ValueError("caps must be positive")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        self.instances()
 
     def instances(self) -> list[tuple[int, int, int, int]]:
         """Valid (q, n, k, t) combinations in deterministic config order."""
         out = []
         for q in self.q_list:
-            field_of_order(q)  # raises early on a bad order
+            field_of_order(q).np_tables()  # a bad order, or q > 256 for uint8 bases
             for n in self.n_list:
                 ks = self.k_list if self.k_list is not None else range(1, n)
                 for k in ks:
@@ -126,7 +130,7 @@ def _empty_report(q, n, k, t) -> dict:
     """A report with nothing measured yet: null, an empty list or 0 ms."""
     report = {
         name: None if "null" in types else [] if "array" in types else 0
-        for name, (types, _) in _SCHEMA
+        for name, (types, _, _) in _SCHEMA
     }
     report.update(q=q, n=n, k=k, t=t, bound_satisfied=q >= comb(n, t))
     return report
@@ -226,25 +230,28 @@ def is_violation(report: dict) -> bool:
 
 def validate_report(report: dict) -> None:
     """Schema check against `_SCHEMA`: the exact keys in order, each value
-    of an allowed JSON type, every witness an object of the witness fields
-    and every cap an allowed tag."""
-    problem = _problem(report, ("object",), _SCHEMA)
+    of an allowed JSON type within its limits, every witness an object of
+    the witness fields and every cap an allowed tag."""
+    problem = _problem(report, (("object",), _SCHEMA, ()))
     if problem:
         raise GrassCodesError(f"report{problem}")
 
 
-def _problem(value, types: tuple, detail) -> str | None:
-    """Where and how value breaks the spec (types, detail), or None."""
+def _problem(value, spec: tuple) -> str | None:
+    """Where and how value breaks the spec (types, detail, limits), or None."""
+    types, detail, limits = spec
     if type(value) not in [_PY_TYPES[kind] for kind in types]:
         return f" must be {' or '.join(types)}, got {value!r}"
+    for keyword, bound in limits:  # an integer's minimum or an array's maxItems
+        if value < bound if keyword == "minimum" else len(value) > bound:
+            return f" breaks {keyword} {bound}"
     if detail is None or value is None:
         return None
     if type(value) is list:
-        item_types, item_detail = detail
-        # items with no detail of their own are type-checked inline
-        fine = [_PY_TYPES[kind] for kind in item_types] if item_detail is None else []
+        # items with no detail or limits of their own are type-checked inline
+        fine = [_PY_TYPES[kind] for kind in detail[0]] if detail[1:] == (None, ()) else []
         for i, item in enumerate(value):
-            problem = None if type(item) in fine else _problem(item, *detail)
+            problem = None if type(item) in fine else _problem(item, detail)
             if problem:
                 return f"[{i}]{problem}"
     elif type(value) is dict:
@@ -252,7 +259,7 @@ def _problem(value, types: tuple, detail) -> str | None:
         if tuple(value) != names:
             return f" keys {tuple(value)} != schema {names}"
         for name, spec in detail:
-            problem = _problem(value[name], *spec)
+            problem = _problem(value[name], spec)
             if problem:
                 return f".{name}{problem}"
     elif value not in detail:
@@ -279,7 +286,7 @@ def _csv_cell(value, items) -> str:
 
 
 def report_csv_row(report: dict) -> str:
-    return ",".join(_csv_cell(report[name], items) for name, (_, items) in _SCHEMA)
+    return ",".join(_csv_cell(report[name], items) for name, (_, items, _) in _SCHEMA)
 
 
 def csv_header() -> str:
@@ -306,18 +313,9 @@ def run_sweep(config: SweepConfig, skip: set | None = None):
     already present in a resumed output file."""
     skip = skip or set()
     todo = [inst for inst in config.instances() if inst not in skip]
-    groups: list[tuple] = []
-    for q, n, k, t in todo:
-        if groups and groups[-1][0][:3] == (q, n, k):
-            groups[-1].append((q, n, k, t))
-        else:
-            groups.append([(q, n, k, t)])
     tasks = [
-        (
-            g[0][0], g[0][1], g[0][2], [inst[3] for inst in g],
-            config.max_vertices, config.max_pairs,
-        )
-        for g in groups
+        (q, n, k, [inst[3] for inst in group], config.max_vertices, config.max_pairs)
+        for (q, n, k), group in itertools.groupby(todo, key=lambda inst: inst[:3])
     ]
     workers = min(config.workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:

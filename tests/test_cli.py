@@ -178,6 +178,28 @@ def test_sweep_bad_config(capsys):
     assert main(["sweep", "--q", "257", "--n", "2"]) == 4  # q > 256
 
 
+@pytest.mark.parametrize("resume", [False, True])
+@pytest.mark.parametrize("grid", [
+    ["--q", "6", "--n", "3"],  # not a prime power
+    ["--q", "2", "--n", "1"],  # no instance
+    ["--q", "2,257", "--n", "3"],  # q = 257 is above the uint8 table limit
+], ids=["q_6", "n_1", "q_257"])
+def test_sweep_bad_grid_leaves_out_alone(tmp_path, capsys, grid, resume):
+    """The whole grid is checked before --out is opened: a bad grid exits 4
+    with the existing --out byte-identical and no CSV summary written (it
+    used to truncate --out, or append the q = 2 lines before q = 257 failed)."""
+    out = tmp_path / "reports.jsonl"
+    csv_file = tmp_path / "reports.csv"
+    assert main(["sweep", "--q", "2", "--n", "3", "--t", "1", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    csv_file.unlink()
+    args = ["sweep", *grid, "--out", str(out)] + ["--resume"] * resume
+    assert main(args) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == before
+    assert not csv_file.exists()
+
+
 def test_sweep_out_files_and_resume(tmp_path, capsys):
     out = tmp_path / "reports.jsonl"
     args = ["sweep", "--q", "2,3", "--n", "3", "--t", "1", "--out", str(out)]
@@ -255,12 +277,17 @@ _REPORT_3311 = (
     pytest.param(_REPORT_3311.replace(
         '"witnesses":[]', '"witnesses":[{"x":[[1,0,1]],"y":[[0,1,1]],"d_subgraph":2}]'
     ), id="witness_without_d_metric"),
+    pytest.param(_REPORT_3311.replace('"q":3', '"q":0'), id="q_0"),
+    pytest.param(_REPORT_3311.replace('"t":1', '"t":-5'), id="t_minus_5"),
+    pytest.param(_REPORT_3311.replace('"witnesses":[]', '"witnesses":[' + ",".join(
+        ['{"x":[[1,0,1]],"y":[[0,1,1]],"d_subgraph":2,"d_metric":1}'] * 101
+    ) + "]"), id="witnesses_101"),
 ])
 def test_sweep_resume_rejects_non_report_lines(tmp_path, capsys, line):
     """A line that breaks the schema fails before either output is touched:
-    the full reports, with one ill-typed field each, used to pass the
-    check; the first two then crashed the CSV summary after appending to
-    the JSONL, and the witness lines were counted into witness_count."""
+    the full reports, with one ill-typed or out-of-range field each, used to
+    pass the check; the first two then crashed the CSV summary after
+    appending to the JSONL, and the others were written to it."""
     out = tmp_path / "reports.jsonl"
     csv_file = tmp_path / "reports.csv"
     assert main(["sweep", "--q", "2", "--n", "3", "--t", "1", "--out", str(out)]) == 0

@@ -304,7 +304,7 @@ def test_annihilators_built_once(monkeypatch, q, n, k):
         return original(ctx, bases, *args)
 
     monkeypatch.setattr(grassmann, "_annihilators", counted)
-    idx.point_keys(), idx.incidence(), idx.orbit_labels()
+    idx.span_keys(1), idx.span_keys(n - k - 1), idx.orbit_labels()
     assert sum(calls) == 1
 
 
@@ -315,7 +315,7 @@ def test_incidence_keeps_no_int64_digit_copy():
     digits = len(idx) * q_int(3, 3) * 2 * 6
     tracemalloc.start()
     try:
-        idx.incidence()
+        idx.span_keys(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -329,7 +329,7 @@ def test_point_keys_stay_small():
     blocks = len(idx) * q_int(3, 3) * 6
     tracemalloc.start()
     try:
-        idx.point_keys()
+        idx.span_keys(1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,18 +337,57 @@ def test_point_keys_stay_small():
 
 
 def test_point_and_bucket_keys_run_no_reduction(monkeypatch):
-    """When k <= n-k the small bases are the index's own, and points and
-    buckets are keyed with no batched RREF (see _span_keys)."""
-    indexes = [enumerate_subspaces(F3, 5, 2), enumerate_subspaces(F2, 6, 3)]
-    expected = [(_row_space_keys(idx, 1), _row_space_keys(idx, idx.k - 1)) for idx in indexes]
+    """Points and buckets are keyed with no batched RREF (see _span_keys),
+    on the index's own bases when k <= n-k and on the reversed annihilators
+    when 2k > n; each equals the keys of the reduced spans of the reduced
+    small bases."""
+    cases = [(3, 5, 2), (2, 6, 3), (3, 5, 3), (2, 6, 4)]
+    expected = []
+    for q, n, k in cases:
+        ctx = field_of_order(q)
+        small = enumerate_subspaces(ctx, n, k).bases
+        if 2 * k > n:
+            small = grassmann._annihilators(ctx, small, n, k)[:, ::-1, ::-1]
+        small = bulk.batched_rref(ctx, small)[0]
+        rs = {1, small.shape[1] - 1}
+        expected.append({r: _row_space_keys(ctx, small, r) for r in rs})
+    indexes = [enumerate_subspaces(field_of_order(q), n, k) for q, n, k in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError("span keys must not reduce")
 
     monkeypatch.setattr(bulk, "batched_rref", refuse)
-    for idx, (points, buckets) in zip(indexes, expected):
-        assert (idx.point_keys() == points).all()
-        assert (idx.incidence() == buckets).all()
+    for idx, keys in zip(indexes, expected):
+        for r, want in keys.items():
+            assert (idx.span_keys(r) == want).all(), (idx.ctx.q, idx.n, idx.k, r)
+
+
+def test_span_keys_built_once_per_r(monkeypatch):
+    """(4,5,2) has kk = 2, where buckets are points: across Γ's check and
+    every Δ's BFS, metric and witness search, the index keys its spans once
+    and each Δ numbers one set of buckets (plus Γ's own)."""
+    idx = enumerate_subspaces(field_of_order(4), 5, 2)
+    calls = {"keys": 0, "buckets": 0}
+    span_keys, buckets = grassmann._span_keys, grassmann._Buckets
+
+    def counted_keys(*args):
+        calls["keys"] += 1
+        return span_keys(*args)
+
+    def counted_buckets(keys):
+        calls["buckets"] += 1
+        return buckets(keys)
+
+    monkeypatch.setattr(grassmann, "_span_keys", counted_keys)
+    monkeypatch.setattr(grassmann, "_Buckets", counted_buckets)
+    assert gamma_diameter(idx) == 2
+    isometric = []
+    for t in (1, 2):
+        delta = build_delta(idx, t)
+        assert diameter_and_connectivity(delta).connected
+        isometric.append(isometry_check(delta).isometric)
+    assert isometric == [True, False]  # t = 2 searches for witnesses too
+    assert calls == {"keys": 1, "buckets": 3}
 
 
 def _span_blocks(ctx, bases, r):
@@ -363,13 +402,12 @@ def _span_blocks(ctx, bases, r):
     return spans
 
 
-def _row_space_keys(idx, r):
+def _row_space_keys(ctx, bases, r):
     """Keys of RREF(C B) over the small bases B, reduced by batched_rref."""
-    bases = idx._small_bases()
-    spans = _span_blocks(idx.ctx, bases, r)
-    v, m = spans.shape[:2]
-    canon = bulk.batched_rref(idx.ctx, spans.reshape(v * m, r, idx.n))[0]
-    return grassmann._keys(idx.ctx.q, canon).reshape(v, m)
+    spans = _span_blocks(ctx, bases, r)
+    v, m, _, n = spans.shape
+    canon = bulk.batched_rref(ctx, spans.reshape(v * m, r, n))[0]
+    return grassmann._keys(ctx.q, canon).reshape(v, m)
 
 
 RREF_GRID = {
@@ -381,8 +419,9 @@ RREF_GRID = {
 @pytest.mark.parametrize("q", sorted(RREF_GRID))
 def test_keyed_blocks_are_already_rref(monkeypatch, q):
     """Every block the engine keys without reducing it is RREF, so batched_rref
-    returns it unchanged: the span blocks C B for every r in 1..kk-1, and
-    every symmetry image _orbit_labels keys (the last-column scaling and the
+    returns it unchanged: the reversed annihilators that are the small bases
+    when 2k > n, the span blocks C B for every r in 1..kk-1, and every
+    symmetry image _orbit_labels keys (the last-column scaling and the
     Frobenius image among them)."""
     ctx = field_of_order(q)
     keys, seen = grassmann._keys, []
@@ -395,6 +434,10 @@ def test_keyed_blocks_are_already_rref(monkeypatch, q):
     for n, k in RREF_GRID[q]:
         idx = enumerate_subspaces(ctx, n, k)
         bases = idx._small_bases()
+        if 2 * k > n:
+            flipped = grassmann._annihilators(ctx, idx.bases, n, k)[:, ::-1, ::-1]
+            assert (bases == flipped).all(), (q, n, k)
+            assert (bulk.batched_rref(ctx, bases)[0] == bases).all(), (q, n, k)
         for r in range(1, bases.shape[1]):
             spans = _span_blocks(ctx, bases, r)
             canon, ranks = bulk.batched_rref(ctx, spans.reshape(-1, r, n))
@@ -433,7 +476,7 @@ def test_gamma_distance_distribution():
         idx = enumerate_subspaces(field_of_order(q), n, k)
         g = build_gamma(idx)
         sources = np.array([0, g.num_vertices // 2, g.num_vertices - 1])
-        rows = grassmann._bfs(grassmann._Buckets(idx.incidence()), sources)
+        rows = grassmann._bfs(g.buckets(), sources)
         for col, src in enumerate(sources):
             oracle = bfs_distances(g, int(src))
             assert rows[:, col].tolist() == oracle.astype(int).tolist(), (q, n, k, src)
@@ -449,16 +492,16 @@ def test_gamma_distance_distribution():
 def test_gamma_diameter_rejects_corrupt_incidence(monkeypatch):
     """Moving vertex 0 out of one of its buckets changes its BFS levels,
     which the one-source check must catch."""
-    original = SubspaceIndex.incidence
+    original = SubspaceIndex.span_keys
 
-    def corrupted(index):
-        inc = original(index).copy()
+    def corrupted(index, r):
+        inc = original(index, r).copy()
         inc[0, 0] = inc[0, 1]
         return inc
 
     idx = enumerate_subspaces(F2, 4, 2)
     assert gamma_diameter(idx) == 2
-    monkeypatch.setattr(SubspaceIndex, "incidence", corrupted)
+    monkeypatch.setattr(SubspaceIndex, "span_keys", corrupted)
     with pytest.raises(InternalInvariantError):
         gamma_diameter(idx)
 
@@ -574,10 +617,12 @@ def test_metric_three_bit_planes():
 
 
 def test_metric_reads_no_edges(monkeypatch):
-    """The metric uses neither the graph's adjacency or buckets nor
-    stacked ranks, so the isometry check never compares BFS with the
-    graph's own edges.  Δ(2,6,3,1), with min(k, n-k) = 3 on the spaces
-    themselves, is pinned to the rank oracle here on every pair."""
+    """The metric counts shared points: it calls neither the graph's
+    adjacency nor `buckets()` nor stacked ranks, so the isometry check
+    never compares BFS with the graph's own edges (at min(k, n-k) = 2 both
+    read the point buckets, but only the metric counts shared ones).
+    Δ(2,6,3,1), with min(k, n-k) = 3 on the spaces themselves, is pinned
+    to the rank oracle here on every pair."""
     graphs = [
         build_gamma(enumerate_subspaces(F3, 4, 2)),
         build_delta(enumerate_subspaces(F2, 6, 3), 1),
@@ -635,7 +680,7 @@ def test_one_vertex_indexes(q, n, k):
     n = 0 there is no column to scale either."""
     idx = enumerate_subspaces(field_of_order(q), n, k)
     assert len(idx) == 1
-    assert idx.incidence().shape == idx.point_keys().shape == (1, 0)
+    assert idx.span_keys(-1).shape == idx.span_keys(1).shape == (1, 0)
     assert idx.orbit_labels().tolist() == [0]
     assert gamma_diameter(idx) == 0
     graphs = [build_gamma(idx)] + [build_delta(idx, t) for t in range(1, k + 1)]

@@ -194,30 +194,34 @@ def test_run_sweep_workers_agree():
 
 def _shipped_spec(node):
     """A JSON-schema node of docs/report_schema.json in the form of the
-    code's table: (types, detail), an enum node being a string of tags."""
+    code's table: (types, detail, limits), an enum node being a string of
+    tags and the limits its minimum and maxItems."""
+    limits = tuple((key, node[key]) for key in ("minimum", "maxItems") if key in node)
     if "enum" in node:
-        return ("string",), tuple(node["enum"])
+        return ("string",), tuple(node["enum"]), limits
     types = node["type"]
     types = (types,) if isinstance(types, str) else tuple(types)
     if "items" in node:
-        return types, _shipped_spec(node["items"])
+        return types, _shipped_spec(node["items"]), limits
     if "properties" in node:
         assert set(node["properties"]) == set(node["required"])
         assert node["additionalProperties"] is False
         fields = node["properties"]
-        return types, tuple((name, _shipped_spec(fields[name])) for name in node["required"])
-    return types, None
+        detail = tuple((name, _shipped_spec(fields[name])) for name in node["required"])
+        return types, detail, limits
+    return types, None, limits
 
 
 def test_shipped_schema_matches_report_fields():
     """docs/report_schema.json and the code's table give every field, and
     every field of a witness, the same JSON types in the same key order,
-    and caps_hit the same tags; each golden line (with its timing field put
+    the same minimum and maxItems limits, and caps_hit the same tags; each
+    golden line (with its timing field put
     back) passes the table's check."""
     schema_path = pathlib.Path(__file__).parent.parent / "docs" / "report_schema.json"
     schema = json.loads(schema_path.read_text())
     assert tuple(schema["required"]) == REPORT_FIELDS
-    assert _shipped_spec(schema) == (("object",), _SCHEMA)
+    assert _shipped_spec(schema) == (("object",), _SCHEMA, ())
     assert schema["properties"]["witnesses"]["maxItems"] == grassmann._WITNESS_CAP
     validate_report(verify_instance(3, 3, 2, 1))
     witnessed = 0
