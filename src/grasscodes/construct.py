@@ -343,20 +343,13 @@ def opposite_code(c: LinearCode, t: int) -> OppositeResult:
     pivots = [next(j for j, v in enumerate(r) if v) for r in gen.rows]
     sigma = _info_set_permutation(ctx, n, pivots)
     gp = sigma.apply_to_matrix(gen)  # [I_k | M]
-    target_rank = 2 * k if 2 * k <= n else n
-    if 2 * k <= n:
-        # source columns [0,k) -> [k,2k); [k,2k) -> [0,k) scaled; rest fixed
-        perm = tuple(
-            (j + k) if j < k else (j - k) if j < 2 * k else j for j in range(n)
-        )
-        scaled_src = range(k, 2 * k)
-    else:
-        m = n - k
-        # source [0, m) -> [k, n); [m, k) fixed; [k, n) -> [0, m) scaled
-        perm = tuple(
-            (j + k) if j < m else j if j < k else (j - k) for j in range(n)
-        )
-        scaled_src = range(k, n)
+    m = min(k, n - k)
+    # source columns [0, m) -> [k, k+m); [k, k+m) -> [0, m) scaled; rest fixed
+    perm = tuple(
+        (j + k) if j < m else (j - k) if k <= j < k + m else j for j in range(n)
+    )
+    scaled_src = range(k, k + m)
+    target_rank = k + m
     for lam in ctx.all_nonzero():
         mu = MonomialMap(
             ctx, perm, tuple(lam if j in scaled_src else 1 for j in range(n))

@@ -30,13 +30,13 @@ import os
 import time
 from dataclasses import dataclass
 from math import comb, inf
+from pathlib import Path
 
 from .errors import AllPairsTooLargeError, EnumerationTooLargeError, GrassCodesError
 from .gf import field_of_order
 from .grassmann import (
     ALL_PAIRS_CAP,
     ENUM_CAP,
-    _WITNESS_CAP,
     build_delta,
     diameter_and_connectivity,
     enumerate_subspaces,
@@ -44,38 +44,11 @@ from .grassmann import (
     isometry_check,
 )
 
-# The report schema, in key order.  A spec is (allowed JSON types, detail,
-# limits), where a bool never counts as an integer, the detail constrains
-# what a value holds (an array's item spec, an object's (field, spec) pairs
-# in key order, or a string's allowed tags) and the limits are JSON-schema
-# (keyword, bound) pairs: an integer's minimum, an array's maxItems.
-# REPORT_FIELDS, the defaults, validation and the CSV columns are all read
-# from this table; docs/report_schema.json must agree with it.
-_INTEGER = (("integer",), None, ())
-_MATRIX = (("array",), (("array",), _INTEGER, ()), ())
-_WITNESS = (("object",), (
-    ("x", _MATRIX),
-    ("y", _MATRIX),
-    ("d_subgraph", (("integer", "null"), None, ())),
-    ("d_metric", _INTEGER),
-), ())
-_CAP_TAG = (("string",), ("enumeration", "pairs"), ())
-_SCHEMA = (
-    ("q", (("integer",), None, (("minimum", 2),))),
-    ("n", (("integer",), None, (("minimum", 2),))),
-    ("k", (("integer",), None, (("minimum", 1),))),
-    ("t", (("integer",), None, (("minimum", 1),))),
-    ("bound_satisfied", (("boolean",), None, ())),
-    ("class_size", (("integer", "null"), None, ())),
-    ("connected", (("boolean", "null"), None, ())),
-    ("component_count", (("integer", "null"), None, ())),
-    ("diameter_delta", (("integer", "null"), None, ())),
-    ("diameter_gamma", (("integer", "null"), None, ())),
-    ("isometric", (("boolean", "null"), None, ())),
-    ("witnesses", (("array",), _WITNESS, (("maxItems", _WITNESS_CAP),))),
-    ("caps_hit", (("array",), _CAP_TAG, ())),
-    ("wall_ms", _INTEGER),
-)
+# The report schema: the JSON Schema document shipped with the package.
+# Key order (its `required` list), the defaults, validation and the CSV
+# columns are all read from it.
+SCHEMA = json.loads(Path(__file__).with_name("report_schema.json").read_text())
+REPORT_FIELDS = tuple(SCHEMA["required"])
 _PY_TYPES = {
     "integer": int,
     "boolean": bool,
@@ -85,7 +58,11 @@ _PY_TYPES = {
     "string": str,
 }
 
-REPORT_FIELDS = tuple(name for name, _ in _SCHEMA)
+
+def _types(node: dict) -> list[str]:
+    """A schema node's JSON types: its `type`, a string or a list."""
+    kinds = node["type"]
+    return [kinds] if isinstance(kinds, str) else kinds
 
 
 @dataclass
@@ -128,10 +105,10 @@ class SweepConfig:
 
 def _empty_report(q, n, k, t) -> dict:
     """A report with nothing measured yet: null, an empty list or 0 ms."""
-    report = {
-        name: None if "null" in types else [] if "array" in types else 0
-        for name, (types, _, _) in _SCHEMA
-    }
+    report = {}
+    for name in REPORT_FIELDS:
+        types = _types(SCHEMA["properties"][name])
+        report[name] = None if "null" in types else [] if "array" in types else 0
     report.update(q=q, n=n, k=k, t=t, bound_satisfied=q >= comb(n, t))
     return report
 
@@ -229,41 +206,46 @@ def is_violation(report: dict) -> bool:
 
 
 def validate_report(report: dict) -> None:
-    """Schema check against `_SCHEMA`: the exact keys in order, each value
+    """Check a report against SCHEMA: the exact keys in order, each value
     of an allowed JSON type within its limits, every witness an object of
     the witness fields and every cap an allowed tag."""
-    problem = _problem(report, (("object",), _SCHEMA, ()))
+    problem = _problem(report, SCHEMA)
     if problem:
         raise GrassCodesError(f"report{problem}")
 
 
-def _problem(value, spec: tuple) -> str | None:
-    """Where and how value breaks the spec (types, detail, limits), or None."""
-    types, detail, limits = spec
+def _problem(value, node: dict) -> str | None:
+    """Where and how value breaks the schema node, or None.  The node's
+    keywords read are type (a bool never counts as an integer), enum,
+    minimum, maxItems, items, and required/properties in key order."""
+    types = _types(node)
     if type(value) not in [_PY_TYPES[kind] for kind in types]:
         return f" must be {' or '.join(types)}, got {value!r}"
-    for keyword, bound in limits:  # an integer's minimum or an array's maxItems
-        if value < bound if keyword == "minimum" else len(value) > bound:
-            return f" breaks {keyword} {bound}"
-    if detail is None or value is None:
+    if "enum" in node and value not in node["enum"]:
+        return f" must be one of {tuple(node['enum'])}, got {value!r}"
+    if value is None:
         return None
-    if type(value) is list:
-        # items with no detail or limits of their own are type-checked inline
-        fine = [_PY_TYPES[kind] for kind in detail[0]] if detail[1:] == (None, ()) else []
+    if "minimum" in node and value < node["minimum"]:
+        return f" breaks minimum {node['minimum']}"
+    if "maxItems" in node and len(value) > node["maxItems"]:
+        return f" breaks maxItems {node['maxItems']}"
+    if "items" in node:
+        items = node["items"]
+        # items with nothing but a type are type-checked inline
+        leaf = items.keys() == {"type"}
+        fine = [_PY_TYPES[kind] for kind in _types(items)] if leaf else []
         for i, item in enumerate(value):
-            problem = None if type(item) in fine else _problem(item, detail)
+            problem = None if type(item) in fine else _problem(item, items)
             if problem:
                 return f"[{i}]{problem}"
-    elif type(value) is dict:
-        names = tuple(name for name, _ in detail)
+    if "properties" in node:
+        names = tuple(node["required"])
         if tuple(value) != names:
             return f" keys {tuple(value)} != schema {names}"
-        for name, spec in detail:
-            problem = _problem(value[name], spec)
+        for name in names:
+            problem = _problem(value[name], node["properties"][name])
             if problem:
                 return f".{name}{problem}"
-    elif value not in detail:
-        return f" must be one of {detail}, got {value!r}"
     return None
 
 
@@ -275,18 +257,19 @@ def report_json_line(report: dict) -> str:
 CSV_FIELDS = tuple("witness_count" if f == "witnesses" else f for f in REPORT_FIELDS)
 
 
-def _csv_cell(value, items) -> str:
+def _csv_cell(value, node: dict) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, list):  # tags are spelled out, witnesses counted
-        return ";".join(value) if items is _CAP_TAG else str(len(value))
+    if isinstance(value, list):  # tags are spelled out, other arrays counted
+        return ";".join(value) if "enum" in node["items"] else str(len(value))
     return str(value)
 
 
 def report_csv_row(report: dict) -> str:
-    return ",".join(_csv_cell(report[name], items) for name, (_, items, _) in _SCHEMA)
+    fields = SCHEMA["properties"]
+    return ",".join(_csv_cell(report[name], fields[name]) for name in REPORT_FIELDS)
 
 
 def csv_header() -> str:

@@ -282,6 +282,12 @@ _REPORT_3311 = (
     pytest.param(_REPORT_3311.replace('"witnesses":[]', '"witnesses":[' + ",".join(
         ['{"x":[[1,0,1]],"y":[[0,1,1]],"d_subgraph":2,"d_metric":1}'] * 101
     ) + "]"), id="witnesses_101"),
+    pytest.param(_REPORT_3311.replace('"class_size":4', '"class_size":-3'),
+                 id="class_size_minus_3"),
+    pytest.param(_REPORT_3311.replace('"wall_ms":5', '"wall_ms":-1'), id="wall_ms_minus_1"),
+    pytest.param(_REPORT_3311.replace(
+        '"witnesses":[]', '"witnesses":[{"x":[[1,0,1]],"y":[[0,1,1]],"d_subgraph":2,"d_metric":0}]'
+    ), id="witness_d_metric_0"),
 ])
 def test_sweep_resume_rejects_non_report_lines(tmp_path, capsys, line):
     """A line that breaks the schema fails before either output is touched:

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from grasscodes.linalg import Subspace
 from grasscodes.sweep import (
     CSV_FIELDS,
     REPORT_FIELDS,
-    _SCHEMA,
+    SCHEMA,
     SweepConfig,
     _InstanceCache,
     _witness_json,
@@ -192,37 +193,20 @@ def test_run_sweep_workers_agree():
     assert seq == par
 
 
-def _shipped_spec(node):
-    """A JSON-schema node of docs/report_schema.json in the form of the
-    code's table: (types, detail, limits), an enum node being a string of
-    tags and the limits its minimum and maxItems."""
-    limits = tuple((key, node[key]) for key in ("minimum", "maxItems") if key in node)
-    if "enum" in node:
-        return ("string",), tuple(node["enum"]), limits
-    types = node["type"]
-    types = (types,) if isinstance(types, str) else tuple(types)
-    if "items" in node:
-        return types, _shipped_spec(node["items"]), limits
-    if "properties" in node:
-        assert set(node["properties"]) == set(node["required"])
-        assert node["additionalProperties"] is False
-        fields = node["properties"]
-        detail = tuple((name, _shipped_spec(fields[name])) for name in node["required"])
-        return types, detail, limits
-    return types, None, limits
-
-
 def test_shipped_schema_matches_report_fields():
-    """docs/report_schema.json and the code's table give every field, and
-    every field of a witness, the same JSON types in the same key order,
-    the same minimum and maxItems limits, and caps_hit the same tags; each
-    golden line (with its timing field put
-    back) passes the table's check."""
-    schema_path = pathlib.Path(__file__).parent.parent / "docs" / "report_schema.json"
-    schema = json.loads(schema_path.read_text())
-    assert tuple(schema["required"]) == REPORT_FIELDS
-    assert _shipped_spec(schema) == (("object",), _SCHEMA, ())
-    assert schema["properties"]["witnesses"]["maxItems"] == grassmann._WITNESS_CAP
+    """The packaged report_schema.json is the one schema: SCHEMA is that
+    file, parsed, the report's key order is its `required` list, each
+    object lists exactly its required keys, its witness cap is the
+    engine's, and each golden line (with its timing field put back)
+    passes the check."""
+    packaged = files("grasscodes").joinpath("report_schema.json").read_text()
+    assert SCHEMA == json.loads(packaged)
+    assert REPORT_FIELDS == tuple(SCHEMA["required"])
+    witnesses = SCHEMA["properties"]["witnesses"]
+    assert witnesses["maxItems"] == grassmann._WITNESS_CAP
+    for node in (SCHEMA, witnesses["items"]):  # objects: the required keys, nothing else
+        assert list(node["properties"]) == node["required"]
+        assert node["additionalProperties"] is False
     validate_report(verify_instance(3, 3, 2, 1))
     witnessed = 0
     for line in GOLDEN.read_text().splitlines():
