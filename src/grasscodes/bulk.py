@@ -4,6 +4,10 @@ numpy backs the desk-scale exhaustive machinery: many thousands of tiny
 matrices processed per call, entries as uint8 encodings, arithmetic via
 q x q lookup tables (q <= 256).  Scalar reference implementations of the
 same operations live in linalg; the test suite pins their agreement.
+
+`batched_rref` has no caller in the package: every block grassmann keys
+is built in RREF.  It stays as the oracle the tests pin those blocks to,
+and the bench tracer wraps it by name.
 """
 
 from __future__ import annotations

@@ -13,8 +13,11 @@ buckets and symmetry orbits are keyed on one small RREF basis per subspace
 and their `_Buckets` are built once, so BFS and the metric share them when
 buckets are points.  The strength of every subspace is its dual distance
 minus one, capped at k, read off the dual words of weight at most k that
-its RREF basis gives from each projective point of its free columns, with
-no reduction.
+its RREF basis gives from each projective point of its free columns.  No
+verification route runs a row reduction: span blocks, annihilators and
+the images of the symmetry generators are all built in RREF, the
+transposition (0 1) by reordering and scaling the first two rows, the
+n-cycle by clearing the new first column with the last row that holds it.
 
 Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
 distance-transitive, so BFS from one source, checked against the closed
@@ -36,7 +39,6 @@ from math import inf
 
 import numpy as np
 
-from . import bulk
 from .errors import (
     AllPairsTooLargeError,
     BadIndicesError,
@@ -228,29 +230,28 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     the last column by a primitive element and, when e > 1, the entrywise
     Frobenius map a -> a^p.  Each generator's image of every subspace is
     found by its key (< q^(kk n) < V^2), which gives the generator as a
-    permutation of positions.  Only the two permutation images are
-    re-RREFed.  The Frobenius map fixes 0 and 1, so it maps an RREF basis
-    to an RREF basis.  The scaling leaves alone a row whose only nonzero
-    entry is in the last column, a row e_(n-1) spanning its own image; in
-    every other row the last column holds no pivot, so that image is RREF
-    too.  A permutation conjugates a scaling of one column into a scaling
-    of any other, so this is the group of every column scaling.
+    permutation of positions.  No image is reduced: the two permutation
+    images are written down in RREF from the few rows they move (see
+    _permutation_images).  The Frobenius map fixes 0 and 1, so it maps an
+    RREF basis to an RREF basis.  The scaling leaves alone a row whose
+    only nonzero entry is in the last column, a row e_(n-1) spanning its
+    own image; in every other row the last column holds no pivot, so that
+    image is RREF too.  A permutation conjugates a scaling of one column
+    into a scaling of any other, so this is the group of every column
+    scaling.
     Annihilation commutes with permutations and the Frobenius map and
     inverts scalings, and reversing coordinates maps the group onto
     itself, so on the reversed annihilators the same generators give the
     same orbits.
     """
     mul = ctx.np_tables()[2]
-    v, _, n = bases.shape
+    v, kk, n = bases.shape
     keys = _keys(ctx.q, bases)
     # annihilators' keys are not in index order
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
 
-    images = []
-    if n > 1:
-        for cols in ([1, 0, *range(2, n)], np.roll(np.arange(n), 1)):
-            images.append(bulk.batched_rref(ctx, bases[:, :, cols])[0])
+    images = _permutation_images(ctx, bases) if n > 1 and kk else []
     if ctx.q > 2 and n:
         scaled = bases.copy()
         last = bases[:, :, -1]
@@ -275,6 +276,49 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
         return low
 
     return _min_labels(v, step)
+
+
+def _permutation_images(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray]:
+    """RREF bases of the images of (V, kk, n) RREF bases, kk >= 1 and
+    n >= 2, under the transposition (0 1) and the n-cycle that moves the
+    last column to the front, each a few table gathers with no column loop.
+
+    Transposition (0 1): every row but the first two is 0 in columns 0
+    and 1, so only those two change.  Row 1 of the swapped basis is
+    nonzero in column 0 only when columns 0 and 1 were both pivots; then
+    rows 0 and 1 swap back.  Row 0 is then RREF once scaled by the inverse
+    of its column-0 entry, when that entry is nonzero.
+
+    n-cycle: let c be the rolled column 0, the old last column.  When c is
+    0 the rolled basis is RREF.  Otherwise the last row m with c_m != 0,
+    times 1/c_m, becomes row 0, and every other row j subtracts c_j times
+    it; the rest keep their order.  Row m's pivot column turns free.  As
+    an RREF row, row m is 0 at every other row's pivot, so those pivots
+    survive, and rows below m are untouched (c_j = 0).  Rows above m have
+    pivots before row m's, where row m is 0, so they gain nothing ahead of
+    their pivots; an earlier m would put entries ahead of a later row's.
+    """
+    _, sub, mul, inv, _ = ctx.np_tables()
+    kk, n = bases.shape[1:]
+    unit = inv.copy()
+    unit[0] = 1  # a row with nothing to normalize is left as it is
+    swapped = bases[:, :, [1, 0, *range(2, n)]]
+    if kk > 1:
+        both = (swapped[:, 1, 0] != 0)[:, None, None]
+        swapped[:, :2] = np.where(both, swapped[:, 1::-1], swapped[:, :2])
+    swapped[:, 0] = mul[swapped[:, 0], unit[swapped[:, 0, :1]]]
+
+    rolled = bases[:, :, np.roll(np.arange(n), 1)]
+    c = rolled[:, :, 0]
+    # the last row with c != 0, or row 0 when c = 0, which leaves all as is
+    m = ((c != 0) * np.arange(1, kk + 1)).argmax(axis=1)
+    at = np.arange(len(bases))
+    top = mul[rolled[at, m], unit[c[at, m], None]]
+    rows = sub[rolled, mul[c[:, :, None], top[:, None, :]]]
+    rolled[:, 0] = top
+    for i in range(1, kk):  # the rows above m move down one
+        rolled[:, i] = np.where((m < i)[:, None], rows[:, i], rows[:, i - 1])
+    return [swapped, rolled]
 
 
 def _min_labels(v: int, step) -> np.ndarray:

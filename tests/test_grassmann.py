@@ -450,6 +450,31 @@ def test_keyed_blocks_are_already_rref(monkeypatch, q):
             assert (bulk.batched_rref(ctx, image)[0] == image).all(), (q, n, k)
 
 
+@pytest.mark.parametrize("q", sorted(RREF_GRID))
+def test_permutation_images_match_batched_rref(q):
+    """The closed-form images of the small bases under the transposition
+    (0 1) and the n-cycle equal batched_rref of the permuted bases on every
+    index of RREF_GRID, 2k > n, kk = 1 and n = 2 among them."""
+    ctx = field_of_order(q)
+    for n, k in RREF_GRID[q]:
+        bases = enumerate_subspaces(ctx, n, k)._small_bases()
+        images = grassmann._permutation_images(ctx, bases)
+        for image, cols in zip(images, ([1, 0, *range(2, n)], np.roll(np.arange(n), 1))):
+            assert (image == bulk.batched_rref(ctx, bases[:, :, cols])[0]).all(), (q, n, k)
+
+
+def test_orbit_labels_run_no_reduction(monkeypatch):
+    """Orbit labels key every symmetry image as built: no batched RREF, with
+    k < n-k, with 2k > n, and with the Frobenius map at q = 9 and q = 8."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit labels must not reduce")
+
+    monkeypatch.setattr(bulk, "batched_rref", refuse)
+    for q, n, k in [(3, 5, 2), (2, 6, 4), (9, 4, 2), (8, 4, 2)]:
+        assert len(enumerate_subspaces(field_of_order(q), n, k).orbit_labels())
+
+
 def test_bitset_all_pairs_matches_oracle_bfs():
     graphs = []
     for q, n, k, t in [(2, 4, 2, None), (2, 5, 3, None), (3, 4, 2, 1), (2, 5, 2, 1), (5, 3, 2, 2)]:
