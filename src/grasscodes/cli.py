@@ -180,6 +180,8 @@ def cmd_opposite(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_vertices < 1:
+        raise ValueError("caps must be positive")
     ctx = field_of_order(args.q)
     index = enumerate_subspaces(ctx, args.n, args.k, max_count=args.max_vertices)
     delta = build_delta(index, args.t)

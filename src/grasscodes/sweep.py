@@ -6,13 +6,14 @@ with witnesses, resource caps hit, wall time.  Every instance runs the
 same checks; each report field has one meaning.  Reports are emitted as
 JSON lines (and a CSV summary) with a fixed key order, so two runs of
 the same config are byte-identical except for the timing field.
-Instances sharing (q, n, k) form one group that shares the enumeration,
-the symmetry orbits and the full graph's diameter, checked from one BFS
-source.  The induced subgraph is verified by BFS from one representative
-per symmetry orbit (see grassmann), and only that representatives x V
-distance block meets the pairs cap.  Groups run in order or, with
-`workers` > 1, spread over at most min(workers, CPU count, number of
-groups) processes.
+The unit of work is the (q, n, k) group, run by `verify_group`: one
+enumeration and one check of the full graph's diameter, from one BFS
+source, serve every t of the group, and their time is counted in the
+group's first report's wall_ms.  Each t's induced subgraph is verified
+by BFS from one representative per symmetry orbit (see grassmann), and
+only that representatives x V distance block meets the pairs cap.
+Groups run in order or, with `workers` > 1, spread over at most
+min(workers, CPU count, number of groups) processes.
 
 An instance *violates the theorem* when its field is large enough
 (q at least the number of codimension-t coordinate subspaces), nothing
@@ -37,6 +38,7 @@ from .gf import field_of_order
 from .grassmann import (
     ALL_PAIRS_CAP,
     ENUM_CAP,
+    SubspaceIndex,
     build_delta,
     diameter_and_connectivity,
     enumerate_subspaces,
@@ -85,7 +87,8 @@ class SweepConfig:
         self.instances()
 
     def instances(self) -> list[tuple[int, int, int, int]]:
-        """Valid (q, n, k, t) combinations in deterministic config order."""
+        """Valid (q, n, k, t) combinations in config order, each listed
+        once, where it first appears."""
         out = []
         for q in self.q_list:
             field_of_order(q).np_tables()  # a bad order, or q > 256 for uint8 bases
@@ -100,7 +103,7 @@ class SweepConfig:
                             out.append((q, n, k, t))
         if not out:
             raise ValueError("configuration yields no valid (q, n, k, t) instance")
-        return out
+        return list(dict.fromkeys(out))
 
 
 def _empty_report(q, n, k, t) -> dict:
@@ -133,47 +136,18 @@ def _witness_json(graph, rep) -> list:
     return out
 
 
-class _InstanceCache:
-    """Per-(q, n, k) artifacts shared across the t values of one group,
-    keyed on the enumeration cap too, since it decides what was computed.
-    A capped enumeration raises before it builds anything and is not kept."""
-
-    def __init__(self):
-        self.key = None
-        self.index = None
-        self.diameter_gamma = None
-
-    def load(self, q, n, k, max_vertices):
-        key = (q, n, k, max_vertices)
-        if self.key != key:
-            self.key = None
-            self.index = enumerate_subspaces(field_of_order(q), n, k, max_count=max_vertices)
-            self.diameter_gamma = gamma_diameter(self.index)
-            self.key = key
+def _ms_since(started: float) -> int:
+    return int((time.perf_counter() - started) * 1000)
 
 
-def verify_instance(
-    q: int,
-    n: int,
-    k: int,
-    t: int,
-    max_vertices: int = ENUM_CAP,
-    max_pairs: int = ALL_PAIRS_CAP,
-    cache: _InstanceCache | None = None,
-) -> dict:
-    """One GraphReport dict, schema-exact."""
+def verify_instance(index: SubspaceIndex, t: int, diameter_gamma: int, max_pairs: int) -> dict:
+    """The GraphReport dict, schema-exact, of the strength-t class of an
+    enumerated (q, n, k) index whose full graph has diameter_gamma."""
     started = time.perf_counter()
-    report = _empty_report(q, n, k, t)
-    cache = cache or _InstanceCache()
-    try:
-        cache.load(q, n, k, max_vertices)
-    except EnumerationTooLargeError:
-        report["caps_hit"] = ["enumeration"]
-        report["wall_ms"] = int((time.perf_counter() - started) * 1000)
-        return report
-    delta = build_delta(cache.index, t)
+    report = _empty_report(index.ctx.q, index.n, index.k, t)
+    delta = build_delta(index, t)
     report["class_size"] = delta.num_vertices
-    report["diameter_gamma"] = cache.diameter_gamma
+    report["diameter_gamma"] = diameter_gamma
     try:
         summary = diameter_and_connectivity(delta, max_pairs=max_pairs)
         report["connected"] = summary.connected
@@ -184,9 +158,30 @@ def verify_instance(
         report["witnesses"] = _witness_json(delta, iso)
     except AllPairsTooLargeError:
         report["caps_hit"] = ["pairs"]
-
-    report["wall_ms"] = int((time.perf_counter() - started) * 1000)
+    report["wall_ms"] = _ms_since(started)
     return report
+
+
+def verify_group(
+    q: int, n: int, k: int, ts: list[int], max_vertices: int, max_pairs: int
+) -> list[dict]:
+    """The reports of the (q, n, k, t) instances for each t in ts, in order.
+
+    The group is enumerated once and the full graph's diameter checked
+    once; both count in the first report's wall_ms.  When the enumeration
+    exceeds max_vertices, every t reports caps_hit ["enumeration"]."""
+    started = time.perf_counter()
+    try:
+        index = enumerate_subspaces(field_of_order(q), n, k, max_count=max_vertices)
+    except EnumerationTooLargeError:
+        reports = [_empty_report(q, n, k, t) | {"caps_hit": ["enumeration"]} for t in ts]
+        reports[0]["wall_ms"] = _ms_since(started)
+        return reports
+    diameter_gamma = gamma_diameter(index)
+    setup_ms = _ms_since(started)
+    reports = [verify_instance(index, t, diameter_gamma, max_pairs) for t in ts]
+    reports[0]["wall_ms"] += setup_ms
+    return reports
 
 
 def is_violation(report: dict) -> bool:
@@ -276,37 +271,22 @@ def csv_header() -> str:
     return ",".join(CSV_FIELDS)
 
 
-def _run_group(args) -> list[dict]:
-    """Worker task: all t-instances of one (q, n, k) group (shared cache)."""
-    q, n, k, ts, max_vertices, max_pairs = args
-    cache = _InstanceCache()
-    return [
-        verify_instance(
-            q, n, k, t,
-            max_vertices=max_vertices,
-            max_pairs=max_pairs,
-            cache=cache,
-        )
-        for t in ts
-    ]
-
-
 def run_sweep(config: SweepConfig, skip: set | None = None):
     """Yield GraphReport dicts in config order; `skip` holds (q,n,k,t) keys
     already present in a resumed output file."""
     skip = skip or set()
     todo = [inst for inst in config.instances() if inst not in skip]
-    tasks = [
+    groups = [
         (q, n, k, [inst[3] for inst in group], config.max_vertices, config.max_pairs)
         for (q, n, k), group in itertools.groupby(todo, key=lambda inst: inst[:3])
     ]
-    workers = min(config.workers, os.cpu_count() or 1, len(tasks))
+    workers = min(config.workers, os.cpu_count() or 1, len(groups))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(_run_group, tasks):
-                yield from batch
+            for reports in pool.map(verify_group, *zip(*groups)):
+                yield from reports
     else:
-        for task in tasks:
-            yield from _run_group(task)
+        for group in groups:
+            yield from verify_group(*group)

@@ -7,6 +7,7 @@ match the full graph's 1; every other grid instance must satisfy every
 clause, and that instance must satisfy all but the diameter clause.
 """
 
+import itertools
 import random
 from math import comb, inf
 
@@ -35,6 +36,8 @@ from grasscodes.construct import (
 )
 from grasscodes.gf import field_of_order
 from grasscodes.grassmann import (
+    ALL_PAIRS_CAP,
+    ENUM_CAP,
     build_delta,
     enumerate_subspaces,
     grassmann_distance,
@@ -49,11 +52,10 @@ from grasscodes.linalg import (
 )
 from grasscodes.sweep import (
     SweepConfig,
-    _InstanceCache,
     is_violation,
     run_sweep,
     validate_report,
-    verify_instance,
+    verify_group,
 )
 
 QS = (2, 3, 4, 5, 7, 8, 9)
@@ -128,11 +130,15 @@ def sample_pairs_at_distance(delta, d, rng, want):
 def test_criterion_1_main_theorem_sweep():
     grid = main_grid()
     assert KNOWN_GAP in grid
-    cache = _InstanceCache()
+    reports = [
+        rep
+        for (q, n, k), group in itertools.groupby(grid, key=lambda inst: inst[:3])
+        for rep in verify_group(q, n, k, [inst[3] for inst in group], ENUM_CAP, ALL_PAIRS_CAP)
+    ]
     failures = []
     gap_seen = False
-    for q, n, k, t in grid:
-        rep = verify_instance(q, n, k, t, cache=cache)
+    for (q, n, k, t), rep in zip(grid, reports, strict=True):
+        assert (rep["q"], rep["n"], rep["k"], rep["t"]) == (q, n, k, t)
         validate_report(rep)
         assert rep["caps_hit"] == [], (q, n, k, t)
         assert rep["class_size"] > 0, (q, n, k, t)

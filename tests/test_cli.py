@@ -145,6 +145,25 @@ def test_enumerate_caps(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_enumerate_rejects_non_positive_cap(cap, capsys):
+    rc = main([
+        "enumerate", "--q", "2", "--n", "3", "--k", "1", "--t", "1",
+        "--max-vertices", cap,
+    ])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "caps must be positive" in captured.err
+
+
+def test_sweep_repeated_grid_values_report_once(capsys):
+    assert main(["sweep", "--q", "2,2", "--n", "3", "--t", "1,1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [tuple(json.loads(line)[f] for f in "qnkt") for line in lines] == [
+        (2, 3, 1, 1), (2, 3, 2, 1),
+    ]
+
+
 def test_sweep_stdout_and_exit_codes(capsys):
     assert main(["sweep", "--q", "3", "--n", "2"]) == 0
     capsys.readouterr()

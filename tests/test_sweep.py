@@ -8,17 +8,22 @@ import numpy as np
 import pytest
 
 from conftest import index_of
-from grasscodes import grassmann
+from grasscodes import grassmann, sweep
 from grasscodes.errors import GrassCodesError, NotPrimeError
 from grasscodes.gf import field_of_order
-from grasscodes.grassmann import GrassmannGraph, enumerate_subspaces, isometry_check
-from grasscodes.linalg import Subspace
+from grasscodes.grassmann import (
+    ALL_PAIRS_CAP,
+    ENUM_CAP,
+    GrassmannGraph,
+    enumerate_subspaces,
+    isometry_check,
+)
+from grasscodes.linalg import Subspace, subspace_count
 from grasscodes.sweep import (
     CSV_FIELDS,
     REPORT_FIELDS,
     SCHEMA,
     SweepConfig,
-    _InstanceCache,
     _witness_json,
     csv_header,
     is_violation,
@@ -26,8 +31,14 @@ from grasscodes.sweep import (
     report_json_line,
     run_sweep,
     validate_report,
-    verify_instance,
+    verify_group,
 )
+
+
+def verify_one(q, n, k, t, max_vertices=ENUM_CAP, max_pairs=ALL_PAIRS_CAP):
+    """The report of one (q, n, k, t) instance, run as a group of one t."""
+    [report] = verify_group(q, n, k, [t], max_vertices, max_pairs)
+    return report
 
 
 def test_config_validation():
@@ -50,8 +61,13 @@ def test_instances_filter_invalid_combos():
         SweepConfig(q_list=[6], n_list=[3]).instances()  # 6 not a prime power
 
 
+def test_instances_listed_once_in_first_seen_order():
+    cfg = SweepConfig(q_list=[3, 2, 3], n_list=[3, 3], k_list=[2, 1, 2], t_list=[1, 1])
+    assert cfg.instances() == [(3, 3, 2, 1), (3, 3, 1, 1), (2, 3, 2, 1), (2, 3, 1, 1)]
+
+
 def test_verify_instance_bound_satisfied():
-    rep = verify_instance(5, 4, 2, 1)
+    rep = verify_one(5, 4, 2, 1)
     validate_report(rep)
     assert rep["bound_satisfied"] is True  # 5 >= C(4,1) = 4
     assert rep["connected"] is True
@@ -62,7 +78,7 @@ def test_verify_instance_bound_satisfied():
 
 
 def test_verify_instance_empty_class():
-    rep = verify_instance(2, 4, 2, 2)  # no MDS [4,2] over GF(2)
+    rep = verify_one(2, 4, 2, 2)  # no MDS [4,2] over GF(2)
     validate_report(rep)
     assert rep["class_size"] == 0
     assert rep["connected"] is True and rep["isometric"] is True
@@ -75,19 +91,19 @@ def test_verify_instance_known_gap():
     """q = 2, n = 2: the strength-1 class is a single vertex, so the
     induced diameter 0 differs from the full graph's 1 even though the
     color bound holds; the report must flag it as a violation."""
-    rep = verify_instance(2, 2, 1, 1)
+    rep = verify_one(2, 2, 1, 1)
     validate_report(rep)
     assert rep["bound_satisfied"] is True
     assert rep["class_size"] == 1
     assert rep["diameter_delta"] == 0 and rep["diameter_gamma"] == 1
     assert is_violation(rep)
     # one field up it is fine
-    rep3 = verify_instance(3, 2, 1, 1)
+    rep3 = verify_one(3, 2, 1, 1)
     assert not is_violation(rep3)
 
 
 def test_caps_enumeration():
-    rep = verify_instance(2, 4, 2, 1, max_vertices=10)
+    rep = verify_one(2, 4, 2, 1, max_vertices=10)
     validate_report(rep)
     assert rep["caps_hit"] == ["enumeration"]
     assert rep["class_size"] is None
@@ -97,7 +113,7 @@ def test_caps_enumeration():
 def test_caps_pairs():
     """The pairs cap applies to the induced subgraph alone; the full
     graph's diameter comes from one BFS source and is still reported."""
-    rep = verify_instance(2, 4, 2, 1, max_pairs=5)
+    rep = verify_one(2, 4, 2, 1, max_pairs=5)
     validate_report(rep)
     assert rep["caps_hit"] == ["pairs"]
     assert rep["connected"] is None
@@ -105,17 +121,39 @@ def test_caps_pairs():
     assert not is_violation(rep)
 
 
-def test_cache_keys_on_caps():
-    """A shared cache must not reuse artifacts computed under another
-    enumeration cap."""
-    cache = _InstanceCache()
-    for t in (1, 2):  # a repeat meets the cap again, not a half-loaded entry
-        capped = verify_instance(2, 4, 2, t, max_vertices=10, cache=cache)
-        assert capped["caps_hit"] == ["enumeration"]
-    shared = verify_instance(2, 4, 2, 2, cache=cache)
-    fresh = verify_instance(2, 4, 2, 2)
-    assert shared["diameter_gamma"] == fresh["diameter_gamma"] == 2
-    assert shared["caps_hit"] == fresh["caps_hit"] == []
+def test_run_sweep_enumerates_each_group_once(monkeypatch):
+    """Each (q, n, k) group is enumerated once and its full graph checked
+    once, for all its t.  (3,4,2) has 130 subspaces, over the cap of 100,
+    so each of its t reports the enumeration cap and its full graph is
+    never checked; without the cap it gives the recorded lines."""
+    enumerated, checked = [], []
+
+    def enumerate_recording(ctx, n, k, max_count):
+        enumerated.append((ctx.q, n, k))
+        return enumerate_subspaces(ctx, n, k, max_count=max_count)
+
+    def gamma_recording(index):
+        checked.append((index.ctx.q, index.n, index.k))
+        return grassmann.gamma_diameter(index)
+
+    monkeypatch.setattr(sweep, "enumerate_subspaces", enumerate_recording)
+    monkeypatch.setattr(sweep, "gamma_diameter", gamma_recording)
+    reports = list(run_sweep(SweepConfig(q_list=[2, 3], n_list=[4], max_vertices=100)))
+    groups = [(q, 4, k) for q in (2, 3) for k in (1, 2, 3)]
+    assert enumerated == groups
+    assert checked == [g for g in groups if g != (3, 4, 2)]
+    capped = [r for r in reports if r["caps_hit"]]
+    assert [(r["q"], r["n"], r["k"], r["t"]) for r in capped] == [(3, 4, 2, 1), (3, 4, 2, 2)]
+    assert all(r["caps_hit"] == ["enumeration"] and r["class_size"] is None for r in capped)
+    rerun = [
+        re.sub(r',"wall_ms":\d+\}$', "}", report_json_line(r))
+        for r in run_sweep(SweepConfig(q_list=[3], n_list=[4], k_list=[2]))
+    ]
+    recorded = [
+        line for line in GOLDEN.read_text().splitlines()
+        if line.startswith('{"q":3,"n":4,"k":2,')
+    ]
+    assert len(recorded) == 2 and rerun == recorded
 
 
 def test_witness_json_on_non_isometric_subgraph():
@@ -145,15 +183,15 @@ def test_witness_json_on_non_isometric_subgraph():
         {"x": rows[a], "y": rows[b], "d_subgraph": d, "d_metric": 2}
         for a, b, d in expected
     ]
-    report = verify_instance(2, 4, 2, 1)
+    report = verify_one(2, 4, 2, 1)
     report["isometric"] = False
     report["witnesses"] = witnesses
     assert json.loads(report_json_line(report))["witnesses"] == witnesses
 
 
 def test_report_json_key_order_and_determinism():
-    a = verify_instance(3, 4, 2, 1)
-    b = verify_instance(3, 4, 2, 1)
+    a = verify_one(3, 4, 2, 1)
+    b = verify_one(3, 4, 2, 1)
     line_a = report_json_line(a)
     line_b = report_json_line(b)
     assert list(json.loads(line_a).keys()) == list(REPORT_FIELDS)
@@ -163,7 +201,7 @@ def test_report_json_key_order_and_determinism():
 
 
 def test_csv_shapes():
-    rep = verify_instance(3, 3, 2, 1)
+    rep = verify_one(3, 3, 2, 1)
     header = csv_header()
     row = report_csv_row(rep)
     assert len(header.split(",")) == len(row.split(",")) == len(CSV_FIELDS)
@@ -207,7 +245,7 @@ def test_shipped_schema_matches_report_fields():
     for node in (SCHEMA, witnesses["items"]):  # objects: the required keys, nothing else
         assert list(node["properties"]) == node["required"]
         assert node["additionalProperties"] is False
-    validate_report(verify_instance(3, 3, 2, 1))
+    validate_report(verify_one(3, 3, 2, 1))
     witnessed = 0
     for line in GOLDEN.read_text().splitlines():
         rec = json.loads(line)
@@ -228,7 +266,7 @@ def test_shipped_schema_matches_report_fields():
 def test_validate_report_checks_witness_items(witness):
     """Each witness is the schema's {x, y, d_subgraph, d_metric} object:
     keys in order, bases as lists of integer rows, d_metric an integer."""
-    report = verify_instance(3, 3, 1, 1)
+    report = verify_one(3, 3, 1, 1)
     report["witnesses"] = [witness]
     with pytest.raises(GrassCodesError, match=r"witnesses\[0\]"):
         validate_report(report)
@@ -251,11 +289,10 @@ def test_full_graph_gets_no_all_pairs_pass(monkeypatch):
 
     monkeypatch.setattr(grassmann, "_bfs", recording)
     monkeypatch.setattr(grassmann, "all_pairs_distances", refuse)
-    cache = _InstanceCache()
-    reports = [verify_instance(3, 4, 2, t, cache=cache) for t in (1, 2)]
+    reports = verify_group(3, 4, 2, [1, 2], ENUM_CAP, ALL_PAIRS_CAP)
     assert [r["diameter_gamma"] for r in reports] == [2, 2]
     assert [r["isometric"] for r in reports] == [True, True]
-    assert calls == [(len(cache.index), 1), (84, 4), (8, 1)]
+    assert calls == [(subspace_count(4, 2, 3), 1), (84, 4), (8, 1)]
 
 
 def test_run_sweep_clamps_workers(monkeypatch):
@@ -276,8 +313,8 @@ def test_run_sweep_clamps_workers(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     four_groups = SweepConfig(q_list=[2, 3], n_list=[3], t_list=[1], workers=64)
@@ -329,10 +366,9 @@ def test_reports_at_n7_through_annihilators():
     """(2,7,4,t): min(k, n-k) = 3 reached through annihilators.  Γ has
     more pairs than ALL_PAIRS_CAP, which its one-source check never needs.
     The lines were recorded with the stacked-rank metric, without wall_ms."""
-    cache = _InstanceCache()
     lines = [
-        re.sub(r',"wall_ms":\d+\}$', "}", report_json_line(verify_instance(2, 7, 4, t, cache=cache)))
-        for t in (2, 3)
+        re.sub(r',"wall_ms":\d+\}$', "}", report_json_line(report))
+        for report in verify_group(2, 7, 4, [2, 3], ENUM_CAP, ALL_PAIRS_CAP)
     ]
     assert lines == [
         '{"q":2,"n":7,"k":4,"t":2,"bound_satisfied":false,"class_size":1605,'
