@@ -12,8 +12,8 @@ against each other.
 Strength echelons recover the classical families: strength >= 1 is
 non-degenerate, >= 2 projective, and strength k exactly the MDS codes.
 
-Monomial maps (coordinate permutation composed with nonzero column
-scalings) act on codes and preserve all of the above.
+Monomial maps (a coordinate permutation with nonzero column scalings)
+act on codes through `apply_monomial` and preserve all of the above.
 """
 
 from __future__ import annotations
@@ -104,26 +104,6 @@ class MonomialMap:
             for i in range(m.nrows):
                 out[i][dest] = ctx.mul(s, m.rows[i][j])
         return MatrixGF._trusted(ctx, tuple(map(tuple, out)), self.n)
-
-    def compose(self, other: "MonomialMap") -> "MonomialMap":
-        """self ∘ other: apply other first, then self."""
-        if other.n != self.n or other.ctx != self.ctx:
-            raise DimensionMismatchError("cannot compose maps on different spaces")
-        ctx = self.ctx
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        scalars = tuple(
-            ctx.mul(other.scalars[j], self.scalars[other.perm[j]]) for j in range(self.n)
-        )
-        return MonomialMap(ctx, perm, scalars)
-
-    def inverse(self) -> "MonomialMap":
-        n = self.n
-        perm = [0] * n
-        scalars = [1] * n
-        for j in range(n):
-            perm[self.perm[j]] = j
-            scalars[self.perm[j]] = self.ctx.inv(self.scalars[j])
-        return MonomialMap(self.ctx, tuple(perm), tuple(scalars))
 
 
 # -- linear codes -----------------------------------------------------------------

@@ -4,7 +4,10 @@ Everything the verification sweeps check *for existence* is built here
 *explicitly*: MDS generators from Vandermonde evaluations, single
 adjacency steps between codes that stay inside the strength-t class,
 dimension shrinking that protects a prescribed subspace, full geodesic
-paths, and opposite (maximum-distance) equivalent codes.
+paths, and opposite (maximum-distance) equivalent codes.  Steps and
+paths join two codes of one dimension and reject any other pair; an
+opposite code is the image of one monomial map, a swap of pivot and
+free columns with one scalar.
 
 All scans are deterministic: hyperplanes and coset representatives are
 enumerated in a fixed canonical order and the first success is returned,
@@ -35,17 +38,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .codes import (
-    LinearCode,
-    MonomialMap,
-    apply_monomial,
-    column_rank,
-    has_strength,
-    strength,
-)
+from .codes import LinearCode, MonomialMap, column_rank, has_strength, strength
 from .errors import (
     BadInnerSubspaceError,
     BadTError,
+    DimensionMismatchError,
     DuplicatePointsError,
     InternalInvariantError,
     NoLambdaError,
@@ -63,14 +60,9 @@ from .linalg import (
     complement_basis,
     hyperplanes_containing,
     intersect,
-    projective_reps,
+    projective_combinations,
     rref,
 )
-
-
-def coordinate_tuples(n: int, t: int):
-    """All colors (i_1 < ... < i_t), 1-based, in lexicographic order."""
-    return itertools.combinations(range(1, n + 1), t)
 
 
 # -- scan diagnostics ------------------------------------------------------------
@@ -97,13 +89,13 @@ def _span_in_class(space: Subspace, t: int) -> bool:
     n, k = space.ambient_dim, space.dim
     rows = space.basis.rows
     in_class = True
-    for color in coordinate_tuples(n, t):
-        d = k - column_rank(ctx, rows, [i - 1 for i in color])
+    for color in itertools.combinations(range(n), t):
+        d = k - column_rank(ctx, rows, color)
         scan_stats.meet_checks += 1
         if d > k - t + 1:
             scan_stats.meet_violations += 1
             raise InternalInvariantError(
-                f"coordinate meet dimension {d} exceeds bound {k - t + 1} at {color}"
+                f"coordinate meet dimension {d} exceeds bound {k - t + 1} at columns {color}"
             )
         in_class = in_class and d == k - t
     return in_class
@@ -114,6 +106,15 @@ def _require_strength(c: LinearCode, t: int, who: str) -> None:
         raise BadTError(f"strength t must be at least 1, got t={t}")
     if t > c.k or not has_strength(c, t, "columns"):
         raise NotInCtError(f"{who} has strength {strength(c)} < {t}")
+
+
+def _require_pair(x: LinearCode, y: LinearCode, t: int) -> None:
+    """Both codes in the strength-t class, and of one dimension: a path
+    in a Grassmann graph never leaves its k."""
+    if x.k != y.k:
+        raise DimensionMismatchError(f"codes of dimension {x.k} and {y.k}")
+    _require_strength(x, t, "x")
+    _require_strength(y, t, "y")
 
 
 # -- MDS generator ------------------------------------------------------------------
@@ -158,31 +159,17 @@ class StepCertificate:
     z_code: LinearCode
     hyperplane_used: Subspace
     coset_rep: Vector
-    dim_x_meet_z: int
     dim_z_meet_y: int
-    class_member: bool
-
-
-def _coset_rep_vectors(ctx: FieldCtx, comp: list[Vector]):
-    """Canonical nonzero coset representatives of y modulo (x ∩ y):
-    projective combinations of comp, the complement basis of x ∩ y in y,
-    generated lazily (there are [d]_q of them)."""
-    n = len(comp[0])
-    for lam in projective_reps(ctx, len(comp)):
-        v = [0] * n
-        for li, b in zip(lam, comp):
-            if li:
-                v = [ctx.add(a, ctx.mul(li, c)) for a, c in zip(v, b)]
-        yield tuple(v)
 
 
 def _step_candidates(x: LinearCode, y: LinearCode, xy: Subspace):
     """Deterministic (hyperplane, rep, span) scan order of step_toward;
-    xy is x ∩ y."""
+    xy is x ∩ y.  The coset representatives of y modulo xy are the
+    [d]_q projective combinations of xy's complement basis in y."""
     ctx = x.ctx
     comp = complement_basis(xy, y.space)
     for h in hyperplanes_containing(x.space, xy):
-        for z in _coset_rep_vectors(ctx, comp):
+        for z in projective_combinations(ctx, comp):
             span = Subspace._row_space(ctx, x.n, h.basis.rows + (z,))
             yield h, z, span
 
@@ -212,8 +199,7 @@ def step_toward(x: LinearCode, y: LinearCode, t: int) -> StepCertificate:
     and ultimately raise NoStepFound.  At distance 1 the step lands on y,
     and y itself is returned, so a path ends on the caller's code.
     """
-    _require_strength(x, t, "x")
-    _require_strength(y, t, "y")
+    _require_pair(x, y, t)
     xy = intersect(x.space, y.space)
     d = x.k - xy.dim
     if d == 0:
@@ -224,7 +210,7 @@ def step_toward(x: LinearCode, y: LinearCode, t: int) -> StepCertificate:
         if _span_in_class(span, t):
             zy = _forced_meet(x, span, y, d)
             z_code = y if d == 1 else LinearCode(span)
-            return StepCertificate(z_code, h, z, x.k - 1, zy.dim, True)
+            return StepCertificate(z_code, h, z, zy.dim)
     raise NoStepFoundError(
         f"no strength-{t} step between the codes (q={x.ctx.q} below the bound?)"
     )
@@ -268,8 +254,7 @@ def geodesic_path(x: LinearCode, y: LinearCode, t: int) -> list[LinearCode]:
     two; the merged code's membership is verified directly, never
     assumed.  The remaining d <= t moves are single steps.
     """
-    _require_strength(x, t, "x")
-    _require_strength(y, t, "y")
+    _require_pair(x, y, t)
     path = [x]
     cur = x
     xy = intersect(x.space, y.space)
@@ -313,51 +298,43 @@ class OppositeResult:
     """Opposite equivalent code, the map that builds it and its scalar."""
 
     code: LinearCode      # D = witness(input), opposite to the input
-    witness: MonomialMap  # sigma^-1 mu_lambda sigma
+    witness: MonomialMap  # the pivot/free swap with scalar lam
     lam: int              # the accepted scalar
-
-
-def _info_set_permutation(ctx: FieldCtx, n: int, pivots: list[int]) -> MonomialMap:
-    rest = [j for j in range(n) if j not in set(pivots)]
-    perm = [0] * n
-    for dest, src in enumerate(pivots + rest):
-        perm[src] = dest
-    return MonomialMap(ctx, tuple(perm), (1,) * n)
 
 
 def opposite_code(c: LinearCode, t: int) -> OppositeResult:
     """An equivalent code D with dim(c ∩ D) = max(2k - n, 0).
 
-    The generator is put in systematic form over the lexicographically
-    first information set (its RREF pivots), the identity and non-pivot
-    blocks are swapped by a monomial map with the non-pivot block scaled
-    by λ, and λ is chosen by an ascending scan with a direct rank test of
-    the stacked generators (no eigenvalue machinery).  At most
-    max(k, n-k) scalars can fail, so the scan succeeds whenever
-    q > max(k, n-k) + 1.  D is built once, as the image of c under the
-    witness σ⁻¹ ∘ μ_λ ∘ σ.
+    Let p_1 < ... < p_k be the pivot columns of c's RREF generator (the
+    lexicographically first information set) and f_1 < ... < f_{n-k} the
+    other, free, columns.  For i <= m = min(k, n - k) the witness swaps
+    column p_i with column f_i and scales the column coming from f_i by
+    λ; every other column stays.  In systematic form this exchanges the
+    identity block with the first m free columns, so c + D has dimension
+    k + m for all but at most max(k, n-k) scalars.  λ is the first
+    nonzero scalar, ascending, for which the stacked generators of c and
+    its image have that rank (a direct rank test, no eigenvalue
+    machinery), so the scan succeeds whenever q > max(k, n-k) + 1.  D is
+    the row space of that image.
     """
     _require_strength(c, t, "c")
     ctx, n, k = c.ctx, c.n, c.k
     gen = c.generator
     pivots = [next(j for j, v in enumerate(r) if v) for r in gen.rows]
-    sigma = _info_set_permutation(ctx, n, pivots)
-    gp = sigma.apply_to_matrix(gen)  # [I_k | M]
-    m = min(k, n - k)
-    # source columns [0, m) -> [k, k+m); [k, k+m) -> [0, m) scaled; rest fixed
-    perm = tuple(
-        (j + k) if j < m else (j - k) if k <= j < k + m else j for j in range(n)
-    )
-    scaled_src = range(k, k + m)
-    target_rank = k + m
+    free = [j for j in range(n) if j not in pivots]
+    pairs = list(zip(pivots, free))  # the first m = min(k, n - k) of each
+    perm = list(range(n))
+    for p, f in pairs:
+        perm[p], perm[f] = f, p
+    scaled = {f for _, f in pairs}
     for lam in ctx.all_nonzero():
-        mu = MonomialMap(
-            ctx, perm, tuple(lam if j in scaled_src else 1 for j in range(n))
+        witness = MonomialMap(
+            ctx, tuple(perm), tuple(lam if j in scaled else 1 for j in range(n))
         )
-        _, rank = rref(gp.stack(mu.apply_to_matrix(gp)))
-        if rank == target_rank:
-            witness = sigma.inverse().compose(mu).compose(sigma)
-            d_code = apply_monomial(witness, c)
+        image = witness.apply_to_matrix(gen)
+        _, rank = rref(gen.stack(image))
+        if rank == k + len(pairs):
+            d_code = LinearCode(Subspace._row_space(ctx, n, image.rows))
             expected_meet = max(2 * k - n, 0)
             got = intersect(c.space, d_code.space).dim
             if got != expected_meet:  # pragma: no cover

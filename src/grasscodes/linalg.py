@@ -14,7 +14,9 @@ dimension identity from its own Zassenhaus RREF, and a containment from
 the coordinates over the outer basis that the caller needs anyway
 (`complement_basis`, `hyperplanes_containing`).  Hyperplanes of a
 subspace are written down in closed form from their functionals, with no
-kernel computation per hyperplane.
+kernel computation per hyperplane.  Those functionals, like the coset
+representatives of a construction step, are the projective combinations
+of a basis (`projective_combinations`).
 
 Entries are validated where they enter, by `MatrixGF(...)` and so by
 `Subspace.from_vectors` (and `kernel`, which spans through it).  Rows
@@ -58,6 +60,18 @@ def projective_reps(ctx: FieldCtx, dim: int) -> Iterator[Vector]:
         first = next(d for d in digits if d)
         if first == 1:
             yield tuple(digits)
+
+
+def projective_combinations(ctx: FieldCtx, rows: Sequence[Vector]) -> Iterator[Vector]:
+    """The combination sum_i lam_i rows_i for each lam of
+    `projective_reps(ctx, len(rows))`, in that order: one vector per
+    1-subspace of the span when the rows are independent."""
+    for lam in projective_reps(ctx, len(rows)):
+        v = [0] * len(rows[0])
+        for li, row in zip(lam, rows):
+            if li:
+                v = [ctx.add(a, ctx.mul(li, b)) for a, b in zip(v, row)]
+        yield tuple(v)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -318,8 +332,8 @@ def hyperplanes_containing(x: Subspace, u: Subspace) -> Iterator[Subspace]:
     Yields exactly q_int(dim x - dim u, q) distinct hyperplanes; each is the
     kernel inside x of a linear functional c (coordinates over x's basis)
     vanishing on u, spanned in closed form by x_j - (c_j / c_p) x_p for
-    j != p, p the first nonzero of c.  Functionals are enumerated as
-    canonical projective representatives of the solution space, ascending.
+    j != p, p the first nonzero of c.  The functionals are the
+    `projective_combinations` of a basis of the solution space, in order.
     """
     u_coords = _coords_within(x, u, "u is not contained in x")
     if u.dim > x.dim - 1:
@@ -327,13 +341,8 @@ def hyperplanes_containing(x: Subspace, u: Subspace) -> Iterator[Subspace]:
     ctx = x.ctx
     k = x.dim
     w = kernel(MatrixGF._trusted(ctx, u_coords, k))  # functionals on x vanishing on u
-    wrows = w.basis.rows
     xrows = x.basis.rows
-    for lam in projective_reps(ctx, w.dim):
-        c = [0] * k
-        for li, row in zip(lam, wrows):
-            if li:
-                c = [ctx.add(a, ctx.mul(li, b)) for a, b in zip(c, row)]
+    for c in projective_combinations(ctx, w.basis.rows):
         p = next(j for j, cj in enumerate(c) if cj)
         inv_p = ctx.inv(c[p])
         h_rows = []

@@ -7,7 +7,7 @@ import numpy as np
 
 from grasscodes import construct
 from grasscodes.bulk import batched_rref
-from grasscodes.codes import LinearCode, MonomialMap, strength
+from grasscodes.codes import LinearCode, MonomialMap, apply_monomial, strength
 from grasscodes.errors import GrassCodesError, NotSubspaceError
 from grasscodes.grassmann import (
     GraphSummary,
@@ -169,19 +169,45 @@ def position_of(graph, s):
 
 
 def verify_step_certificate(x, y, t, cert):
-    """Re-derive every recorded check of a step from scratch (independent routes)."""
+    """Re-derive every recorded check of a step from scratch (independent
+    routes): z is spanned by the certificate, adjacent to x and in the class."""
     z = cert.z_code
     expected_span = Subspace.from_vectors(
         x.ctx, x.n, list(cert.hyperplane_used.basis.rows) + [cert.coset_rep]
     )
     return (
         z.space == expected_span
-        and intersect(x.space, z.space).dim == cert.dim_x_meet_z
+        and intersect(x.space, z.space).dim == x.k - 1
         and intersect(z.space, y.space).dim == cert.dim_z_meet_y
-        and (strength(z) >= t) == cert.class_member
+        and strength(z) >= t
         and x.space.contains(cert.hyperplane_used)
         and y.space.contains_vector(cert.coset_rep)
     )
+
+
+def opposite_oracle(c):
+    """Oracle for `construct.opposite_code`: (λ, witness), with the witness
+    σ⁻¹ ∘ μ_λ ∘ σ composed by hand from perm and scalar tuples.
+
+    σ moves c's RREF pivots to the front in order, then the free columns
+    in order, making the generator [I_k | M].  μ_λ swaps the column blocks
+    [0, m) and [k, k+m), m = min(k, n-k), scaling the source block [k, k+m)
+    by λ.  λ is the first nonzero scalar, ascending, whose image meets c
+    in dimension max(2k - n, 0), measured by `intersect`; None if none."""
+    ctx, n, k = c.ctx, c.n, c.k
+    pivots = [next(j for j, v in enumerate(r) if v) for r in c.generator.rows]
+    order = pivots + [j for j in range(n) if j not in pivots]  # σ⁻¹: i -> order[i]
+    sigma = [order.index(j) for j in range(n)]
+    m = min(k, n - k)
+    mu = [j + k if j < m else j - k if k <= j < k + m else j for j in range(n)]
+    perm = tuple(order[mu[sigma[j]]] for j in range(n))
+    for lam in ctx.all_nonzero():
+        scalars = tuple(lam if k <= sigma[j] < k + m else 1 for j in range(n))
+        witness = MonomialMap(ctx, perm, scalars)
+        image = apply_monomial(witness, c)
+        if intersect(c.space, image.space).dim == max(2 * k - n, 0):
+            return lam, witness
+    return None
 
 
 def complement_basis_greedy(inner, outer):

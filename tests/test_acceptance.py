@@ -270,7 +270,7 @@ def test_criterion_4_step_and_count_bounds():
                 first_h = next(hyperplanes_containing(x, intersect(x, y)))
                 assert cert.hyperplane_used == first_h, (q, n, k, t, d)
                 assert verify_step_certificate(cx, cy, t, cert)
-                assert cert.dim_x_meet_z == k - 1
+                assert intersect(x, cert.z_code.space).dim == k - 1
                 assert cert.dim_z_meet_y == k - d + 1
                 verified_steps += 1
                 count = count_step_codes(cx, cy, t)

@@ -3,8 +3,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import all_codes, codewords, random_monomial
 from grasscodes.codes import (
@@ -32,7 +30,7 @@ from grasscodes.errors import (
     TooLargeExactError,
 )
 from grasscodes.gf import field_new, field_of_order
-from grasscodes.linalg import MatrixGF, Subspace
+from grasscodes.linalg import Subspace
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -218,20 +216,6 @@ def test_monomial_strength_invariance_randomized():
             c = code(ctx, rows, n=n)
             m = random_monomial(ctx, n, rng)
             assert strength(apply_monomial(m, c)) == strength(c)
-
-
-@given(st.sampled_from([2, 3, 5, 8]), st.integers(2, 5), st.integers(0, 10**9))
-@settings(max_examples=50, deadline=None)
-def test_monomial_group_laws(q, n, seed):
-    ctx = field_of_order(q)
-    rng = random.Random(seed)
-    a = random_monomial(ctx, n, rng)
-    b = random_monomial(ctx, n, rng)
-    ident = MonomialMap.identity(ctx, n)
-    assert a.compose(a.inverse()) == ident
-    assert a.inverse().compose(a) == ident
-    v = MatrixGF(ctx, [[rng.randrange(q) for _ in range(n)]])
-    assert a.compose(b).apply_to_matrix(v) == a.apply_to_matrix(b.apply_to_matrix(v))
 
 
 def test_singleton_mds_characterization():

@@ -1,10 +1,12 @@
+import itertools
+import random
+
 import pytest
 
-from conftest import count_step_codes, verify_step_certificate
+from conftest import count_step_codes, opposite_oracle, verify_step_certificate
 from grasscodes import construct
 from grasscodes.codes import (
     LinearCode,
-    MonomialMap,
     apply_monomial,
     classify,
     coordinate_subspace,
@@ -13,7 +15,6 @@ from grasscodes.codes import (
 )
 from grasscodes.construct import (
     StepCertificate,
-    coordinate_tuples,
     geodesic_path,
     opposite_code,
     scan_stats,
@@ -23,6 +24,7 @@ from grasscodes.construct import (
 )
 from grasscodes.errors import (
     BadInnerSubspaceError,
+    DimensionMismatchError,
     DuplicatePointsError,
     NoLambdaError,
     NoShrinkFoundError,
@@ -96,7 +98,7 @@ def test_step_d1_reaches_target():
             if x != y and intersect(x.space, y.space).dim == 1:
                 cert = step_toward(x, y, 1)
                 assert cert.z_code is y
-                assert cert.dim_x_meet_z == 1 and cert.dim_z_meet_y == 2
+                assert cert.dim_z_meet_y == 2
                 assert verify_step_certificate(x, y, 1, cert)
                 found += 1
         if found > 6:
@@ -111,8 +113,7 @@ def test_step_vandermonde_disjoint_pair():
     y = opposite_code(x, 2).code
     assert intersect(x.space, y.space).dim == 0
     cert = step_toward(x, y, 2)
-    assert (cert.dim_x_meet_z, cert.dim_z_meet_y) == (1, 1)
-    assert cert.class_member and strength(cert.z_code) >= 2
+    assert cert.dim_z_meet_y == 1 and strength(cert.z_code) >= 2
     assert verify_step_certificate(x, y, 2, cert)
 
 
@@ -121,8 +122,7 @@ def test_step_certificate_tamper_detected():
     y = opposite_code(x, 2).code
     cert = step_toward(x, y, 2)
     bad = StepCertificate(
-        cert.z_code, cert.hyperplane_used, cert.coset_rep,
-        cert.dim_x_meet_z + 1, cert.dim_z_meet_y, cert.class_member,
+        cert.z_code, cert.hyperplane_used, cert.coset_rep, cert.dim_z_meet_y + 1
     )
     assert not verify_step_certificate(x, y, 2, bad)
 
@@ -137,6 +137,19 @@ def test_step_preconditions():
     degenerate = LinearCode.from_generator(F5, [(1, 0, 0, 0), (0, 1, 0, 0)])
     with pytest.raises(NotInCtError):
         step_toward(degenerate, y, 1)
+
+
+def test_pairs_of_different_dimension_rejected():
+    """x ⊂ y, a sum with one vector more, and a code meeting y in a line:
+    no route runs a scan, and none returns a path off one dimension."""
+    x = vandermonde_mds(F7, 5, 2)
+    y = vandermonde_mds(F7, 5, 3)
+    w = LinearCode.from_generator(F7, [(1, 1, 1, 1, 1), (0, 1, 3, 2, 6)])
+    for a, b in [(x, y), (y, x), (w, y), (y, w)]:
+        with pytest.raises(DimensionMismatchError):
+            geodesic_path(a, b, 1)
+        with pytest.raises(DimensionMismatchError):
+            step_toward(a, b, 1)
 
 
 def test_step_first_hyperplane_above_bound():
@@ -233,7 +246,7 @@ def meets_with_colors(x, t):
     """Oracle: x's meets with the codimension-t coordinate subspaces."""
     return [
         intersect(x.space, coordinate_subspace(x.ctx, x.n, color))
-        for color in coordinate_tuples(x.n, t)
+        for color in itertools.combinations(range(1, x.n + 1), t)
     ]
 
 
@@ -398,22 +411,45 @@ def test_opposite_overlapping_case():
 
 
 def test_opposite_construction_chain():
-    """The witness is σ⁻¹∘μ_λ∘σ, rebuilt from c and λ: σ moves the RREF
-    pivots to the front, μ_λ swaps the first two k-blocks and scales the
-    source block [k, 2k) by λ (2k <= n here), and it maps c onto D."""
+    """The witness is σ⁻¹∘μ_λ∘σ, written out by hand by the oracle from c
+    alone, with the same λ, and it maps c onto D."""
     c = vandermonde_mds(F7, 5, 2)
     res = opposite_code(c, 2)
-    n, k = c.n, c.k
-    pivots = [next(j for j, v in enumerate(r) if v) for r in c.generator.rows]
-    order = pivots + [j for j in range(n) if j not in pivots]
-    sigma = MonomialMap(F7, tuple(order.index(j) for j in range(n)), (1,) * n)
-    mu = MonomialMap(
-        F7,
-        tuple((j + k) % (2 * k) if j < 2 * k else j for j in range(n)),
-        tuple(res.lam if k <= j < 2 * k else 1 for j in range(n)),
-    )
-    assert res.witness == sigma.inverse().compose(mu).compose(sigma)
+    assert (res.lam, res.witness) == opposite_oracle(c)
     assert apply_monomial(res.witness, c) == res.code
+
+
+def _opposite_pin_cases():
+    """Criterion 6's (q, n, k) grid, then 2k > n, k = n - 1 and m = 1 cases
+    past it at n = 6, 7, and k = n."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(2, 6):
+            for k in range(1, n):
+                if q > max(k, n - k) + 1:
+                    yield q, n, k
+    yield from [(8, 6, 4), (8, 6, 5), (9, 7, 5), (9, 7, 6), (9, 7, 1), (5, 4, 4)]
+
+
+def test_opposite_matches_oracle():
+    """λ and the witness equal the composed oracle's on random codes, and
+    so does the scalar scan's failure below the bound."""
+    rng = random.Random(0x0BB0)
+    cases = 0
+    for q, n, k in _opposite_pin_cases():
+        ctx = field_of_order(q)
+        for _ in range(6):
+            c = LinearCode.from_generator(
+                ctx, [[rng.randrange(q) for _ in range(n)] for _ in range(k)], n=n
+            )
+            if c.k < k or strength(c) < 1:
+                continue
+            res = opposite_code(c, 1)
+            assert (res.lam, res.witness) == opposite_oracle(c), (q, n, k)
+            assert res.code == apply_monomial(res.witness, c)
+            cases += 1
+    assert cases > 150
+    tiny = LinearCode.from_generator(F2, [(1, 1)])
+    assert opposite_oracle(tiny) is None
 
 
 def test_construct_never_scans_strength_in_class(monkeypatch):

@@ -18,6 +18,7 @@ from grasscodes.linalg import (
     hyperplanes_containing,
     intersect,
     kernel,
+    projective_combinations,
     projective_reps,
     q_int,
     rref,
@@ -271,6 +272,16 @@ def test_projective_reps():
         for c in (1, 2):
             covered.add(tuple(F3.mul(c, x) for x in r))
     assert len(covered) == 8
+
+
+@pytest.mark.parametrize("q,d", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
+def test_projective_combinations_of_unit_rows(q, d):
+    """Over the unit rows each combination is its coefficient vector, so the
+    scan is `projective_reps` itself, in order."""
+    ctx = field_of_order(q)
+    unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    assert list(projective_combinations(ctx, unit)) == list(projective_reps(ctx, d))
+    assert list(projective_combinations(ctx, [])) == []
 
 
 def test_complement_basis():
