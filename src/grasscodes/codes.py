@@ -91,10 +91,6 @@ class MonomialMap:
     def n(self) -> int:
         return len(self.perm)
 
-    @classmethod
-    def identity(cls, ctx: FieldCtx, n: int) -> "MonomialMap":
-        return cls(ctx, tuple(range(n)), (1,) * n)
-
     def apply_to_matrix(self, m: MatrixGF) -> MatrixGF:
         if m.ncols != self.n or m.ctx != self.ctx:
             raise DimensionMismatchError("matrix shape/field does not match map")

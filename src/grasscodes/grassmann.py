@@ -14,10 +14,12 @@ and their `_Buckets` are built once, so BFS and the metric share them when
 buckets are points.  The strength of every subspace is its dual distance
 minus one, capped at k, read off the dual words of weight at most k that
 its RREF basis gives from each projective point of its free columns.  No
-verification route runs a row reduction: span blocks, annihilators and
-the images of the symmetry generators are all built in RREF, the
-transposition (0 1) by reordering and scaling the first two rows, the
-n-cycle by clearing the new first column with the last row that holds it.
+verification route runs a row reduction: span keys are built entry by
+entry from products C B that are already RREF, with no block of the
+spans ever held, and annihilators and the images of the symmetry
+generators are built in RREF, the transposition (0 1) by reordering and
+scaling the first two rows, the n-cycle by clearing the new first column
+with the last row that holds it.
 
 Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
 distance-transitive, so BFS from one source, checked against the closed
@@ -108,8 +110,9 @@ class SubspaceIndex:
         return self._small
 
     def span_keys(self, r: int) -> np.ndarray:
-        """V x [kk r]_q keys (< q^(r n)) of the r-subspaces of every small
-        basis (see _small_bases and _span_keys), built once per r.
+        """V x [kk r]_q int64 keys (< q^(r n)) of the r-subspaces of every
+        small basis (see _small_bases), built once per r, entry by entry,
+        with no (V, [kk r]_q, r, n) block of the spans (see _span_keys).
 
         r = 1 gives the points the metric counts, r = kk - 1 the buckets
         of every BFS: each is a clique and every edge lies in exactly one.
@@ -163,7 +166,7 @@ def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndar
         for support in itertools.combinations(range(n - k), s)
         for tail in itertools.product(range(1, ctx.q), repeat=s - 1)
     ]
-    add_words, nonzero, enc = _word_sums(ctx, terms)
+    add_words, nonzero, enc, _ = _word_sums(ctx, terms)
     enc_mul = enc[ctx.np_tables()[2]]
     plain = (enc == np.arange(ctx.q)).all()
     for lo in range(0, v, _STRENGTH_CHUNK):
@@ -188,14 +191,16 @@ def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndar
 
 
 def _word_sums(ctx: FieldCtx, terms: int):
-    """(add, nonzero, enc) for sums of up to `terms` field elements held in
-    an encoding enc[a] where field addition is one integer ufunc: XOR of
-    the elements themselves when p = 2; otherwise plain addition of the
-    base-p digits spread into fields too wide to carry, reduced mod p only
-    in the nonzero test.  Both keep the elements themselves when e = 1 or
-    p = 2, so c = 1 needs no lookup there."""
+    """(add, nonzero, enc, dec) for sums of up to `terms` field elements
+    held in an encoding enc[a] where field addition is one integer ufunc:
+    XOR of the elements themselves when p = 2; otherwise plain addition of
+    the base-p digits spread into fields too wide to carry, reduced mod p
+    only in the nonzero test and in dec[s], the element a sum s stands
+    for.  Both keep the elements themselves when e = 1 or p = 2, so c = 1
+    needs no lookup there, and when p = 2 dec is the identity."""
     if ctx.p == 2:
-        return np.bitwise_xor, lambda acc: acc != 0, np.arange(ctx.q, dtype=np.uint8)
+        plain = np.arange(ctx.q, dtype=np.uint8)
+        return np.bitwise_xor, lambda acc: acc != 0, plain, plain
     p, e = ctx.p, ctx.e
     width = (terms * (p - 1)).bit_length()
     dtype = np.min_scalar_type((1 << (width * e)) - 1)
@@ -210,7 +215,9 @@ def _word_sums(ctx: FieldCtx, terms: int):
             hit |= (acc >> dtype.type(width * i) & mask) % p != 0
         return hit
 
-    return np.add, nonzero, spread
+    sums = np.arange(terms * int(spread[-1]) + 1)
+    dec = sum((sums >> width * i & int(mask)) % p * p**i for i in range(e)).astype(np.uint8)
+    return np.add, nonzero, spread, dec
 
 
 def _free_block(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -514,16 +521,32 @@ def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
     0 before c_j, and B's rows from c_j on are 0 before p_(c_j)), 1 there,
     and every other row is 0 there.  Both inputs are RREF by construction:
     enumerate_subspaces builds C, and SubspaceIndex._small_bases gives B as
-    the index's own bases or the reversed annihilators (see _annihilators)."""
-    add, _, mul, _, _ = ctx.np_tables()
+    the index's own bases or the reversed annihilators (see _annihilators).
+
+    The keys are built entry by entry, read row-major as big-endian base-q
+    digits, with nothing larger than (V, m) alive for the m = [kk r]_q
+    subspaces C.  Entry (a, j) of C B sums C[:, a, i] B[:, i, j] over the
+    i with a <= i <= j, the others being 0 in RREF: each product is one
+    take of the rows B[:, i, j] of a (q, m) table of C[:, a, i] times
+    every element, encoded so that the sum is one integer ufunc (see
+    _word_sums), and the sum is decoded once."""
     v, kk, n = bases.shape
     if kk == 0:  # no points, so no hyperplanes either
         return np.zeros((v, 0), dtype=np.int64)
-    coeffs = enumerate_subspaces(ctx, kk, r).bases[None, :, :, :, None]
-    spans = mul[coeffs[:, :, :, 0], bases[:, None, None, 0, :]]
-    for i in range(1, kk):
-        spans = add[spans, mul[coeffs[:, :, :, i], bases[:, None, None, i, :]]]
-    return _keys(ctx.q, spans)
+    add, _, enc, dec = _word_sums(ctx, kk)
+    coeffs = enumerate_subspaces(ctx, kk, r).bases.transpose(1, 2, 0)
+    # times[a, i, b] is C[:, a, i] b, encoded
+    times = enc[ctx.np_tables()[2][np.arange(ctx.q)[:, None], coeffs[:, :, None, :]]]
+    keys = np.zeros((v, coeffs.shape[2]), dtype=np.int64)
+    for a, j in np.ndindex(r, n):
+        keys *= ctx.q
+        if j < a:
+            continue
+        acc = np.take(times[a, a], bases[:, a, j], axis=0)
+        for i in range(a + 1, min(j, kk - 1) + 1):
+            add(acc, np.take(times[a, i], bases[:, i, j], axis=0), out=acc)
+        keys += acc if ctx.p == 2 else np.take(dec, acc)  # dec is the identity at p = 2
+    return keys
 
 
 def _keys(q: int, blocks: np.ndarray) -> np.ndarray:

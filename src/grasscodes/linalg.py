@@ -30,6 +30,7 @@ exact desk-scale work: ambient dimensions in the tens, not thousands.
 
 from __future__ import annotations
 
+from math import perm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -373,3 +374,32 @@ def subspace_count(n: int, k: int, q: int) -> int:
         den *= q ** (i + 1) - 1
     assert num % den == 0
     return num // den
+
+
+def class_count(n: int, k: int, t: int, q: int) -> int:
+    """Number of k-subspaces of F_q^n of strength >= t (capped at k, as
+    `codes.strength` is), for t = 1 or 2.
+
+    A code of strength >= t is a k x n generator whose columns span F_q^k
+    and any t of which are independent, taken up to GL_k(q).  Let T(m)
+    count the n-tuples of such columns in an m-space: (q^m - 1)^n (no zero
+    column) for t = 1, and (q - 1)^n P (P - 1) ... (P - n + 1) with
+    P = [m]_q (n distinct points, each scaled) for t = 2.  The spanning
+    tuples are sum_j (-1)^j q^(j(j-1)/2) [k j]_q T(k - j), by Mobius
+    inversion over the subspaces of F_q^k.  For t >= 3 no closed form is
+    known."""
+    if t not in (1, 2):
+        raise ValueError(f"no closed form for strength t = {t}")
+    if not t <= k <= n:  # strength is capped at k
+        return 0
+
+    def tuples(m: int) -> int:
+        return (q**m - 1) ** n if t == 1 else (q - 1) ** n * perm(q_int(m, q), n)
+
+    total = sum(
+        (-1) ** j * q ** (j * (j - 1) // 2) * subspace_count(k, j, q) * tuples(k - j)
+        for j in range(k + 1)
+    )
+    order = prod(q**k - q**i for i in range(k))  # |GL_k(q)|
+    assert total % order == 0
+    return total // order

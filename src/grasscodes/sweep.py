@@ -33,7 +33,12 @@ from dataclasses import dataclass
 from math import comb, inf
 from pathlib import Path
 
-from .errors import AllPairsTooLargeError, EnumerationTooLargeError, GrassCodesError
+from .errors import (
+    AllPairsTooLargeError,
+    EnumerationTooLargeError,
+    GrassCodesError,
+    InternalInvariantError,
+)
 from .gf import field_of_order
 from .grassmann import (
     ALL_PAIRS_CAP,
@@ -45,6 +50,7 @@ from .grassmann import (
     gamma_diameter,
     isometry_check,
 )
+from .linalg import class_count
 
 # The report schema: the JSON Schema document shipped with the package.
 # Key order (its `required` list), the defaults, validation and the CSV
@@ -142,10 +148,19 @@ def _ms_since(started: float) -> int:
 
 def verify_instance(index: SubspaceIndex, t: int, diameter_gamma: int, max_pairs: int) -> dict:
     """The GraphReport dict, schema-exact, of the strength-t class of an
-    enumerated (q, n, k) index whose full graph has diameter_gamma."""
+    enumerated (q, n, k) index whose full graph has diameter_gamma.
+
+    For t <= 2 the class size is checked against its closed form
+    (`linalg.class_count`); a mismatch means the engine is broken."""
     started = time.perf_counter()
     report = _empty_report(index.ctx.q, index.n, index.k, t)
     delta = build_delta(index, t)
+    if t <= 2:  # no closed form is known for t >= 3
+        expect = class_count(index.n, index.k, t, index.ctx.q)
+        if delta.num_vertices != expect:
+            raise InternalInvariantError(
+                f"strength-{t} class of {delta.num_vertices} codes != closed form {expect}"
+            )
     report["class_size"] = delta.num_vertices
     report["diameter_gamma"] = diameter_gamma
     try:

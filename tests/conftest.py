@@ -12,7 +12,9 @@ from grasscodes.errors import GrassCodesError, NotSubspaceError
 from grasscodes.grassmann import (
     GraphSummary,
     IsometryReport,
+    _keys,
     all_pairs_distances,
+    enumerate_subspaces,
     metric_distance_matrix,
 )
 from grasscodes.linalg import MatrixGF, Subspace, intersect
@@ -97,6 +99,27 @@ def strengths_by_column_rank(ctx, bases, n, k):
             dep = batched_rank(ctx, bases[ids][:, :, list(cols)]) < s
             dual_dist[ids[dep]] = s
     return np.where(dual_dist == 0, k, np.minimum(dual_dist - 1, k)).astype(np.int16)
+
+
+def span_blocks(ctx, bases, r):
+    """The (V, [kk r]_q, r, n) uint8 blocks C B of (V, kk >= 1, n) bases B,
+    C the RREF basis of every r-subspace of F_q^kk, built whole: one 2-D
+    `mul` gather per coefficient column and one 2-D `add` gather per sum."""
+    add, _, mul, _, _ = ctx.np_tables()
+    kk = bases.shape[1]
+    coeffs = enumerate_subspaces(ctx, kk, r).bases[None, :, :, :, None]
+    spans = mul[coeffs[:, :, :, 0], bases[:, None, None, 0, :]]
+    for i in range(1, kk):
+        spans = add[spans, mul[coeffs[:, :, :, i], bases[:, None, None, i, :]]]
+    return spans
+
+
+def span_keys_by_blocks(ctx, bases, r):
+    """Oracle for `grassmann._span_keys`: the span blocks built whole (see
+    span_blocks), then keyed by Horner's rule."""
+    if bases.shape[1] == 0:  # no points, so no hyperplanes either
+        return np.zeros((bases.shape[0], 0), dtype=np.int64)
+    return _keys(ctx.q, span_blocks(ctx, bases, r))
 
 
 def adjacency_pairwise(graph, chunk=1 << 15):
@@ -263,6 +286,11 @@ def bfs_distances(graph, source):
         level += 1
         dist[frontier] = level
     return dist
+
+
+def identity_monomial(ctx, n):
+    """The monomial map that fixes every coordinate of F_q^n."""
+    return MonomialMap(ctx, tuple(range(n)), (1,) * n)
 
 
 def random_monomial(ctx, n, rng):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import all_codes, codewords, random_monomial
+from conftest import all_codes, codewords, identity_monomial, random_monomial
 from grasscodes.codes import (
     CRITERIA,
     INFINITE,
@@ -180,7 +180,7 @@ def test_coordinate_subspace_examples():
 
 
 def test_apply_monomial_examples():
-    ident = MonomialMap.identity(F2, 3)
+    ident = identity_monomial(F2, 3)
     assert apply_monomial(ident, C32) == C32
     swap12 = MonomialMap(F2, (1, 0, 2), (1, 1, 1))
     swapped = apply_monomial(swap12, C32)
@@ -192,7 +192,7 @@ def test_apply_monomial_examples():
 
 
 def test_apply_monomial_mismatch():
-    m = MonomialMap.identity(F2, 4)
+    m = identity_monomial(F2, 4)
     with pytest.raises(DimensionMismatchError):
         apply_monomial(m, C32)
 

@@ -15,6 +15,8 @@ from conftest import (
     metric_ranks_pairwise,
     position_of,
     random_monomial,
+    span_blocks,
+    span_keys_by_blocks,
     strengths_by_column_rank,
     summary_all_pairs,
 )
@@ -45,7 +47,7 @@ from grasscodes.grassmann import (
     isometry_check,
     metric_distance_matrix,
 )
-from grasscodes.linalg import Subspace, intersect, q_int, subspace_count
+from grasscodes.linalg import Subspace, class_count, intersect, q_int, subspace_count
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -390,21 +392,61 @@ def test_span_keys_built_once_per_r(monkeypatch):
     assert calls == {"keys": 1, "buckets": 3}
 
 
-def _span_blocks(ctx, bases, r):
-    """(V, [kk r]_q, r, n) blocks C B, C the RREF basis of every r-subspace
-    of F_q^kk, before any reduction."""
-    add, _, mul, _, _ = ctx.np_tables()
-    v, kk, n = bases.shape
-    coeffs = enumerate_subspaces(ctx, kk, r).bases
-    spans = np.zeros((v, len(coeffs), r, n), dtype=np.uint8)
-    for i in range(kk):
-        spans = add[spans, mul[coeffs[None, :, :, i, None], bases[:, None, None, i, :]]]
-    return spans
+def test_class_count_matches_engine():
+    """linalg.class_count equals the engine's class size for t = 1 and 2
+    on every index of at most 2^18 subspaces with q <= 9 and n <= 6."""
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = field_of_order(q)
+        for n in range(7):
+            for k in range(n + 1):
+                if subspace_count(n, k, q) > 1 << 18:
+                    continue
+                strengths = enumerate_subspaces(ctx, n, k).strength_all()
+                for t in (1, 2):
+                    want = int((strengths >= t).sum())
+                    assert class_count(n, k, t, q) == want, (q, n, k, t)
+                    checked += 1
+    assert checked == 358
+
+
+SPAN_KEY_GRID = {
+    q: [
+        (n, k)
+        for n in range(1, 9)
+        for k in range(n + 1)
+        if subspace_count(n, k, q) <= 1 << 17
+    ]
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+}
+
+
+@pytest.mark.parametrize("q", sorted(SPAN_KEY_GRID))
+def test_span_keys_match_block_oracle(q):
+    """The entrywise span keys equal the keys of the whole span blocks for
+    every r in [0, kk], on the index's own bases when 2k <= n and on the
+    reversed annihilators when 2k > n, on every index of at most 2^17
+    subspaces with n <= 8.  At q = 25 and 27 those all have kk <= 1, so
+    random RREF bases [I | X] with kk = 2 and 3 make every field encoding
+    (XOR, spread digits with e = 1, 2 and 3) sum two and three terms."""
+    ctx = field_of_order(q)
+    cases = {(n, k): enumerate_subspaces(ctx, n, k)._small_bases() for n, k in SPAN_KEY_GRID[q]}
+    rng = np.random.default_rng(q)
+    for kk in (2, 3):
+        free = rng.integers(0, q, size=(1 << 10, kk, 3), dtype=np.uint8)
+        eye = np.broadcast_to(np.eye(kk, dtype=np.uint8), (1 << 10, kk, kk))
+        cases["random", kk] = np.concatenate((eye, free), axis=2)
+    for case, bases in cases.items():
+        for r in range(bases.shape[1] + 1):
+            want = span_keys_by_blocks(ctx, bases, r)
+            got = grassmann._span_keys(ctx, bases, r)
+            assert got.dtype == np.int64 and got.shape == want.shape, (q, case, r)
+            assert (got == want).all(), (q, case, r)
 
 
 def _row_space_keys(ctx, bases, r):
     """Keys of RREF(C B) over the small bases B, reduced by batched_rref."""
-    spans = _span_blocks(ctx, bases, r)
+    spans = span_blocks(ctx, bases, r)
     v, m, _, n = spans.shape
     canon = bulk.batched_rref(ctx, spans.reshape(v * m, r, n))[0]
     return grassmann._keys(ctx.q, canon).reshape(v, m)
@@ -439,7 +481,7 @@ def test_keyed_blocks_are_already_rref(monkeypatch, q):
             assert (bases == flipped).all(), (q, n, k)
             assert (bulk.batched_rref(ctx, bases)[0] == bases).all(), (q, n, k)
         for r in range(1, bases.shape[1]):
-            spans = _span_blocks(ctx, bases, r)
+            spans = span_blocks(ctx, bases, r)
             canon, ranks = bulk.batched_rref(ctx, spans.reshape(-1, r, n))
             assert (canon == spans.reshape(-1, r, n)).all() and (ranks == r).all(), (q, n, k, r)
             assert (keys(q, spans) == grassmann._span_keys(ctx, bases, r)).all(), (q, n, k, r)

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from conftest import dot, vadd
+from conftest import all_codes, dot, vadd
 from grasscodes import linalg
-from grasscodes.codes import LinearCode
+from grasscodes.codes import LinearCode, strength
 from grasscodes.errors import (
     AmbientMismatchError,
     DimensionMismatchError,
@@ -14,6 +14,7 @@ from grasscodes.gf import field_new, field_of_order
 from grasscodes.linalg import (
     MatrixGF,
     Subspace,
+    class_count,
     complement_basis,
     hyperplanes_containing,
     intersect,
@@ -261,6 +262,31 @@ def test_subspace_count_oracle():
     assert subspace_count(3, 1, 3) == len(all_subspaces(F3, 3, 1)) == 13
     assert subspace_count(5, 0, 2) == 1
     assert subspace_count(3, 4, 2) == 0
+
+
+def test_class_count_scalar_oracle():
+    """The closed-form class sizes count the codes whose scalar strength
+    (the t-column test) is at least t, k = 0, k = n and t > k among them."""
+    for q, n in [(2, 4), (3, 4), (4, 3), (5, 3)]:
+        ctx = field_of_order(q)
+        for k in range(n + 1):
+            strengths = [strength(c) for c in all_codes(ctx, n, k)]
+            for t in (1, 2):
+                assert class_count(n, k, t, q) == sum(s >= t for s in strengths), (q, n, k, t)
+    assert class_count(2, 3, 1, 7) == class_count(2, -1, 1, 7) == 0
+    for t in (0, 3):
+        with pytest.raises(ValueError):
+            class_count(5, 3, t, 2)
+
+
+def test_class_count_beyond_enumeration():
+    """Class sizes of the [5,2] MDS codes over GF(11) (an index of
+    1,964,810 subspaces), and of the t <= 2 classes of (7,6,3) and
+    (5,7,3), which no enumeration under the cap reaches."""
+    assert class_count(5, 2, 2, 11) == 720_000
+    assert class_count(6, 3, 2, 7) == 36_080_640
+    assert class_count(6, 3, 1, 7) == 47_342_880
+    assert class_count(7, 3, 2, 5) == 145_926_144
 
 
 def test_projective_reps():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import index_of
 from grasscodes import grassmann, sweep
-from grasscodes.errors import GrassCodesError, NotPrimeError
+from grasscodes.errors import GrassCodesError, InternalInvariantError, NotPrimeError
 from grasscodes.gf import field_of_order
 from grasscodes.grassmann import (
     ALL_PAIRS_CAP,
@@ -100,6 +100,17 @@ def test_verify_instance_known_gap():
     # one field up it is fine
     rep3 = verify_one(3, 2, 1, 1)
     assert not is_violation(rep3)
+
+
+def test_class_size_checked_against_closed_form(monkeypatch):
+    """A t <= 2 class whose size differs from linalg.class_count stops the
+    instance as an engine fault; t = 3 has no closed form to check."""
+    monkeypatch.setattr(sweep, "class_count", lambda n, k, t, q: 0)
+    with pytest.raises(InternalInvariantError):
+        verify_one(3, 4, 2, 1)
+    with pytest.raises(InternalInvariantError):
+        verify_one(5, 4, 2, 2)
+    assert verify_one(3, 4, 3, 3)["class_size"] == 8  # duals of the 8 weight-4 points
 
 
 def test_caps_enumeration():
