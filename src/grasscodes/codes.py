@@ -225,8 +225,12 @@ def has_strength(c: LinearCode, t: int, criterion: Criterion = "dual_distance") 
             for cols in itertools.combinations(range(n), t)
         )
     if criterion == "coord_meet":
-        for idx in itertools.combinations(range(1, n + 1), t):
-            if intersect(c.space, coordinate_subspace(c.ctx, n, idx)).dim != c.k - t:
+        # the coordinate subspaces' bases, as coordinate_subspace builds them
+        units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+        for cols in itertools.combinations(range(n), t):
+            rows = tuple(units[j] for j in range(n) if j not in cols)
+            coord = Subspace(c.ctx, n, MatrixGF._trusted(c.ctx, rows, n))
+            if intersect(c.space, coord).dim != c.k - t:
                 return False
         return True
     raise ValueError(f"unknown criterion {criterion!r}")

@@ -4,22 +4,23 @@ The full graph has every k-subspace of F_q^n as a vertex, with edges
 between subspaces meeting in dimension k-1; the strength-t graph is the
 subgraph induced on codes of strength >= t.  Everything here is the
 brute-force oracle side of the package: vertex sets are enumerated
-completely (pivot-pattern generation, canonically sorted), edges are
-held as a bucket incidence (each vertex lists the cliques of the graph
+completely (RREF bases grown column by column, canonically sorted), edges
+are held as a bucket incidence (each vertex lists the cliques of the graph
 it lies in), and distances come from genuine breadth-first search over
 that incidence (bit-parallel from any set of sources at once).  Points,
 buckets and symmetry orbits are keyed on one small RREF basis per subspace
 (its annihilator's, coordinates reversed, when 2k > n); each r's span keys
 and their `_Buckets` are built once, so BFS and the metric share them when
-buckets are points.  The strength of every subspace is its dual distance
-minus one, capped at k, read off the dual words of weight at most k that
-its RREF basis gives from each projective point of its free columns.  No
-verification route runs a row reduction: span keys are built entry by
-entry from products C B that are already RREF, with no block of the
-spans ever held, and annihilators and the images of the symmetry
-generators are built in RREF, the transposition (0 1) by reordering and
-scaling the first two rows, the n-cycle by clearing the new first column
-with the last row that holds it.
+buckets are points.  A code has strength >= t exactly when every t columns
+of its generator are independent, so one column-prefix kernel lists both
+every subspace and each strength class: a new column of a class member
+lies in the span of no t - 1 earlier ones.  The strength of a subspace is
+the number of classes t in [1, k] that hold it.  No verification route
+runs a row reduction: span keys are built entry by entry from products
+C B that are already RREF, with no block of the spans ever held, and
+annihilators and the images of the symmetry generators are built in RREF,
+the transposition (0 1) by reordering and scaling the first two rows, the
+n-cycle by clearing the new first column with the last row that holds it.
 
 Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
 distance-transitive, so BFS from one source, checked against the closed
@@ -35,7 +36,7 @@ metric stay as the oracles the per-orbit route is tested against.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from math import inf
 
@@ -58,7 +59,6 @@ ENUM_CAP = 1 << 21
 ALL_PAIRS_CAP = 1 << 25
 _WITNESS_CAP = 100  # the report schema's maxItems for witnesses
 _WITNESS_BATCH = 64  # BFS sources per pass while collecting witnesses
-_STRENGTH_CHUNK = 1 << 15  # bases per block in _bulk_strengths
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -89,11 +89,20 @@ class SubspaceIndex:
         return Subspace(self.ctx, self.n, MatrixGF._trusted(self.ctx, rows, self.n))
 
     def strength_all(self) -> np.ndarray:
-        """Strength of every subspace as int16: min(d - 1, k) for the
-        minimum distance d of its dual, from the dual words of weight at
-        most k (see _bulk_strengths)."""
+        """Strength of every subspace as int16: the number of t in [1, k]
+        whose class (see _class_bases) holds it.  Each class is found in
+        the sorted bases by one binary search on the bytes of its rows,
+        whose order is the index order."""
         if self._strength_all is None:
-            self._strength_all = _bulk_strengths(self.ctx, self.bases, self.n, self.k)
+            out = np.zeros(len(self), dtype=np.int16)
+            row = np.dtype((np.void, self.k * self.n))
+            rows = self.bases.reshape(len(self), -1).view(row).ravel()
+            for t in range(1, self.k + 1):
+                found = _class_bases(self.ctx, self.n, self.k, t)
+                if not len(found):  # then so is the class of every larger t
+                    break
+                out[np.searchsorted(rows, found.reshape(len(found), -1).view(row).ravel())] += 1
+            self._strength_all = out
         return self._strength_all
 
     def _small_bases(self) -> np.ndarray:
@@ -141,93 +150,25 @@ class SubspaceIndex:
         return self._orbits
 
 
-def _bulk_strengths(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Strength min(d - 1, k) of every RREF basis B, d its dual distance.
-
-    Let F be B's free columns and B_F the k x (n-k) block of B on them.  A
-    word x is dual to B's rows exactly when x_(p_i) = -(B_F x_F)_i at each
-    pivot p_i, so every nonzero dual word is mu on F and -B_F mu on the
-    pivots for one nonzero mu in F_q^(n-k), and its weight is wt(mu) +
-    #{i : (B_F mu)_i != 0}.  A word of weight above k cannot lower
-    min(d - 1, k) and scaling mu keeps the weight, so mu runs over the
-    projective points of weight at most k: a support of s <= min(k, n-k)
-    free columns, coefficient 1 on the first.  B_F mu is summed over the
-    support from the columns of the multiples c B_F, _STRENGTH_CHUNK bases
-    at a time.
-    """
-    v = bases.shape[0]
-    out = np.full(v, k, dtype=np.int16)
-    if not 0 < k < n:  # k = 0 has strength 0, k = n the zero dual
-        return out
-    terms = min(k, n - k)
-    points = [
-        (s, support, (1, *tail))
-        for s in range(1, terms + 1)
-        for support in itertools.combinations(range(n - k), s)
-        for tail in itertools.product(range(1, ctx.q), repeat=s - 1)
-    ]
-    add_words, nonzero, enc, _ = _word_sums(ctx, terms)
-    enc_mul = enc[ctx.np_tables()[2]]
-    plain = (enc == np.arange(ctx.q)).all()
-    for lo in range(0, v, _STRENGTH_CHUNK):
-        _, b_f = _free_block(bases[lo : lo + _STRENGTH_CHUNK], n)
-        vb = b_f.shape[0]
-        cols = b_f.transpose(2, 1, 0)  # cols[j] is column j of B_F, (k, Vb)
-        # multiples[c - 1, j] is column j of c B_F, encoded
-        multiples = np.empty((ctx.q - 1, n - k, k, vb), dtype=enc.dtype)
-        multiples[0] = cols if plain else enc[cols]
-        if ctx.q > 2:
-            for j in range(n - k):
-                multiples[1:, j] = enc_mul[2:, cols[j]]
-        best = np.full(vb, k + 1, dtype=np.int16)
-        for weight, support, coeffs in points:
-            words = [multiples[c - 1, j] for j, c in zip(support, coeffs)]
-            acc = words[0] if weight == 1 else add_words(words[0], words[1])
-            for word in words[2:]:
-                add_words(acc, word, out=acc)
-            np.minimum(best, weight + nonzero(acc).sum(axis=0, dtype=np.int16), out=best)
-        out[lo : lo + vb] = best - 1
-    return out
-
-
 def _word_sums(ctx: FieldCtx, terms: int):
-    """(add, nonzero, enc, dec) for sums of up to `terms` field elements
-    held in an encoding enc[a] where field addition is one integer ufunc:
-    XOR of the elements themselves when p = 2; otherwise plain addition of
-    the base-p digits spread into fields too wide to carry, reduced mod p
-    only in the nonzero test and in dec[s], the element a sum s stands
-    for.  Both keep the elements themselves when e = 1 or p = 2, so c = 1
-    needs no lookup there, and when p = 2 dec is the identity."""
+    """(add, enc, dec) for sums of up to `terms` field elements held in an
+    encoding enc[a] where field addition is one integer ufunc: XOR of the
+    elements themselves when p = 2; otherwise plain addition of the base-p
+    digits spread into fields too wide to carry, reduced mod p only in
+    dec[s], the element a sum s stands for.  enc keeps the elements
+    themselves when e = 1 or p = 2, and when p = 2 dec is the identity."""
     if ctx.p == 2:
         plain = np.arange(ctx.q, dtype=np.uint8)
-        return np.bitwise_xor, lambda acc: acc != 0, plain, plain
+        return np.bitwise_xor, plain, plain
     p, e = ctx.p, ctx.e
     width = (terms * (p - 1)).bit_length()
     dtype = np.min_scalar_type((1 << (width * e)) - 1)
     spread = np.array(
         [sum(a // p**i % p << width * i for i in range(e)) for a in range(ctx.q)], dtype=dtype
     )
-    mask = dtype.type((1 << width) - 1)
-
-    def nonzero(acc):
-        hit = acc % p != 0 if e == 1 else (acc & mask) % p != 0
-        for i in range(1, e):
-            hit |= (acc >> dtype.type(width * i) & mask) % p != 0
-        return hit
-
     sums = np.arange(terms * int(spread[-1]) + 1)
-    dec = sum((sums >> width * i & int(mask)) % p * p**i for i in range(e)).astype(np.uint8)
-    return np.add, nonzero, spread, dec
-
-
-def _free_block(bases: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(V, n) mask of the free (non-pivot) columns of (V, k, n) RREF bases
-    and the (V, k, n-k) block of the bases on them, read through the mask
-    with no index arrays."""
-    v, k, _ = bases.shape
-    free = np.ones((v, n), dtype=bool)
-    free[np.arange(v)[:, None], (bases != 0).argmax(axis=2)] = False
-    return free, bases[np.broadcast_to(free[:, None, :], bases.shape)].reshape(v, k, n - k)
+    dec = sum((sums >> width * i & (1 << width) - 1) % p * p**i for i in range(e)).astype(np.uint8)
+    return np.add, spread, dec
 
 
 def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
@@ -345,10 +286,76 @@ def _min_labels(v: int, step) -> np.ndarray:
         lab = new
 
 
+def _class_bases(ctx: FieldCtx, n: int, k: int, t: int) -> np.ndarray:
+    """(N, k, n) RREF bases, in no set order, of the k-subspaces of F_q^n in
+    which every t columns of a generator are independent: the codes of
+    strength >= t, or every subspace when t = 0.
+
+    The bases grow column by column.  After j columns a prefix is an RREF
+    block of some rank r, and the next column is the pivot e_r (r < k) or
+    a free v in F_q^r, allowed when r + (columns after it) >= k so that the
+    missing pivots still fit.  A pivot keeps every t columns independent;
+    a free v does exactly when it is no combination of t - 1 or fewer
+    earlier columns.  Those are marked in a (prefixes, q^r) table, none
+    when t = 0 (zero columns allowed) and only 0 when t = 1.  A combination
+    of exactly i columns, all coefficients nonzero, is one of i - 1 plus a
+    multiple of a later column: layers[i] holds its (parent, column,
+    coefficient).  Prefixes are held by rank, so each table is rectangular.
+    """
+    add, _, mul, _, _ = ctx.np_tables()
+    q = ctx.q
+    # digits[v] is the vector of F_q^k keyed v = sum_i v_i q^i, so the
+    # first q^r rows are F_q^r; with k = n no column is free
+    cube = (q if k < n else 1,) * k
+    digits = np.indices(cube, dtype=np.uint8).reshape(k, math.prod(cube))[::-1].T
+    powers = q ** np.arange(k)
+    # layers[0] is the empty combination
+    layers = [(np.zeros(1, dtype=np.intp),) * 3] + [(np.zeros(0, dtype=np.intp),) * 3] * (t - 1)
+    groups = {0: np.zeros((1, k, 0), dtype=np.uint8)}
+    for j in range(n):
+        grown: dict[int, list[np.ndarray]] = {}
+        for r, pre in groups.items():
+            c = len(pre)
+            if r < k:
+                child = np.zeros((c, k, j + 1), dtype=np.uint8)
+                child[:, :, :j] = pre
+                child[:, r, j] = 1
+                grown.setdefault(r + 1, []).append(child)
+            if r < k - (n - 1 - j):
+                continue
+            m = q**r
+            if t < 2:  # every v, or every v but 0, in order
+                child = np.empty((c, m - t, k, j + 1), dtype=np.uint8)
+                child[..., :j] = pre[:, None]
+                child[..., j] = digits[t:m]
+                child = child.reshape(c * (m - t), k, j + 1)
+            else:
+                banned = np.zeros((c, m), dtype=bool)
+                banned[:, 0] = True
+                for i, (parent, col, coef) in enumerate(layers[1 : j + 1], 1):
+                    term = mul[coef, pre[:, :r, col]]
+                    combos = term if i == 1 else add[combos[:, :, parent], term]
+                    banned[np.arange(c)[:, None], powers[:r] @ combos] = True
+                p, v = np.nonzero(~banned)
+                child = np.empty((p.size, k, j + 1), dtype=np.uint8)
+                child[:, :, :j] = pre[p]
+                child[:, :, j] = digits[v]
+            if len(child):
+                grown.setdefault(r, []).append(child)
+        groups = {r: parts[0] if len(parts) == 1 else np.concatenate(parts)
+                  for r, parts in grown.items()}
+        for i in range(min(t - 1, j + 1), 0, -1):  # the combinations ending in column j
+            parent = np.repeat(np.arange(len(layers[i - 1][0])), q - 1)
+            ends = parent, np.full(parent.size, j), np.tile(np.arange(1, q), parent.size // (q - 1))
+            layers[i] = tuple(map(np.concatenate, zip(layers[i], ends)))
+    return groups.get(k, np.zeros((0, k, n), dtype=np.uint8))
+
+
 def enumerate_subspaces(
     ctx: FieldCtx, n: int, k: int, max_count: int = ENUM_CAP
 ) -> SubspaceIndex:
-    """Complete duplicate-free enumeration via RREF pivot patterns.
+    """Every k-subspace of F_q^n as its RREF basis: the column-prefix kernel
+    with no strength test (see _class_bases), sorted by row-major entries.
 
     Bases are stored as uint8, so q > 256 raises FieldTooLargeError (from
     the numpy tables) before anything is built."""
@@ -360,35 +367,13 @@ def enumerate_subspaces(
         raise EnumerationTooLargeError(
             f"{total} subspaces exceed the cap {max_count}"
         )
-    q = ctx.q
-    out = np.zeros((total, k, n), dtype=np.uint8)
-    pos = 0
-    for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(n)
-            if j > pivots[i] and j not in pivot_set
-        ]
-        cnt = q ** len(free)
-        block = np.zeros((cnt, k, n), dtype=np.uint8)
-        for i, p in enumerate(pivots):
-            block[:, i, p] = 1
-        if free:
-            encs = np.arange(cnt, dtype=np.int64)
-            for m, (i, j) in enumerate(free):
-                block[:, i, j] = (encs // q**m) % q
-        out[pos : pos + cnt] = block
-        pos += cnt
-    if pos != total:
+    out = _class_bases(ctx, n, k, 0)
+    if len(out) != total:
         raise InternalInvariantError(
-            f"enumerated {pos} subspaces, expected {total}"
+            f"enumerated {len(out)} subspaces, expected {total}"
         )
-    flat = out.reshape(total, k * n) if total else out.reshape(0, k * n)
     if k * n:
-        order = np.lexsort(flat.T[::-1])
-        out = out[order]
+        out = out[np.lexsort(out.reshape(total, k * n).T[::-1])]
     return SubspaceIndex(ctx, n, k, out)
 
 
@@ -496,15 +481,19 @@ def _annihilators(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarra
 
     Free column f of an RREF basis gives the kernel vector e_f minus
     sum_i bases[i, f] e_(pivot i): row j of the block is e_j on the free
-    columns and minus column j of B_F (see _free_block) on the pivots.
-    So row j is e_(f_j) plus entries only at pivots p_i < f_j, and every
-    other row is 0 at f_j: with rows and columns reversed, each row leads
-    with the 1 of its e_(f_j), in a column cleared in the other rows, and
-    the leads move right down the rows, so the block is RREF as built.
+    columns and minus column j of B_F, the bases on their free columns, on
+    the pivots.  So row j is e_(f_j) plus entries only at pivots p_i < f_j,
+    and every other row is 0 at f_j: with rows and columns reversed, each
+    row leads with the 1 of its e_(f_j), in a column cleared in the other
+    rows, and the leads move right down the rows, so the block is RREF as
+    built.  B_F and the block are read and written through the free-column
+    mask, with no index arrays.
     """
     neg = ctx.np_tables()[4]
     v = bases.shape[0]
-    free, b_f = _free_block(bases, n)
+    free = np.ones((v, n), dtype=bool)
+    free[np.arange(v)[:, None], (bases != 0).argmax(axis=2)] = False
+    b_f = bases[np.broadcast_to(free[:, None, :], bases.shape)].reshape(v, k, n - k)
     out = np.empty((v, n - k, n), dtype=np.uint8)
     on_free = np.broadcast_to(free[:, None, :], out.shape)
     out[on_free] = np.tile(np.eye(n - k, dtype=np.uint8).ravel(), v)
@@ -533,7 +522,7 @@ def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
     v, kk, n = bases.shape
     if kk == 0:  # no points, so no hyperplanes either
         return np.zeros((v, 0), dtype=np.int64)
-    add, _, enc, dec = _word_sums(ctx, kk)
+    add, enc, dec = _word_sums(ctx, kk)
     coeffs = enumerate_subspaces(ctx, kk, r).bases.transpose(1, 2, 0)
     # times[a, i, b] is C[:, a, i] b, encoded
     times = enc[ctx.np_tables()[2][np.arange(ctx.q)[:, None], coeffs[:, :, None, :]]]

@@ -151,7 +151,10 @@ def verify_instance(index: SubspaceIndex, t: int, diameter_gamma: int, max_pairs
     enumerated (q, n, k) index whose full graph has diameter_gamma.
 
     For t <= 2 the class size is checked against its closed form
-    (`linalg.class_count`); a mismatch means the engine is broken."""
+    (`linalg.class_count`); a mismatch means the engine is broken.  No
+    closed form is known for t >= 3, so there the one run-time check on
+    the class is that of `SubspaceIndex.orbit_labels`: every symmetry
+    orbit holds codes of one strength."""
     started = time.perf_counter()
     report = _empty_report(index.ctx.q, index.n, index.k, t)
     delta = build_delta(index, t)

@@ -101,6 +101,43 @@ def strengths_by_column_rank(ctx, bases, n, k):
     return np.where(dual_dist == 0, k, np.minimum(dual_dist - 1, k)).astype(np.int16)
 
 
+def dual_word_strengths(ctx, bases, n, k):
+    """Strength min(d - 1, k) of every (V, k, n) RREF basis B, d its dual
+    distance, from the dual words of weight at most k.
+
+    Let F be B's free columns and B_F the k x (n-k) block of B on them.  A
+    word x is dual to B's rows exactly when x_(p_i) = -(B_F x_F)_i at each
+    pivot p_i, so every nonzero dual word is mu on F and -B_F mu on the
+    pivots for one nonzero mu in F_q^(n-k), and its weight is wt(mu) +
+    #{i : (B_F mu)_i != 0}.  A word of weight above k cannot lower
+    min(d - 1, k) and scaling mu keeps the weight, so mu runs over the
+    projective points of weight at most k: a support of s <= min(k, n-k)
+    free columns, coefficient 1 on the first."""
+    add, _, mul, _, _ = ctx.np_tables()
+    v = bases.shape[0]
+    if not 0 < k < n:  # k = 0 has strength 0, k = n the zero dual
+        return np.full(v, k, dtype=np.int16)
+    free = np.ones((v, n), dtype=bool)
+    free[np.arange(v)[:, None], (bases != 0).argmax(axis=2)] = False
+    b_f = bases[np.broadcast_to(free[:, None, :], bases.shape)].reshape(v, k, n - k)
+    best = np.full(v, k + 1, dtype=np.int16)
+    for s in range(1, min(k, n - k) + 1):
+        for support in itertools.combinations(range(n - k), s):
+            for tail in itertools.product(range(1, ctx.q), repeat=s - 1):
+                acc = np.zeros((v, k), dtype=np.uint8)
+                for j, c in zip(support, (1, *tail)):
+                    acc = add[acc, mul[c, b_f[:, :, j]]]
+                np.minimum(best, s + (acc != 0).sum(axis=1, dtype=np.int16), out=best)
+    return best - 1
+
+
+def sorted_bases(bases):
+    """(V, k, n) bases in the index order: lexicographic by row-major entries."""
+    if not bases.size:
+        return bases
+    return bases[np.lexsort(bases.reshape(len(bases), -1).T[::-1])]
+
+
 def span_blocks(ctx, bases, r):
     """The (V, [kk r]_q, r, n) uint8 blocks C B of (V, kk >= 1, n) bases B,
     C the RREF basis of every r-subspace of F_q^kk, built whole: one 2-D

@@ -257,6 +257,19 @@ def test_format_parse_roundtrip():
     assert parse_generator(commented) == C32
 
 
+def test_parse_generator_is_lenient_about_whitespace():
+    """Entries split on any whitespace, blank and indented-comment lines are
+    skipped, and the final newline is optional; format_generator writes the
+    strict form."""
+    for text in (
+        "2 3 2\n1\t0\t1\n0   1 1",
+        "\n  2\t3  2\n\n   # indented comment\n 1 0 1 \n0 1\t1\n\n",
+        "2 3 2\r\n1 0 1\r\n0 1 1",
+    ):
+        assert parse_generator(text) == C32
+        assert format_generator(parse_generator(text)) == "2 3 2\n1 0 1\n0 1 1\n"
+
+
 def test_parse_generator_errors():
     with pytest.raises(ParseError):
         parse_generator("")

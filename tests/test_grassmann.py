@@ -9,12 +9,14 @@ from conftest import (
     VertexAbsentError,
     adjacency_pairwise,
     bfs_distances,
+    dual_word_strengths,
     index_of,
     isometry_all_pairs,
     iter_rref_bases,
     metric_ranks_pairwise,
     position_of,
     random_monomial,
+    sorted_bases,
     span_blocks,
     span_keys_by_blocks,
     strengths_by_column_rank,
@@ -126,10 +128,9 @@ def test_index_lookup_roundtrip():
 
 
 def test_strength_all_matches_scalar():
-    """The dual-word kernel agrees with the scalar column-independence test
-    of codes.strength; (5,4,2) and (9,3,2) are rich in MDS codes, whose
-    dual distance is k + 1: every point of weight at most k gives a dual
-    word heavier than k, and the strength is the cap k."""
+    """The class kernel's strengths agree with the scalar column-independence
+    test of codes.strength; (5,4,2) and (9,3,2) are rich in MDS codes, whose
+    dual distance is k + 1 and whose strength is the cap k."""
     cases = [(ctx, n, k) for ctx, n in ((F2, 4), (F3, 4), (field_of_order(4), 3)) for k in range(n + 1)]
     cases += [(F5, 4, 2), (field_of_order(9), 3, 2)]
     for ctx, n, k in cases:
@@ -142,7 +143,7 @@ def test_strength_all_matches_scalar():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_strength_all_matches_column_rank_oracle(q):
     """Every index of at most 2^15 subspaces with n <= 6, every k in 0..n,
-    and (3,0,0): the dual-word kernel gives the strengths of the shortest
+    and (3,0,0): the class kernel gives the strengths of the shortest
     dependent column subsets."""
     cases = [
         (n, k) for n in range(1, 7) for k in range(n + 1) if subspace_count(n, k, q) <= 1 << 15
@@ -156,9 +157,41 @@ def test_strength_all_matches_column_rank_oracle(q):
         assert got.dtype == np.int16 and (got == want).all(), (q, n, k)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_class_bases_match_oracles(q):
+    """The column-prefix kernel on every index of at most 2^15 subspaces
+    with n <= 6 and every t in [0, k], (3,0,0), k = 0 and k = n included:
+    at t = 0 its rows are the pivot-pattern oracle's, each once; at t >= 1
+    they are the bases whose dual-word strength and shortest dependent
+    column subset both give strength >= t, empty classes included.  Long
+    codes with n - k = 1 (up to (2,12,11)) are pinned to the dual words."""
+    ctx = field_of_order(q)
+    cases = [(n, k) for n in range(7) for k in range(n + 1) if subspace_count(n, k, q) <= 1 << 15]
+    if q in (2, 3):
+        cases += [(n, n - 1) for n in range(7, 13 if q == 2 else 9)]
+    empty = 0
+    for n, k in cases:
+        idx = enumerate_subspaces(ctx, n, k)
+        dual = dual_word_strengths(ctx, idx.bases, n, k)
+        if n <= 6:
+            assert (dual == strengths_by_column_rank(ctx, idx.bases, n, k)).all(), (q, n, k)
+            slow = sorted(iter_rref_bases(ctx, n, k))
+            slow = np.array(slow, dtype=np.uint8).reshape(len(slow), k, n)
+            rows = grassmann._class_bases(ctx, n, k, 0)
+            assert rows.shape == slow.shape and (sorted_bases(rows) == slow).all(), (q, n, k)
+        for t in range(1, k + 1):
+            rows = grassmann._class_bases(ctx, n, k, t)
+            want = idx.bases[dual >= t]
+            assert rows.shape == want.shape and (sorted_bases(rows) == want).all(), (q, n, k, t)
+            empty += not len(want)
+        assert (idx.strength_all() == dual).all(), (q, n, k)
+    # F_2 and F_3 have empty classes: no [4,2]_2 or [5,2]_3 code has strength 2
+    assert empty or q > 3
+
+
 def test_strength_all_runs_no_reduction(monkeypatch):
     """Strengths are read off the RREF bases as they are: no batched RREF,
-    on an index with k < n-k, one with k > n-k and one of two blocks."""
+    on indexes with k < n-k, k > n-k and k = n-k."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("strengths must not reduce")
@@ -169,9 +202,9 @@ def test_strength_all_runs_no_reduction(monkeypatch):
 
 
 def test_strength_all_stays_small():
-    """(3,6,3) spans two blocks of bases; its strengths match the column
-    rank oracle and peak below four times the V x k x n uint8 bases (the
-    column-subset scan peaked at 5.3 times)."""
+    """(3,6,3): the strengths match the column rank oracle and peak below
+    four times the V x k x n uint8 bases (the column-subset scan peaked at
+    5.3 times)."""
     idx = enumerate_subspaces(F3, 6, 3)
     tracemalloc.start()
     try:
@@ -179,7 +212,6 @@ def test_strength_all_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(idx) > grassmann._STRENGTH_CHUNK
     assert (got == strengths_by_column_rank(F3, idx.bases, 6, 3)).all()
     assert peak < 4 * idx.bases.nbytes
 
