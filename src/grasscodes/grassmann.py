@@ -10,17 +10,18 @@ it lies in), and distances come from genuine breadth-first search over
 that incidence (bit-parallel from any set of sources at once).  Points,
 buckets and symmetry orbits are keyed on one small RREF basis per subspace
 (its annihilator's, coordinates reversed, when 2k > n); each r's span keys
-and their `_Buckets` are built once, so BFS and the metric share them when
-buckets are points.  A code has strength >= t exactly when every t columns
-of its generator are independent, so one column-prefix kernel lists both
-every subspace and each strength class: a new column of a class member
-lies in the span of no t - 1 earlier ones.  The strength of a subspace is
-the number of classes t in [1, k] that hold it.  No verification route
-runs a row reduction: span keys are built entry by entry from products
-C B that are already RREF, with no block of the spans ever held, and
-annihilators and the images of the symmetry generators are built in RREF,
-the transposition (0 1) by reordering and scaling the first two rows, the
-n-cycle by clearing the new first column with the last row that holds it.
+are built once per index and numbered as `_Buckets` once per graph, so BFS
+and the metric share them when buckets are points.  A code has strength
+>= t exactly when every t columns of its generator are independent, so one
+column-prefix kernel lists both every subspace and each strength class: a
+new column of a class member lies in the span of no t - 1 earlier ones.
+The strength of a subspace is the number of classes t in [1, k] that hold
+it.  No verification route runs a row reduction: span keys are built
+entry by entry from products C B that are already RREF, with no block of
+the spans ever held, and annihilators and the images of the symmetry
+generators are built in RREF, the transposition (0 1) by reordering and
+scaling the first two rows, the n-cycle by clearing the new first column
+with the last row that holds it.
 
 Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
 distance-transitive, so BFS from one source, checked against the closed
@@ -29,9 +30,13 @@ scalings and the Frobenius map preserve strength and dim(x ∩ y), so they
 map the strength-t graph onto itself without moving any distance: BFS
 from one representative per orbit of these maps decides connectivity and
 the diameter, and the isometry check compares those BFS rows with
-k - dim(x ∩ y) from the same sources.  That metric never reads edges: it
-counts the points two subspaces share.  All-pairs BFS and the V x V
-metric stay as the oracles the per-orbit route is tested against.
+k - dim(x ∩ y) from the same sources.  Each graph keys the orbits of its
+own vertices only, and that keying finds every symmetry image among them
+or raises, so a class that is not closed under the maps is refused rather
+than verified.  The metric never reads edges: it counts the points two
+subspaces share.  All-pairs BFS and the V x V metric need no symmetry and
+take any vertex set; they stay as the oracles the per-orbit route is
+tested against.
 """
 
 from __future__ import annotations
@@ -68,7 +73,10 @@ class SubspaceIndex:
 
     bases[i] is the RREF basis of subspace i as a (k, n) uint8 block;
     the table is sorted lexicographically by row-major entries, so the
-    ordering is reproducible across runs and platforms.
+    ordering is reproducible across runs and platforms.  Strengths, small
+    bases and span keys are built on first use and shared by every graph
+    over the index; symmetry orbits are each graph's own (see
+    GrassmannGraph.orbit_labels).
     """
 
     def __init__(self, ctx: FieldCtx, n: int, k: int, bases: np.ndarray):
@@ -79,7 +87,6 @@ class SubspaceIndex:
         self._strength_all: np.ndarray | None = None
         self._small: np.ndarray | None = None
         self._span_keys: dict[int, np.ndarray] = {}
-        self._orbits: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.bases.shape[0]
@@ -134,21 +141,6 @@ class SubspaceIndex:
             self._span_keys[r] = _span_keys(self.ctx, self._small_bases(), r)
         return self._span_keys[r]
 
-    def orbit_labels(self) -> np.ndarray:
-        """Position of the smallest member of every subspace's orbit under
-        coordinate permutations, column scalings and the Frobenius map.
-
-        Built on first use, never by the enumeration itself.  Every map in
-        the group preserves strength, so an orbit holding two strengths
-        means the engine is broken."""
-        if self._orbits is None:
-            labels = _orbit_labels(self.ctx, self._small_bases())
-            strengths = self.strength_all()
-            if (strengths[labels] != strengths).any():
-                raise InternalInvariantError("a symmetry orbit holds codes of different strength")
-            self._orbits = labels
-        return self._orbits
-
 
 def _word_sums(ctx: FieldCtx, terms: int):
     """(add, enc, dec) for sums of up to `terms` field elements held in an
@@ -172,21 +164,25 @@ def _word_sums(ctx: FieldCtx, terms: int):
 
 
 def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
-    """Orbit labels of the small RREF bases, see SubspaceIndex.orbit_labels.
+    """Position of the smallest member of every row's orbit, among (V, kk, n)
+    small RREF bases, under coordinate permutations, column scalings and
+    the Frobenius map.  The rows must be closed under the group: an image
+    that is not among them raises InternalInvariantError, which makes this
+    the closure check of GrassmannGraph.orbit_labels.
 
     The group is generated by the transposition (0 1), the n-cycle, scaling
     the last column by a primitive element and, when e > 1, the entrywise
-    Frobenius map a -> a^p.  Each generator's image of every subspace is
-    found by its key (< q^(kk n) < V^2), which gives the generator as a
-    permutation of positions.  No image is reduced: the two permutation
-    images are written down in RREF from the few rows they move (see
-    _permutation_images).  The Frobenius map fixes 0 and 1, so it maps an
-    RREF basis to an RREF basis.  The scaling leaves alone a row whose
-    only nonzero entry is in the last column, a row e_(n-1) spanning its
-    own image; in every other row the last column holds no pivot, so that
-    image is RREF too.  A permutation conjugates a scaling of one column
-    into a scaling of any other, so this is the group of every column
-    scaling.
+    Frobenius map a -> a^p.  Each generator's image of every row is found
+    by its key (< q^(kk n), below the square of the number of kk-subspaces
+    of F_q^n), which gives the generator as a permutation of positions.
+    No image is reduced: the two permutation images are written down in
+    RREF from the few rows they move (see _permutation_images).  The
+    Frobenius map fixes 0 and 1, so it maps an RREF basis to an RREF
+    basis.  The scaling leaves alone a row whose only nonzero entry is in
+    the last column, a row e_(n-1) spanning its own image; in every other
+    row the last column holds no pivot, so that image is RREF too.  A
+    permutation conjugates a scaling of one column into a scaling of any
+    other, so this is the group of every column scaling.
     Annihilation commutes with permutations and the Frobenius map and
     inverts scalings, and reversing coordinates maps the group onto
     itself, so on the reversed annihilators the same generators give the
@@ -195,7 +191,7 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     mul = ctx.np_tables()[2]
     v, kk, n = bases.shape
     keys = _keys(ctx.q, bases)
-    # annihilators' keys are not in index order
+    # annihilators' keys are not in row order
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
 
@@ -213,7 +209,7 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
         want = _keys(ctx.q, image)
         at = np.minimum(np.searchsorted(keys, want), v - 1)
         if (keys[at] != want).any():
-            raise InternalInvariantError("a symmetry image is missing from the index")
+            raise InternalInvariantError("a symmetry image of a vertex is not a vertex")
         perms.append(order[at])
 
     def step(lab):
@@ -395,7 +391,10 @@ class GrassmannGraph:
 
     vertex_ids maps graph positions to index positions, in increasing
     order.  The r = kk - 1 span keys drive every BFS (see `buckets`); the
-    metric counts the points, r = 1, and never reads edges.
+    metric counts the points, r = 1, and never reads edges.  The per-orbit
+    routes (diameter_and_connectivity, isometry_check) need a vertex set
+    closed under the symmetries (see orbit_labels); the all-pairs ones
+    take any.
     """
 
     def __init__(self, index: SubspaceIndex, t: int | None, vertex_ids: np.ndarray):
@@ -433,23 +432,15 @@ class GrassmannGraph:
         return self.span_buckets(min(self.index.k, self.index.n - self.index.k) - 1)
 
     def orbit_labels(self) -> np.ndarray:
-        """Graph position of the representative of every vertex's orbit.
-
-        When the vertex set is a union of the index's symmetry orbits (the
-        full graph and every strength class are), the symmetries are graph
-        automorphisms and the representative is the orbit's smallest
-        position.  Any other vertex set, which only a hand-built graph can
-        have, gets every vertex as its own representative.
-        """
+        """Graph position of the smallest member of every vertex's orbit
+        under coordinate permutations, column scalings and the Frobenius
+        map, keyed on the vertices' own small bases once, on first use (see
+        _orbit_labels).  These maps are automorphisms of the graph only
+        when they map its vertex set onto itself, as they do for the full
+        graph and every strength class; a vertex set they do not, which
+        only a hand-built graph can have, raises InternalInvariantError."""
         if self._orbits is None:
-            labels = self.index.orbit_labels()
-            mine = labels[self.vertex_ids]
-            size = np.bincount(labels, minlength=len(self.index))
-            held = np.bincount(mine, minlength=len(self.index))
-            if (held[mine] == size[mine]).all():
-                self._orbits = np.searchsorted(self.vertex_ids, mine)
-            else:
-                self._orbits = np.arange(self.num_vertices)
+            self._orbits = _orbit_labels(self.index.ctx, self.index._small_bases()[self.vertex_ids])
         return self._orbits
 
     def adjacency(self) -> np.ndarray:

@@ -153,8 +153,8 @@ def verify_instance(index: SubspaceIndex, t: int, diameter_gamma: int, max_pairs
     For t <= 2 the class size is checked against its closed form
     (`linalg.class_count`); a mismatch means the engine is broken.  No
     closed form is known for t >= 3, so there the one run-time check on
-    the class is that of `SubspaceIndex.orbit_labels`: every symmetry
-    orbit holds codes of one strength."""
+    the class is that of `GrassmannGraph.orbit_labels`: every symmetry
+    image of a member is a member."""
     started = time.perf_counter()
     report = _empty_report(index.ctx.q, index.n, index.k, t)
     delta = build_delta(index, t)

@@ -338,7 +338,7 @@ def test_annihilators_built_once(monkeypatch, q, n, k):
         return original(ctx, bases, *args)
 
     monkeypatch.setattr(grassmann, "_annihilators", counted)
-    idx.span_keys(1), idx.span_keys(n - k - 1), idx.orbit_labels()
+    idx.span_keys(1), idx.span_keys(n - k - 1), build_gamma(idx).orbit_labels()
     assert sum(calls) == 1
 
 
@@ -546,7 +546,7 @@ def test_orbit_labels_run_no_reduction(monkeypatch):
 
     monkeypatch.setattr(bulk, "batched_rref", refuse)
     for q, n, k in [(3, 5, 2), (2, 6, 4), (9, 4, 2), (8, 4, 2)]:
-        assert len(enumerate_subspaces(field_of_order(q), n, k).orbit_labels())
+        assert len(build_gamma(enumerate_subspaces(field_of_order(q), n, k)).orbit_labels())
 
 
 def test_bitset_all_pairs_matches_oracle_bfs():
@@ -780,7 +780,7 @@ def test_one_vertex_indexes(q, n, k):
     idx = enumerate_subspaces(field_of_order(q), n, k)
     assert len(idx) == 1
     assert idx.span_keys(-1).shape == idx.span_keys(1).shape == (1, 0)
-    assert idx.orbit_labels().tolist() == [0]
+    assert build_gamma(idx).orbit_labels().tolist() == [0]
     assert gamma_diameter(idx) == 0
     graphs = [build_gamma(idx)] + [build_delta(idx, t) for t in range(1, k + 1)]
     for g in graphs:
@@ -799,9 +799,27 @@ def test_graph_rejects_unordered_vertex_ids():
             GrassmannGraph(idx, 1, np.array(ids, dtype=np.int64))
 
 
+def test_per_orbit_route_refuses_unclosed_vertex_sets():
+    """BFS from one representative per orbit is sound only on a vertex set
+    that every symmetry maps onto itself.  Positions 0, 5 and 9 of (2,4,2)
+    are not such a set, so diameter_and_connectivity and isometry_check
+    refuse it, while the all-pairs routes, which need no symmetry, still
+    take it."""
+    idx = enumerate_subspaces(F2, 4, 2)
+    ids = np.array([0, 5, 9], dtype=np.int64)
+    for route in (diameter_and_connectivity, isometry_check):
+        with pytest.raises(InternalInvariantError):
+            route(GrassmannGraph(idx, 1, ids))
+    g = GrassmannGraph(idx, 1, ids)
+    assert all_pairs_distances(g).shape == (3, 3)
+    assert (metric_distance_matrix(g) == metric_ranks_pairwise(g)).all()
+
+
 def test_disconnected_vertex_subset():
     """A hand-picked two-vertex induced graph with no edge: infinite
-    distances, two components, and a non-isometry witness."""
+    distances, two components, and a non-isometry witness.  The pair is
+    not closed under the symmetries, so the all-pairs oracles and
+    `_components` read it."""
     idx = enumerate_subspaces(F2, 4, 2)
     g = build_gamma(idx)
     # find a non-adjacent pair
@@ -815,11 +833,12 @@ def test_disconnected_vertex_subset():
     sub = GrassmannGraph(idx, 1, np.array(sorted((i, j)), dtype=np.int64))
     dist = bfs_distances(sub, 0)
     assert dist[0] == 0 and dist[1] == inf
-    s = diameter_and_connectivity(sub)
+    s = summary_all_pairs(sub)
     assert not s.connected
     assert s.diameter == inf
     assert s.component_count == 2
-    rep = isometry_check(sub)
+    assert np.unique(grassmann._components(sub.buckets())).size == 2
+    rep = isometry_all_pairs(sub)
     assert not rep.isometric
     ((wi, wj, d_sub, d_metric),) = rep.witnesses
     assert d_sub == inf and d_metric == 2
@@ -907,24 +926,31 @@ def orbit_partition_oracle(idx):
 )
 def test_orbit_labels_match_scalar_closure(q, n, k):
     idx = enumerate_subspaces(field_of_order(q), n, k)
-    labels = idx.orbit_labels()
+    labels = build_gamma(idx).orbit_labels()
     assert labels.tolist() == orbit_partition_oracle(idx).tolist()
     strengths = idx.strength_all()
     assert (strengths[labels] == strengths).all()
 
 
 def test_orbit_labels_are_lazy():
-    """Enumeration builds no orbit labels; they are built once, on first use."""
+    """Neither enumeration nor the index nor a new graph builds orbit
+    labels; each graph builds its own once, on first use."""
     idx = enumerate_subspaces(F3, 4, 2)
-    assert idx._orbits is None
-    labels = idx.orbit_labels()
-    assert idx.orbit_labels() is labels
+    assert not any("orbit" in name for name in vars(idx))
+    g = build_gamma(idx)
+    assert g._orbits is None
+    labels = g.orbit_labels()
+    assert g.orbit_labels() is labels
 
 
 def test_orbit_labels_reject_mixed_strengths(monkeypatch):
     """Every symmetry preserves strength, so an orbit holding two strengths
-    means a broken index, which the per-orbit route must refuse.  The last
-    subspace, a coordinate plane, shares its orbit with position 0."""
+    means a broken index, which the per-orbit route must refuse.  Raising
+    the last subspace of (3,4,2), [[1,2,2,0],[0,0,0,1]], from strength 1
+    to 2 puts it in the strength-2 class without the rest of its orbit:
+    that class is no longer closed under the symmetries and is refused,
+    while the strength-1 class, which still holds every member of the
+    orbit, verifies as before."""
     original = SubspaceIndex.strength_all
 
     def corrupted(index):
@@ -932,11 +958,16 @@ def test_orbit_labels_reject_mixed_strengths(monkeypatch):
         strengths[-1] += 1
         return strengths
 
-    assert diameter_and_connectivity(build_delta(enumerate_subspaces(F3, 4, 2), 1)).connected
+    idx = enumerate_subspaces(F3, 4, 2)
+    assert idx.bases[-1].tolist() == [[1, 2, 2, 0], [0, 0, 0, 1]]
+    assert original(idx)[-1] == 1
     monkeypatch.setattr(SubspaceIndex, "strength_all", corrupted)
     idx = enumerate_subspaces(F3, 4, 2)
-    with pytest.raises(InternalInvariantError):
-        diameter_and_connectivity(build_delta(idx, 1))
+    assert diameter_and_connectivity(build_delta(idx, 1)).connected
+    assert isometry_check(build_delta(idx, 1)).isometric
+    for route in (diameter_and_connectivity, isometry_check):
+        with pytest.raises(InternalInvariantError):
+            route(build_delta(idx, 2))
 
 
 ORACLE_GROUPS = {
@@ -986,10 +1017,11 @@ def test_orbit_route_witnesses_of_mds_classes(k):
 @pytest.mark.parametrize("q", [2, 3])
 def test_component_count_matches_all_sources(q):
     """Label propagation counts the components of random vertex subsets of
-    Γ(q,4,2) as all-sources BFS does: sparse hand-picked subsets (every
-    vertex its own representative) and unions of symmetry orbits."""
+    Γ(q,4,2) as all-sources BFS does: on sparse hand-picked subsets,
+    which are not closed under the symmetries, `_components` itself; on
+    unions of symmetry orbits, the per-orbit route."""
     idx = enumerate_subspaces(field_of_order(q), 4, 2)
-    labels = idx.orbit_labels()
+    labels = build_gamma(idx).orbit_labels()
     orbits = np.unique(labels)
     rng = np.random.default_rng(q)
     counts = []
@@ -999,7 +1031,11 @@ def test_component_count_matches_all_sources(q):
         else:
             ids = np.sort(rng.choice(len(idx), size=rng.integers(2, 12), replace=False))
         g = GrassmannGraph(idx, 1, ids.astype(np.int64))
-        summary = diameter_and_connectivity(g)
-        assert summary == summary_all_pairs(g), (q, ids.tolist())
-        counts.append(summary.component_count)
+        oracle = summary_all_pairs(g)
+        if trial % 2:
+            assert diameter_and_connectivity(g) == oracle, (q, ids.tolist())
+        else:
+            count = np.unique(grassmann._components(g.buckets())).size
+            assert count == oracle.component_count, (q, ids.tolist())
+        counts.append(oracle.component_count)
     assert max(counts) > 2  # disconnected subsets were drawn

@@ -7,7 +7,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from conftest import index_of
+from conftest import index_of, isometry_all_pairs
 from grasscodes import grassmann, sweep
 from grasscodes.errors import GrassCodesError, InternalInvariantError, NotPrimeError
 from grasscodes.gf import field_of_order
@@ -113,6 +113,24 @@ def test_class_size_checked_against_closed_form(monkeypatch):
     assert verify_one(3, 4, 3, 3)["class_size"] == 8  # duals of the 8 weight-4 points
 
 
+def test_orbits_keyed_per_class(monkeypatch):
+    """verify_group keys symmetry orbits once per class of at least two
+    codes, on that class's own small bases, and never on the full graph's
+    V rows: Γ's check is one BFS from one source."""
+    rows = []
+    original = grassmann._orbit_labels
+
+    def recorded(ctx, bases):
+        rows.append(len(bases))
+        return original(ctx, bases)
+
+    monkeypatch.setattr(grassmann, "_orbit_labels", recorded)
+    reports = verify_group(3, 4, 2, [1, 2], ENUM_CAP, ALL_PAIRS_CAP)
+    sizes = [r["class_size"] for r in reports]
+    assert min(sizes) >= 2 and rows == sizes
+    assert subspace_count(4, 2, 3) not in rows
+
+
 def test_caps_enumeration():
     rep = verify_one(2, 4, 2, 1, max_vertices=10)
     validate_report(rep)
@@ -170,7 +188,9 @@ def test_run_sweep_enumerates_each_group_once(monkeypatch):
 def test_witness_json_on_non_isometric_subgraph():
     """A hand-built vertex subset of the (2,4,2) graph: the path
     P2 - P1 - P0 - P3 joins P0 and P3 (metric 2) only at length 3, and S
-    meets none of them, so every pair with S is disconnected."""
+    meets none of them, so every pair with S is disconnected.  The set is
+    not closed under the symmetries, so the per-orbit isometry_check
+    refuses it and the all-pairs oracle gives the witnesses."""
     ctx = field_of_order(2)
     idx = enumerate_subspaces(ctx, 4, 2)
     rows = {
@@ -182,7 +202,9 @@ def test_witness_json_on_non_isometric_subgraph():
     }
     ids = sorted(index_of(idx, Subspace.from_vectors(ctx, 4, r)) for r in rows.values())
     graph = GrassmannGraph(idx, 1, np.array(ids, dtype=np.int64))
-    iso = isometry_check(graph)
+    with pytest.raises(InternalInvariantError):
+        isometry_check(graph)
+    iso = isometry_all_pairs(graph)
     assert not iso.isometric
     # positions in canonical order: P2, P1, P0, S, P3; witnesses row-major
     expected = [
@@ -371,6 +393,23 @@ def test_sweep_matches_golden():
         for r in run_sweep(cfg)
     ]
     assert lines == GOLDEN.read_text().splitlines()
+
+
+def test_benchmark_expected_lines_match_golden():
+    """Every line the benchmark checks its sweep-ref passes against
+    (bench/sweep_expected.jsonl, read only) is the golden line of the same
+    (q, n, k, t), apart from wall_ms: a golden update that left the
+    benchmark's lines behind would fail every sweep-ref check."""
+    expected = pathlib.Path(__file__).parents[1] / "bench" / "sweep_expected.jsonl"
+
+    def keyed(path):
+        lines = path.read_text().splitlines()
+        lines = [re.sub(r',"wall_ms":\d+\}$', "}", line) for line in lines]
+        return {tuple(json.loads(line)[f] for f in "qnkt"): line for line in lines}
+
+    bench, golden = keyed(expected), keyed(GOLDEN)
+    assert len(bench) == 11
+    assert all(golden.get(key) == line for key, line in bench.items())
 
 
 def test_reports_at_n7_through_annihilators():
