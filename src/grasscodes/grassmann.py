@@ -163,6 +163,15 @@ def _word_sums(ctx: FieldCtx, terms: int):
     return np.add, spread, dec
 
 
+def _table_take(table: np.ndarray, a, b) -> np.ndarray:
+    """table[a, b] for a (q, q) field table and broadcastable arrays of
+    elements a and b, as one 1-D take on the index a q + b, held as uint16
+    (q <= 256, so it is at most 65,535): a 2-D gather converts both index
+    arrays to intp first."""
+    at = np.multiply(a, table.shape[1], dtype=np.uint16, casting="unsafe")
+    return np.take(table.ravel(), at + b)
+
+
 def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     """Position of the smallest member of every row's orbit, among (V, kk, n)
     small RREF bases, under coordinate permutations, column scalings and
@@ -191,8 +200,9 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     mul = ctx.np_tables()[2]
     v, kk, n = bases.shape
     keys = _keys(ctx.q, bases)
-    # annihilators' keys are not in row order
-    order = np.argsort(keys, kind="stable")
+    # annihilators' keys are not in row order; they are distinct, so any
+    # sort gives the same order
+    order = np.argsort(keys)
     keys = keys[order]
 
     images = _permutation_images(ctx, bases) if n > 1 and kk else []
@@ -250,15 +260,15 @@ def _permutation_images(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray]:
     if kk > 1:
         both = (swapped[:, 1, 0] != 0)[:, None, None]
         swapped[:, :2] = np.where(both, swapped[:, 1::-1], swapped[:, :2])
-    swapped[:, 0] = mul[swapped[:, 0], unit[swapped[:, 0, :1]]]
+    swapped[:, 0] = _table_take(mul, swapped[:, 0], unit[swapped[:, 0, :1]])
 
     rolled = bases[:, :, np.roll(np.arange(n), 1)]
     c = rolled[:, :, 0]
     # the last row with c != 0, or row 0 when c = 0, which leaves all as is
     m = ((c != 0) * np.arange(1, kk + 1)).argmax(axis=1)
     at = np.arange(len(bases))
-    top = mul[rolled[at, m], unit[c[at, m], None]]
-    rows = sub[rolled, mul[c[:, :, None], top[:, None, :]]]
+    top = _table_take(mul, rolled[at, m], unit[c[at, m], None])
+    rows = _table_take(sub, rolled, _table_take(mul, c[:, :, None], top[:, None, :]))
     rolled[:, 0] = top
     for i in range(1, kk):  # the rows above m move down one
         rolled[:, i] = np.where((m < i)[:, None], rows[:, i], rows[:, i - 1])
@@ -329,8 +339,8 @@ def _class_bases(ctx: FieldCtx, n: int, k: int, t: int) -> np.ndarray:
                 banned = np.zeros((c, m), dtype=bool)
                 banned[:, 0] = True
                 for i, (parent, col, coef) in enumerate(layers[1 : j + 1], 1):
-                    term = mul[coef, pre[:, :r, col]]
-                    combos = term if i == 1 else add[combos[:, :, parent], term]
+                    term = _table_take(mul, coef, pre[:, :r, col])
+                    combos = term if i == 1 else _table_take(add, combos[:, :, parent], term)
                     banned[np.arange(c)[:, None], powers[:r] @ combos] = True
                 p, v = np.nonzero(~banned)
                 child = np.empty((p.size, k, j + 1), dtype=np.uint8)
@@ -509,7 +519,10 @@ def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
     i with a <= i <= j, the others being 0 in RREF: each product is one
     take of the rows B[:, i, j] of a (q, m) table of C[:, a, i] times
     every element, encoded so that the sum is one integer ufunc (see
-    _word_sums), and the sum is decoded once."""
+    _word_sums), and the sum is decoded once, with no intp copy of it: mod
+    p in place when e = 1, where the encoding is the elements themselves,
+    and otherwise through dec by indexing, which numpy buffers (np.take
+    would convert the whole index array to intp first)."""
     v, kk, n = bases.shape
     if kk == 0:  # no points, so no hyperplanes either
         return np.zeros((v, 0), dtype=np.int64)
@@ -525,7 +538,9 @@ def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
         acc = np.take(times[a, a], bases[:, a, j], axis=0)
         for i in range(a + 1, min(j, kk - 1) + 1):
             add(acc, np.take(times[a, i], bases[:, i, j], axis=0), out=acc)
-        keys += acc if ctx.p == 2 else np.take(dec, acc)  # dec is the identity at p = 2
+        if ctx.p > 2:  # dec is the identity at p = 2
+            acc = np.remainder(acc, ctx.p, out=acc) if ctx.e == 1 else dec[acc]
+        keys += acc
     return keys
 
 
@@ -549,21 +564,48 @@ def _keys(q: int, blocks: np.ndarray) -> np.ndarray:
 
 class _Buckets:
     """V x h nonnegative keys, numbered and gathered once: `inc` holds bucket
-    ids 0..B-1 in key order, `members` the vertices bucket by bucket,
-    starts[b] where bucket b begins, and `cuts` split the buckets into
-    chunks of about V members, which bound the block `_spread` gathers."""
+    ids 0..B-1 in key order, `members` the vertices bucket by bucket, in no
+    set order inside a bucket, starts[b] where bucket b begins, and `cuts`
+    split the buckets into chunks of about V members, which bound the block
+    `_spread` gathers.  `inc` and `members` are int32 unless V h reaches
+    2^31 (B <= V h), which only --max-vertices above ENUM_CAP allows; then
+    int64.  Besides the keys, the numbering holds one int64 argsort and
+    the V h ids: bucket starts are marked from the sorted keys V at a time,
+    with no full sorted copy, and the argsort is divided into the members
+    in place."""
 
     def __init__(self, keys: np.ndarray):
         v, h = keys.shape
-        order = np.argsort(keys.ravel(), kind="stable")
-        new = np.diff(keys.ravel()[order], prepend=-1) != 0
-        inc = np.empty_like(order)
-        inc[order] = np.cumsum(new) - 1
+        flat = keys.ravel()
+        order = np.argsort(flat)  # order inside a bucket is never read
+        ids = _run_starts(flat, order, v)
+        self.starts = np.flatnonzero(ids)
+        np.cumsum(ids, out=ids)
+        ids -= 1
+        inc = np.empty_like(ids)
+        inc[order] = ids
+        del ids
         self.inc = inc.reshape(v, h)
-        self.members = order // h
-        self.starts = np.flatnonzero(new)
+        self.members = np.floor_divide(order, h, out=order).astype(inc.dtype, copy=False)
         chunks = np.searchsorted(self.starts, np.arange(0, self.members.size, max(v, 1)))
         self.cuts = np.unique(np.r_[chunks, self.starts.size])
+
+
+def _run_starts(flat: np.ndarray, order: np.ndarray, step: int) -> np.ndarray:
+    """1 where the sorted keys flat[order] start a run of equal keys, else
+    0, as ids (see _id_dtype), from `step` sorted keys at a time: no full
+    sorted copy."""
+    out = np.ones(flat.size, dtype=_id_dtype(flat.size))
+    for lo in range(0, flat.size, max(step, 1)):
+        run = flat[order[max(lo - 1, 0) : lo + step]]
+        np.not_equal(run[1:], run[:-1], out=out[max(lo, 1) : lo + step])
+    return out
+
+
+def _id_dtype(size: int) -> type:
+    """int32 for bucket ids and members of V x h keys with V h = size below
+    2^31, else int64."""
+    return np.int32 if size < 1 << 31 else np.int64
 
 
 def _source_bits(v: int, sources: np.ndarray) -> np.ndarray:

@@ -159,6 +159,20 @@ def span_keys_by_blocks(ctx, bases, r):
     return _keys(ctx.q, span_blocks(ctx, bases, r))
 
 
+def buckets_stable(keys):
+    """Oracle for `grassmann._Buckets`: (inc, members, starts, cuts) of V x h
+    keys numbered by one stable int64 argsort, with the sorted key copy and
+    int64 ids and members."""
+    v, h = keys.shape
+    order = np.argsort(keys.ravel(), kind="stable")
+    new = np.diff(keys.ravel()[order], prepend=-1) != 0
+    inc = np.empty_like(order)
+    inc[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    chunks = np.searchsorted(starts, np.arange(0, order.size, max(v, 1)))
+    return inc.reshape(v, h), order // h, starts, np.unique(np.r_[chunks, starts.size])
+
+
 def adjacency_pairwise(graph, chunk=1 << 15):
     """Adjacency by direct rank tests on all stacked pairs: x and y are
     adjacent iff their stacked bases have rank k + 1."""

@@ -9,6 +9,7 @@ from conftest import (
     VertexAbsentError,
     adjacency_pairwise,
     bfs_distances,
+    buckets_stable,
     dual_word_strengths,
     index_of,
     isometry_all_pairs,
@@ -309,20 +310,33 @@ def test_incidence_adjacency_matches_pairwise_oracle():
         assert not g.adjacency().any()
 
 
+def _assert_buckets_match_stable_oracle(keys, case):
+    """_Buckets numbers keys as the stable-sort oracle does, with the same
+    member set in every bucket and int32 ids and members."""
+    got = grassmann._Buckets(keys)
+    inc, members, starts, cuts = buckets_stable(keys)
+    assert got.inc.dtype == got.members.dtype == np.int32, case
+    assert got.inc.shape == inc.shape and (got.inc == inc).all(), case
+    assert got.starts.tolist() == starts.tolist() and got.cuts.tolist() == cuts.tolist(), case
+    for lo, hi in zip(starts, np.r_[starts[1:], members.size]):
+        assert sorted(got.members[lo:hi]) == sorted(members[lo:hi]), case
+
+
 def test_buckets_number_raw_keys():
-    """_Buckets numbers raw keys (gaps, any order) 0..B-1 in key order, as
-    np.unique would, and gathers the same members and starts."""
+    """_Buckets numbers raw keys (gaps, any order, repeats inside a row, few
+    or all distinct) 0..B-1 in key order, as np.unique would, and gathers
+    them as the stable-sort oracle does."""
     rng = np.random.default_rng(5)
     cases = [rng.choice(1 << 40, size=40, replace=False)[rng.integers(0, 40, size=(30, 4))]]
+    for v, h, distinct in [(300, 7, 50), (1000, 3, 3000), (64, 1, 5), (1, 9, 4)]:
+        pool = rng.choice(1 << 50, size=distinct, replace=False)
+        cases.append(pool[rng.integers(0, distinct, size=(v, h))])
     cases += [np.array([[7, 3, 9]]), np.zeros((5, 0), dtype=np.int64)]
+    cases.append(np.zeros((0, 4), dtype=np.int64))
     for keys in cases:
-        raw = grassmann._Buckets(keys)
         ids = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
-        compact = grassmann._Buckets(ids)
-        assert (raw.inc == ids).all() and raw.inc.shape == keys.shape
-        assert raw.members.tolist() == compact.members.tolist()
-        assert raw.starts.tolist() == compact.starts.tolist()
-        assert raw.cuts.tolist() == compact.cuts.tolist()
+        assert (grassmann._Buckets(keys).inc == ids).all()
+        _assert_buckets_match_stable_oracle(keys, keys.shape)
 
 
 @pytest.mark.parametrize("q, n, k", [(2, 5, 3), (3, 4, 3)])
@@ -535,6 +549,83 @@ def test_permutation_images_match_batched_rref(q):
         images = grassmann._permutation_images(ctx, bases)
         for image, cols in zip(images, ([1, 0, *range(2, n)], np.roll(np.arange(n), 1))):
             assert (image == bulk.batched_rref(ctx, bases[:, :, cols])[0]).all(), (q, n, k)
+
+
+@pytest.mark.parametrize("q", sorted(RREF_GRID))
+def test_buckets_match_stable_oracle_on_span_keys(q):
+    """Every span-key table, r in [0, kk], of every index of RREF_GRID."""
+    ctx = field_of_order(q)
+    for n, k in RREF_GRID[q]:
+        idx = enumerate_subspaces(ctx, n, k)
+        for r in range(min(k, n - k) + 1):
+            _assert_buckets_match_stable_oracle(idx.span_keys(r), (q, n, k, r))
+
+
+def test_buckets_hold_one_int64_order():
+    """Numbering Γ's buckets at (3,6,3) (V = 33,880, h = 13) allocates no
+    more than one int64 argsort and the outputs: no full sorted key copy
+    and no int64 ids or members."""
+    keys = enumerate_subspaces(F3, 6, 3).span_keys(2)
+    tracemalloc.start()
+    try:
+        b = grassmann._Buckets(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = b.inc.nbytes + b.members.nbytes + b.starts.nbytes + b.cuts.nbytes
+    assert peak < 8 * keys.size + outputs + (1 << 16)
+
+
+def test_bucket_ids_widen_at_two_to_the_31(monkeypatch):
+    """Ids and members are int32 while V h < 2^31 and int64 from 2^31 on;
+    the int64 tables number keys exactly as the int32 ones do."""
+    assert grassmann._id_dtype((1 << 31) - 1) is np.int32
+    assert grassmann._id_dtype(1 << 31) is np.int64
+    keys = enumerate_subspaces(F3, 4, 2).span_keys(1)
+    narrow = grassmann._Buckets(keys)
+    id_dtype = grassmann._id_dtype
+    monkeypatch.setattr(grassmann, "_id_dtype", lambda size: id_dtype(size + (1 << 31)))
+    wide = grassmann._Buckets(keys)
+    assert wide.inc.dtype == wide.members.dtype == np.int64
+    assert (wide.inc == narrow.inc).all() and (wide.members == narrow.members).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 256])
+def test_table_take_matches_2d_gather(q):
+    """_table_take(table, a, b) equals table[a, b] for add, sub and mul on
+    every pair of elements, and on the broadcast shapes the engine uses:
+    (L,) coefficients against (c, r, L) columns, (V, n) rows against (V, 1)
+    scales, (V, kk, 1) against (V, 1, n), and equal shapes.  At q = 256
+    the index a q + b reaches 65,535."""
+    ctx = field_of_order(q)
+    add, sub, mul = ctx.np_tables()[:3]
+    rng = np.random.default_rng(q)
+    a, b = np.divmod(np.arange(q * q), q)
+    shapes = [((5,), (4, 3, 5)), ((6, 7), (6, 1)), ((6, 3, 1), (6, 1, 7)), ((6, 3, 7), (6, 3, 7))]
+    pairs = [(a.astype(np.uint8), b.astype(np.uint8))]
+    pairs += [tuple(rng.integers(0, q, size=s, dtype=np.uint8) for s in shape) for shape in shapes]
+    pairs.append((rng.integers(1, q, size=5), pairs[1][1]))  # intp coefficients, as in _class_bases
+    for table in (add, sub, mul):
+        for x, y in pairs:
+            got = grassmann._table_take(table, x, y)
+            assert got.dtype == np.uint8 and (got == table[x, y]).all(), (q, x.shape, y.shape)
+
+
+@pytest.mark.parametrize("q, n, k, r", [(3, 6, 3, 2), (9, 4, 2, 1)])
+def test_span_keys_decode_without_intp_copy(q, n, k, r):
+    """At p odd the sums are decoded in place (e = 1) or by a buffered
+    gather (e > 1), with no intp copy of the (V, m) sums: keying peaks
+    under 1.5 times the int64 keys, where an intp decode copy alone is as
+    large as the keys."""
+    idx = enumerate_subspaces(field_of_order(q), n, k)
+    idx._small_bases()
+    tracemalloc.start()
+    try:
+        keys = idx.span_keys(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * keys.nbytes
 
 
 def test_orbit_labels_run_no_reduction(monkeypatch):
