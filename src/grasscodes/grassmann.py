@@ -11,10 +11,13 @@ that incidence (bit-parallel from any set of sources at once).  Points,
 buckets and symmetry orbits are keyed on one small RREF basis per subspace
 (its annihilator's, coordinates reversed, when 2k > n); each r's span keys
 are built once per index and numbered as `_Buckets` once per graph, so BFS
-and the metric share them when buckets are points.  A code has strength
->= t exactly when every t columns of its generator are independent, so one
-column-prefix kernel lists both every subspace and each strength class: a
-new column of a class member lies in the span of no t - 1 earlier ones.
+and the metric share them when buckets are points.  Keys are numbered,
+and symmetry images matched to vertices, by sorting packed int64 words
+key << b | position, with no argsort and no binary search.  A code has
+strength >= t exactly when every t columns of its generator are
+independent, so one column-prefix kernel lists both every subspace and
+each strength class: a new column of a class member lies in the span of
+no t - 1 earlier ones.
 The strength of a subspace is the number of classes t in [1, k] that hold
 it.  No verification route runs a row reduction: span keys are built
 entry by entry from products C B that are already RREF, with no block of
@@ -64,6 +67,8 @@ ENUM_CAP = 1 << 21
 ALL_PAIRS_CAP = 1 << 25
 _WITNESS_CAP = 100  # the report schema's maxItems for witnesses
 _WITNESS_BATCH = 64  # BFS sources per pass while collecting witnesses
+_WORD_BITS = 63  # value bits of the int64 words (key << b | position) sorted
+_POSITION_CHUNK = 1 << 16  # positions ORed into the words at a time
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -181,30 +186,44 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
 
     The group is generated by the transposition (0 1), the n-cycle, scaling
     the last column by a primitive element and, when e > 1, the entrywise
-    Frobenius map a -> a^p.  Each generator's image of every row is found
-    by its key (< q^(kk n), below the square of the number of kk-subspaces
-    of F_q^n), which gives the generator as a permutation of positions.
-    No image is reduced: the two permutation images are written down in
-    RREF from the few rows they move (see _permutation_images).  The
-    Frobenius map fixes 0 and 1, so it maps an RREF basis to an RREF
-    basis.  The scaling leaves alone a row whose only nonzero entry is in
-    the last column, a row e_(n-1) spanning its own image; in every other
-    row the last column holds no pivot, so that image is RREF too.  A
-    permutation conjugates a scaling of one column into a scaling of any
-    other, so this is the group of every column scaling.
+    Frobenius map a -> a^p, each found as a permutation of the rows (see
+    _generator_permutations).  No image is reduced: the two permutation
+    images are written down in RREF from the few rows they move (see
+    _permutation_images).  The Frobenius map fixes 0 and 1, so it maps an
+    RREF basis to an RREF basis.  The scaling leaves alone a row whose
+    only nonzero entry is in the last column, a row e_(n-1) spanning its
+    own image; in every other row the last column holds no pivot, so that
+    image is RREF too.  A permutation conjugates a scaling of one column
+    into a scaling of any other, so this is the group of every column
+    scaling.
     Annihilation commutes with permutations and the Frobenius map and
     inverts scalings, and reversing coordinates maps the group onto
     itself, so on the reversed annihilators the same generators give the
     same orbits.
     """
+    perms = _generator_permutations(ctx, bases)
+
+    def step(lab):
+        low = lab.copy()
+        for perm in perms:
+            np.minimum(low, lab[perm], out=low)
+            low[perm] = np.minimum(low[perm], lab)
+        return low
+
+    return _min_labels(len(bases), step)
+
+
+def _generator_permutations(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray]:
+    """Each generator of _orbit_labels as a permutation of the rows of
+    (V, kk, n) small RREF bases: perm[i] is the row equal to the image of
+    row i.  The rows' keys (< q^(kk n), below the square of the number of
+    kk-subspaces of F_q^n) and each generator's image keys are sorted as
+    packed words (see _sorted_words).  The rows' keys are distinct and a
+    generator is a bijection, so its images are all rows exactly when
+    their sorted keys equal the rows', and then the i-th sorted image is
+    the i-th sorted row; otherwise InternalInvariantError."""
     mul = ctx.np_tables()[2]
     v, kk, n = bases.shape
-    keys = _keys(ctx.q, bases)
-    # annihilators' keys are not in row order; they are distinct, so any
-    # sort gives the same order
-    order = np.argsort(keys)
-    keys = keys[order]
-
     images = _permutation_images(ctx, bases) if n > 1 and kk else []
     if ctx.q > 2 and n:
         scaled = bases.copy()
@@ -214,22 +233,21 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     if ctx.e > 1:
         frob = np.array([ctx.pow(a, ctx.p) for a in range(ctx.q)], dtype=np.uint8)
         images.append(frob[bases])
+    keys = np.empty((1 + len(images), v), dtype=np.int64)
+    for row, blocks in zip(keys, [bases, *images]):
+        row[:] = _keys(ctx.q, blocks)
+    del images
+    words, b = _sorted_words(keys, (ctx.q ** (kk * n) - 1).bit_length())
+    del keys
+    first, rows = words[0] >> b, words[0] & (1 << b) - 1
     perms = []
-    for image in images:
-        want = _keys(ctx.q, image)
-        at = np.minimum(np.searchsorted(keys, want), v - 1)
-        if (keys[at] != want).any():
+    for image in words[1:]:
+        if ((image >> b) != first).any():
             raise InternalInvariantError("a symmetry image of a vertex is not a vertex")
-        perms.append(order[at])
-
-    def step(lab):
-        low = lab.copy()
-        for perm in perms:
-            np.minimum(low, lab[perm], out=low)
-            low[perm] = np.minimum(low[perm], lab)
-        return low
-
-    return _min_labels(v, step)
+        perm = np.empty(v, dtype=np.int64)
+        perm[image & (1 << b) - 1] = rows
+        perms.append(perm)
+    return perms
 
 
 def _permutation_images(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray]:
@@ -554,6 +572,28 @@ def _keys(q: int, blocks: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _sorted_words(keys: np.ndarray, key_bits: int) -> tuple[np.ndarray, int]:
+    """(words, b): each row of (m, L) nonnegative keys below 2^key_bits
+    packed as key << b | position in the row, b the bit length of L - 1,
+    and sorted in place by numpy's SIMD sort, which outruns an argsort of
+    the keys.  The words of a row are distinct, so their order is the
+    keys' order with ties in position order, the stable order.  When a
+    word would not fit in _WORD_BITS bits, the keys of all rows are first
+    replaced by their dense ranks among them all, which keeps their order
+    and never happens under ENUM_CAP (at most 48 bits for buckets and 63
+    for orbit keys, both at (37,4,2))."""
+    size = keys.shape[1]
+    b = (size - 1).bit_length()
+    if key_bits + b > _WORD_BITS:
+        keys = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+    words = np.left_shift(keys, b)
+    for lo in range(0, size, _POSITION_CHUNK):  # no (m, L) temporary
+        hi = min(lo + _POSITION_CHUNK, size)
+        words[:, lo:hi] |= np.arange(lo, hi)
+    words.sort(axis=1)
+    return words, b
+
+
 # -- distances ----------------------------------------------------------------------
 #
 # Rows of V x ceil(S/64) uint64 arrays are bitsets over S sources.  `_spread`
@@ -564,42 +604,63 @@ def _keys(q: int, blocks: np.ndarray) -> np.ndarray:
 
 class _Buckets:
     """V x h nonnegative keys, numbered and gathered once: `inc` holds bucket
-    ids 0..B-1 in key order, `members` the vertices bucket by bucket, in no
-    set order inside a bucket, starts[b] where bucket b begins, and `cuts`
-    split the buckets into chunks of about V members, which bound the block
-    `_spread` gathers.  `inc` and `members` are int32 unless V h reaches
-    2^31 (B <= V h), which only --max-vertices above ENUM_CAP allows; then
-    int64.  Besides the keys, the numbering holds one int64 argsort and
-    the V h ids: bucket starts are marked from the sorted keys V at a time,
-    with no full sorted copy, and the argsort is divided into the members
-    in place."""
+    ids 0..B-1 in key order, `members` the vertices bucket by bucket, in
+    position order inside a bucket, starts[b] where bucket b begins, and
+    `cuts` split the buckets into chunks of about V members, which bound
+    the block `_spread` gathers.  `inc` is the (V, h) transpose view of
+    an (h, V) table, so each column `_spread` gathers by is contiguous.
+    `inc` and `members` are int32 unless V h reaches 2^31 (B <= V h),
+    which only --max-vertices above ENUM_CAP allows; then int64.
+
+    Entry (u, j) is sorted as the word key << b | u h + j, b the bit
+    length of V h - 1 (see _sorted_words), so members come out in
+    position order.  The words are then consumed in place: bucket starts
+    are marked from their keys and each becomes the position j V + u of
+    its entry in the (h, V) table (see _run_starts), which the ids are
+    scattered to and the members u read back from.  Besides the keys,
+    the numbering holds the int64 words and the int32 tables."""
 
     def __init__(self, keys: np.ndarray):
         v, h = keys.shape
-        flat = keys.ravel()
-        order = np.argsort(flat)  # order inside a bucket is never read
-        ids = _run_starts(flat, order, v)
-        self.starts = np.flatnonzero(ids)
-        np.cumsum(ids, out=ids)
+        size = v * h
+        words, b = _sorted_words(keys.reshape(1, size), int(keys.max(initial=0)).bit_length())
+        words = words[0]
+        new = _run_starts(words, b, v, h)
+        self.starts = np.flatnonzero(new)
+        ids = new.astype(_id_dtype(size))
+        del new
+        np.cumsum(ids, out=ids)  # in place: a bool input is summed in an int64 copy
         ids -= 1
-        inc = np.empty_like(ids)
-        inc[order] = ids
-        del ids
-        self.inc = inc.reshape(v, h)
-        self.members = np.floor_divide(order, h, out=order).astype(inc.dtype, copy=False)
-        chunks = np.searchsorted(self.starts, np.arange(0, self.members.size, max(v, 1)))
+        inc = np.empty((h, v), dtype=ids.dtype)
+        inc.reshape(-1)[words] = ids
+        self.inc = inc.T
+        ids[:] = np.remainder(words, max(v, 1), out=words)
+        del words
+        self.members = ids
+        chunks = np.searchsorted(self.starts, np.arange(0, size, max(v, 1)))
         self.cuts = np.unique(np.r_[chunks, self.starts.size])
 
 
-def _run_starts(flat: np.ndarray, order: np.ndarray, step: int) -> np.ndarray:
-    """1 where the sorted keys flat[order] start a run of equal keys, else
-    0, as ids (see _id_dtype), from `step` sorted keys at a time: no full
-    sorted copy."""
-    out = np.ones(flat.size, dtype=_id_dtype(flat.size))
-    for lo in range(0, flat.size, max(step, 1)):
-        run = flat[order[max(lo - 1, 0) : lo + step]]
-        np.not_equal(run[1:], run[:-1], out=out[max(lo, 1) : lo + step])
-    return out
+def _run_starts(words: np.ndarray, b: int, v: int, h: int) -> np.ndarray:
+    """True where the sorted words key << b | u h + j of V x h keys start a
+    run of equal keys.  V words at a time, each word is then turned in
+    place into j V + u, the position of its entry in the (h, V) table."""
+    new = np.empty(words.size, dtype=bool)
+    buf = np.empty(min(v, words.size), dtype=np.int64)
+    last = -1
+    for lo in range(0, words.size, max(v, 1)):
+        w = words[lo : lo + v]
+        key = np.right_shift(w, b, out=buf[: w.size])
+        new[lo] = key[0] != last
+        np.not_equal(key[1:], key[:-1], out=new[lo + 1 : lo + v])
+        last = key[-1]
+        w &= (1 << b) - 1
+        u = np.floor_divide(w, h, out=key)
+        # j v + u = (u h + j) v - u (h v - 1), exact even if w v wraps
+        w *= v
+        u *= h * v - 1
+        w -= u
+    return new
 
 
 def _id_dtype(size: int) -> type:
@@ -671,7 +732,7 @@ def _components(buckets: _Buckets) -> np.ndarray:
 
     def step(lab):
         low = np.minimum.reduceat(lab[buckets.members], buckets.starts)
-        return np.minimum(lab, low[buckets.inc].min(axis=1))
+        return np.minimum(lab, low[buckets.inc.T].min(axis=0))
 
     return _min_labels(buckets.inc.shape[0], step)
 

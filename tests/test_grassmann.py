@@ -34,7 +34,7 @@ from grasscodes.errors import (
     FieldTooLargeError,
     InternalInvariantError,
 )
-from grasscodes.gf import field_new, field_of_order
+from grasscodes.gf import field_new, field_of_order, is_prime
 from grasscodes.grassmann import (
     ALL_PAIRS_CAP,
     GrassmannGraph,
@@ -311,15 +311,14 @@ def test_incidence_adjacency_matches_pairwise_oracle():
 
 
 def _assert_buckets_match_stable_oracle(keys, case):
-    """_Buckets numbers keys as the stable-sort oracle does, with the same
-    member set in every bucket and int32 ids and members."""
+    """_Buckets numbers keys as the stable-sort oracle does, member for
+    member in the same order, with int32 ids and members."""
     got = grassmann._Buckets(keys)
     inc, members, starts, cuts = buckets_stable(keys)
     assert got.inc.dtype == got.members.dtype == np.int32, case
     assert got.inc.shape == inc.shape and (got.inc == inc).all(), case
     assert got.starts.tolist() == starts.tolist() and got.cuts.tolist() == cuts.tolist(), case
-    for lo, hi in zip(starts, np.r_[starts[1:], members.size]):
-        assert sorted(got.members[lo:hi]) == sorted(members[lo:hi]), case
+    assert got.members.tolist() == members.tolist(), case
 
 
 def test_buckets_number_raw_keys():
@@ -333,10 +332,25 @@ def test_buckets_number_raw_keys():
         cases.append(pool[rng.integers(0, distinct, size=(v, h))])
     cases += [np.array([[7, 3, 9]]), np.zeros((5, 0), dtype=np.int64)]
     cases.append(np.zeros((0, 4), dtype=np.int64))
+    cases += _wide_key_cases(rng)
     for keys in cases:
         ids = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
         assert (grassmann._Buckets(keys).inc == ids).all()
         _assert_buckets_match_stable_oracle(keys, keys.shape)
+
+
+def _wide_key_cases(rng):
+    """Keys near 2^62 and up to 2^63 - 1, whose bits plus the bits of a
+    position exceed the 63 of a packed word, so _Buckets ranks them first."""
+    top = np.iinfo(np.int64).max
+    cases = []
+    for v, h, distinct in [(200, 6, 30), (50, 4, 200), (3, 2, 6)]:
+        pool = (1 << 62) - 1 - rng.choice(1 << 40, size=distinct, replace=False)
+        cases.append(pool[rng.integers(0, distinct, size=(v, h))])
+    cases.append(np.array([[top, 0, 5], [1 << 62, top, 0]]))
+    for keys in cases:
+        assert int(keys.max()).bit_length() + (keys.size - 1).bit_length() > 63
+    return cases
 
 
 @pytest.mark.parametrize("q, n, k", [(2, 5, 3), (3, 4, 3)])
@@ -588,6 +602,37 @@ def test_bucket_ids_widen_at_two_to_the_31(monkeypatch):
     wide = grassmann._Buckets(keys)
     assert wide.inc.dtype == wide.members.dtype == np.int64
     assert (wide.inc == narrow.inc).all() and (wide.members == narrow.members).all()
+
+
+def _prime_powers(limit):
+    """The q <= limit with exactly one prime divisor."""
+    primes = [p for p in range(2, limit + 1) if is_prime(p)]
+    return [q for q in range(2, limit + 1) if sum(q % p == 0 for p in primes) == 1]
+
+
+def test_no_enumerable_group_needs_narrowing():
+    """Under ENUM_CAP, for every q <= 256, every span-key table of r < kk
+    (r = kk - 1 buckets, r = 1 points) packs keys below q^(r n) with
+    positions below V [kk r]_q into at most 48 bits, and the orbit keys,
+    below q^(kk n), with positions below V into at most 63: no packed sort
+    of the engine ranks its keys first.  Both maxima are at (37,4,2)."""
+    buckets, orbits = [], []
+    for q in _prime_powers(256):
+        n = 1
+        while subspace_count(n, 1, q) <= grassmann.ENUM_CAP:
+            for k in range(n + 1):
+                v, kk = subspace_count(n, k, q), min(k, n - k)
+                if v > grassmann.ENUM_CAP:
+                    continue
+                for r in range(kk):
+                    h = subspace_count(kk, r, q)
+                    bits = (q ** (r * n) - 1).bit_length() + (v * h - 1).bit_length()
+                    buckets.append((bits, (q, n, k, r)))
+                orbits.append(((q ** (kk * n) - 1).bit_length() + (v - 1).bit_length(), (q, n, k)))
+            n += 1
+    assert max(buckets) == (48, (37, 4, 2, 1))
+    assert max(orbits) == (63, (37, 4, 2))
+    assert grassmann._WORD_BITS == 63
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 256])
@@ -1023,6 +1068,24 @@ def test_orbit_labels_match_scalar_closure(q, n, k):
     assert (strengths[labels] == strengths).all()
 
 
+@pytest.mark.parametrize("q, n, k", [(2, 5, 2), (4, 4, 2), (3, 5, 3), (9, 3, 2)])
+def test_orbit_labels_match_scalar_closure_when_narrowed(monkeypatch, q, n, k):
+    """With no room in a packed word, _orbit_labels ranks the vertex and
+    image keys together, and _Buckets its keys, before packing: the orbits
+    match the scalar closure and every class verifies as it does with
+    room."""
+    idx = enumerate_subspaces(field_of_order(q), n, k)
+
+    def verdicts():
+        deltas = [build_delta(idx, t) for t in range(1, k + 1)]
+        return [(diameter_and_connectivity(g), isometry_check(g)) for g in deltas]
+
+    wide = verdicts()
+    monkeypatch.setattr(grassmann, "_WORD_BITS", 0)
+    assert build_gamma(idx).orbit_labels().tolist() == orbit_partition_oracle(idx).tolist()
+    assert verdicts() == wide
+
+
 def test_orbit_labels_are_lazy():
     """Neither enumeration nor the index nor a new graph builds orbit
     labels; each graph builds its own once, on first use."""
@@ -1059,6 +1122,15 @@ def test_orbit_labels_reject_mixed_strengths(monkeypatch):
     for route in (diameter_and_connectivity, isometry_check):
         with pytest.raises(InternalInvariantError):
             route(build_delta(idx, 2))
+
+
+def test_orbit_labels_reject_mixed_strengths_when_narrowed(monkeypatch):
+    """The closure check survives narrowing because the vertex and image
+    keys are ranked together: ranked apart, V distinct image keys would
+    take the ranks 0..V-1 of the vertices whether or not they are
+    vertices."""
+    monkeypatch.setattr(grassmann, "_WORD_BITS", 0)
+    test_orbit_labels_reject_mixed_strengths(monkeypatch)
 
 
 ORACLE_GROUPS = {
