@@ -186,9 +186,8 @@ def cmd_enumerate(args) -> int:
     index = enumerate_subspaces(ctx, args.n, args.k, max_count=args.max_vertices)
     delta = build_delta(index, args.t)
     lines = [f"# q={args.q} n={args.n} k={args.k} t={args.t} count={delta.num_vertices}"]
-    for i in range(delta.num_vertices):
-        rows = delta.subspace_at(i).basis.rows
-        lines.append(" ".join(str(x) for r in rows for x in r))
+    rows = index.bases[delta.vertex_ids].reshape(delta.num_vertices, args.k * args.n)
+    lines += [" ".join(map(str, row)) for row in rows.tolist()]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -15,16 +15,15 @@ and the metric share them when buckets are points.  Keys are numbered,
 and symmetry images matched to vertices, by sorting packed int64 words
 key << b | position, with no argsort and no binary search.  A code has
 strength >= t exactly when every t columns of its generator are
-independent, so one column-prefix kernel lists both every subspace and
-each strength class: a new column of a class member lies in the span of
-no t - 1 earlier ones.
-The strength of a subspace is the number of classes t in [1, k] that hold
-it.  No verification route runs a row reduction: span keys are built
-entry by entry from products C B that are already RREF, with no block of
-the spans ever held, and annihilators and the images of the symmetry
-generators are built in RREF, the transposition (0 1) by reordering and
-scaling the first two rows, the n-cycle by clearing the new first column
-with the last row that holds it.
+independent, so one run of a column-prefix kernel lists every subspace
+with its strength: a new column lowers the strength of its prefix to the
+fewest earlier columns it is a combination of, and the strength-t class
+is the subspaces of strength >= t.  No verification route runs a row
+reduction: span keys are built entry by entry from products C B that are
+already RREF, with no block of the spans ever held, and annihilators and
+the images of the symmetry generators are built in RREF, the
+transposition (0 1) by reordering and scaling the first two rows, the
+n-cycle by clearing the new first column with the last row that holds it.
 
 Graph distance in the full graph coincides with k - dim(x ∩ y).  It is
 distance-transitive, so BFS from one source, checked against the closed
@@ -74,22 +73,23 @@ _POSITION_CHUNK = 1 << 16  # positions ORed into the words at a time
 # -- enumeration ----------------------------------------------------------------
 
 class SubspaceIndex:
-    """All k-subspaces of F_q^n, canonically ordered.
+    """All k-subspaces of F_q^n, canonically ordered, with their strengths.
 
     bases[i] is the RREF basis of subspace i as a (k, n) uint8 block;
     the table is sorted lexicographically by row-major entries, so the
-    ordering is reproducible across runs and platforms.  Strengths, small
-    bases and span keys are built on first use and shared by every graph
-    over the index; symmetry orbits are each graph's own (see
+    ordering is reproducible across runs and platforms.  The strengths come
+    from the kernel run that lists the bases (see enumerate_subspaces).
+    Small bases and span keys are built on first use and shared by every
+    graph over the index; symmetry orbits are each graph's own (see
     GrassmannGraph.orbit_labels).
     """
 
-    def __init__(self, ctx: FieldCtx, n: int, k: int, bases: np.ndarray):
+    def __init__(self, ctx: FieldCtx, n: int, k: int, bases: np.ndarray, strengths: np.ndarray):
         self.ctx = ctx
         self.n = n
         self.k = k
         self.bases = bases
-        self._strength_all: np.ndarray | None = None
+        self._strengths = strengths
         self._small: np.ndarray | None = None
         self._span_keys: dict[int, np.ndarray] = {}
 
@@ -101,21 +101,9 @@ class SubspaceIndex:
         return Subspace(self.ctx, self.n, MatrixGF._trusted(self.ctx, rows, self.n))
 
     def strength_all(self) -> np.ndarray:
-        """Strength of every subspace as int16: the number of t in [1, k]
-        whose class (see _class_bases) holds it.  Each class is found in
-        the sorted bases by one binary search on the bytes of its rows,
-        whose order is the index order."""
-        if self._strength_all is None:
-            out = np.zeros(len(self), dtype=np.int16)
-            row = np.dtype((np.void, self.k * self.n))
-            rows = self.bases.reshape(len(self), -1).view(row).ravel()
-            for t in range(1, self.k + 1):
-                found = _class_bases(self.ctx, self.n, self.k, t)
-                if not len(found):  # then so is the class of every larger t
-                    break
-                out[np.searchsorted(rows, found.reshape(len(found), -1).view(row).ravel())] += 1
-            self._strength_all = out
-        return self._strength_all
+        """Strength min(d - 1, k) of every subspace as int16, d its dual
+        distance, as the kernel carried it (see _class_bases)."""
+        return self._strengths
 
     def _small_bases(self) -> np.ndarray:
         """(V, kk, n) RREF bases with kk = min(k, n-k): the subspaces' own
@@ -310,21 +298,23 @@ def _min_labels(v: int, step) -> np.ndarray:
         lab = new
 
 
-def _class_bases(ctx: FieldCtx, n: int, k: int, t: int) -> np.ndarray:
-    """(N, k, n) RREF bases, in no set order, of the k-subspaces of F_q^n in
-    which every t columns of a generator are independent: the codes of
-    strength >= t, or every subspace when t = 0.
+def _class_bases(ctx: FieldCtx, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bases, strengths): the (V, k, n) RREF bases of every k-subspace of
+    F_q^n, in no set order, and the strength of each as int16, capped at k.
 
     The bases grow column by column.  After j columns a prefix is an RREF
-    block of some rank r, and the next column is the pivot e_r (r < k) or
-    a free v in F_q^r, allowed when r + (columns after it) >= k so that the
-    missing pivots still fit.  A pivot keeps every t columns independent;
-    a free v does exactly when it is no combination of t - 1 or fewer
-    earlier columns.  Those are marked in a (prefixes, q^r) table, none
-    when t = 0 (zero columns allowed) and only 0 when t = 1.  A combination
-    of exactly i columns, all coefficients nonzero, is one of i - 1 plus a
-    multiple of a later column: layers[i] holds its (parent, column,
-    coefficient).  Prefixes are held by rank, so each table is rectangular.
+    block of some rank r and strength s so far, k for the empty prefix.
+    The next column is the pivot e_r (r < k), which keeps s, or a free v in
+    F_q^r, allowed when r + (columns after it) >= k so that the missing
+    pivots still fit.  A free v lowers s to m(v), the fewest earlier
+    columns v is a combination of (at most r, as the pivots give every v),
+    read capped at min(s, r) from a (prefixes, q^r) table filled from the
+    combinations of fewer than min(s, r) columns: those of exactly i
+    columns, all coefficients nonzero, are those of i - 1 plus a multiple
+    of a later column, listed once for every i < k (no strength is
+    larger), none when k = n leaves no column free.  Prefixes are held by
+    rank, so each table is rectangular, and the children of a rank are
+    written into one preallocated block, pivot children first.
     """
     add, _, mul, _, _ = ctx.np_tables()
     q = ctx.q
@@ -333,53 +323,63 @@ def _class_bases(ctx: FieldCtx, n: int, k: int, t: int) -> np.ndarray:
     cube = (q if k < n else 1,) * k
     digits = np.indices(cube, dtype=np.uint8).reshape(k, math.prod(cube))[::-1].T
     powers = q ** np.arange(k)
-    # layers[0] is the empty combination
-    layers = [(np.zeros(1, dtype=np.intp),) * 3] + [(np.zeros(0, dtype=np.intp),) * 3] * (t - 1)
-    groups = {0: np.zeros((1, k, 0), dtype=np.uint8)}
+    # layers[i - 1]: (parent, last column q + its coefficient) of each sum of i
+    # columns, by last column; before[i - 1][j] counts those of the first j
+    layers, before, last = [], [], np.full(1, -1)  # the empty sum's
+    for _ in range(1, k if k < n else 1):
+        col, parent = np.nonzero(last < np.arange(n - 1)[:, None])
+        before.append(np.bincount(col + 1, minlength=n).cumsum() * (q - 1))
+        last = np.repeat(col, q - 1)
+        layers.append((np.repeat(parent, q - 1), last * q + 1 + np.arange(last.size) % (q - 1)))
+    groups = {0: (np.zeros((1, k, 0), dtype=np.uint8), np.full(1, k, dtype=np.uint8))}
     for j in range(n):
-        grown: dict[int, list[np.ndarray]] = {}
-        for r, pre in groups.items():
+        pivots = {r + 1: len(pre) for r, (pre, _) in groups.items() if r < k}
+        frees = {r: len(pre) * q**r for r, (pre, _) in groups.items() if r >= k - (n - 1 - j)}
+        sizes = {r: pivots.get(r, 0) + frees.get(r, 0) for r in pivots.keys() | frees.keys()}
+        grown = {r: (np.empty((size, k, j + 1), dtype=np.uint8), np.empty(size, dtype=np.uint8))
+                 for r, size in sizes.items()}
+        for r, (pre, s) in groups.items():
             c = len(pre)
             if r < k:
-                child = np.zeros((c, k, j + 1), dtype=np.uint8)
-                child[:, :, :j] = pre
-                child[:, r, j] = 1
-                grown.setdefault(r + 1, []).append(child)
-            if r < k - (n - 1 - j):
+                block, strength = grown[r + 1]
+                block[:c, :, :j] = pre
+                block[:c, :, j] = 0
+                block[:c, r, j] = 1
+                strength[:c] = s
+            if r not in frees:
                 continue
-            m = q**r
-            if t < 2:  # every v, or every v but 0, in order
-                child = np.empty((c, m - t, k, j + 1), dtype=np.uint8)
-                child[..., :j] = pre[:, None]
-                child[..., j] = digits[t:m]
-                child = child.reshape(c * (m - t), k, j + 1)
-            else:
-                banned = np.zeros((c, m), dtype=bool)
-                banned[:, 0] = True
-                for i, (parent, col, coef) in enumerate(layers[1 : j + 1], 1):
-                    term = _table_take(mul, coef, pre[:, :r, col])
-                    combos = term if i == 1 else _table_take(add, combos[:, :, parent], term)
-                    banned[np.arange(c)[:, None], powers[:r] @ combos] = True
-                p, v = np.nonzero(~banned)
-                child = np.empty((p.size, k, j + 1), dtype=np.uint8)
-                child[:, :, :j] = pre[p]
-                child[:, :, j] = digits[v]
-            if len(child):
-                grown.setdefault(r, []).append(child)
-        groups = {r: parts[0] if len(parts) == 1 else np.concatenate(parts)
-                  for r, parts in grown.items()}
-        for i in range(min(t - 1, j + 1), 0, -1):  # the combinations ending in column j
-            parent = np.repeat(np.arange(len(layers[i - 1][0])), q - 1)
-            ends = parent, np.full(parent.size, j), np.tile(np.arange(1, q), parent.size // (q - 1))
-            layers[i] = tuple(map(np.concatenate, zip(layers[i], ends)))
-    return groups.get(k, np.zeros((0, k, n), dtype=np.uint8))
+            caps = np.minimum(s, r)
+            order = np.argsort(caps, kind="stable")[::-1]
+            pre, caps = pre[order], caps[order]  # so each layer reads a leading slice
+            table = np.repeat(caps[:, None], q**r, axis=1)
+            table[:, 0] = 0
+            if r > 1:  # else none is read; scaled[p, :, col q + a] = a pre[p, :r, col]
+                scaled = _table_take(mul, pre[:, :r, :, None], np.arange(q)).reshape(c, r, -1)
+                flat, rows = table.reshape(-1), q**r * np.arange(c)[:, None]
+                for i, (parent, term_at) in enumerate(layers, 1):
+                    live, m = int(np.count_nonzero(caps > i)), before[i - 1][j]
+                    if not live:
+                        break
+                    term = scaled[:live, :, term_at[:m]]
+                    sums = term if i == 1 else _table_take(add, sums[:live, :, parent[:m]], term)
+                    at = powers[:r] @ sums + rows[:live]
+                    flat[at] = np.minimum(flat[at], i)
+            block, strength = grown[r]
+            child = block[pivots.get(r, 0) :].reshape(table.shape + (k, j + 1))
+            child[..., :j] = pre[:, None]
+            child[..., j] = digits[: q**r]
+            strength[pivots.get(r, 0) :] = table.ravel()
+        groups = grown
+    bases, strengths = groups[k]  # the only rank left
+    return bases, strengths.astype(np.int16)
 
 
 def enumerate_subspaces(
     ctx: FieldCtx, n: int, k: int, max_count: int = ENUM_CAP
 ) -> SubspaceIndex:
-    """Every k-subspace of F_q^n as its RREF basis: the column-prefix kernel
-    with no strength test (see _class_bases), sorted by row-major entries.
+    """Every k-subspace of F_q^n as its RREF basis, with its strength: one
+    run of the column-prefix kernel (see _class_bases), sorted by row-major
+    entries.
 
     Bases are stored as uint8, so q > 256 raises FieldTooLargeError (from
     the numpy tables) before anything is built."""
@@ -391,14 +391,15 @@ def enumerate_subspaces(
         raise EnumerationTooLargeError(
             f"{total} subspaces exceed the cap {max_count}"
         )
-    out = _class_bases(ctx, n, k, 0)
-    if len(out) != total:
+    bases, strengths = _class_bases(ctx, n, k)
+    if len(bases) != total:
         raise InternalInvariantError(
-            f"enumerated {len(out)} subspaces, expected {total}"
+            f"enumerated {len(bases)} subspaces, expected {total}"
         )
     if k * n:
-        out = out[np.lexsort(out.reshape(total, k * n).T[::-1])]
-    return SubspaceIndex(ctx, n, k, out)
+        order = np.lexsort(bases.reshape(total, k * n).T[::-1])
+        bases, strengths = bases[order], strengths[order]
+    return SubspaceIndex(ctx, n, k, bases, strengths)
 
 
 # -- metric ------------------------------------------------------------------------
@@ -444,9 +445,6 @@ class GrassmannGraph:
     @property
     def num_vertices(self) -> int:
         return int(self.vertex_ids.shape[0])
-
-    def subspace_at(self, i: int) -> Subspace:
-        return self.index.subspace_at(int(self.vertex_ids[i]))
 
     def span_buckets(self, r: int) -> _Buckets:
         """The vertices' span keys (see SubspaceIndex.span_keys) numbered as
@@ -637,8 +635,8 @@ class _Buckets:
         ids[:] = np.remainder(words, max(v, 1), out=words)
         del words
         self.members = ids
-        chunks = np.searchsorted(self.starts, np.arange(0, size, max(v, 1)))
-        self.cuts = np.unique(np.r_[chunks, self.starts.size])
+        blocks = self.starts // max(v, 1)  # cut at each V-position block's first bucket
+        self.cuts = np.r_[np.flatnonzero(np.diff(blocks, prepend=-1)), self.starts.size]
 
 
 def _run_starts(words: np.ndarray, b: int, v: int, h: int) -> np.ndarray:

@@ -219,6 +219,11 @@ def metric_ranks_pairwise(graph):
     return dist
 
 
+def vertex_subspace(graph, i):
+    """The Subspace at graph position i: its index row through vertex_ids."""
+    return graph.index.subspace_at(int(graph.vertex_ids[i]))
+
+
 def index_of(index, s):
     """Position of a Subspace/LinearCode in a SubspaceIndex, by comparing
     its RREF entries with every row of the table."""

@@ -22,6 +22,7 @@ from conftest import (
     span_keys_by_blocks,
     strengths_by_column_rank,
     summary_all_pairs,
+    vertex_subspace,
 )
 from grasscodes import bulk, grassmann
 from grasscodes.codes import LinearCode, strength
@@ -60,7 +61,7 @@ F5 = field_new(5)
 def oracle_adjacency(graph):
     """Pure-python adjacency via intersection dimensions."""
     v = graph.num_vertices
-    subs = [graph.subspace_at(i) for i in range(v)]
+    subs = [vertex_subspace(graph, i) for i in range(v)]
     adj = [[False] * v for _ in range(v)]
     for i in range(v):
         for j in range(i + 1, v):
@@ -129,9 +130,10 @@ def test_index_lookup_roundtrip():
 
 
 def test_strength_all_matches_scalar():
-    """The class kernel's strengths agree with the scalar column-independence
-    test of codes.strength; (5,4,2) and (9,3,2) are rich in MDS codes, whose
-    dual distance is k + 1 and whose strength is the cap k."""
+    """The column-prefix kernel's strengths agree with the scalar
+    column-independence test of codes.strength; (5,4,2) and (9,3,2) are
+    rich in MDS codes, whose dual distance is k + 1 and whose strength is
+    the cap k."""
     cases = [(ctx, n, k) for ctx, n in ((F2, 4), (F3, 4), (field_of_order(4), 3)) for k in range(n + 1)]
     cases += [(F5, 4, 2), (field_of_order(9), 3, 2)]
     for ctx, n, k in cases:
@@ -144,7 +146,7 @@ def test_strength_all_matches_scalar():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_strength_all_matches_column_rank_oracle(q):
     """Every index of at most 2^15 subspaces with n <= 6, every k in 0..n,
-    and (3,0,0): the class kernel gives the strengths of the shortest
+    and (3,0,0): the column-prefix kernel gives the strengths of the shortest
     dependent column subsets."""
     cases = [
         (n, k) for n in range(1, 7) for k in range(n + 1) if subspace_count(n, k, q) <= 1 << 15
@@ -161,11 +163,12 @@ def test_strength_all_matches_column_rank_oracle(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_class_bases_match_oracles(q):
     """The column-prefix kernel on every index of at most 2^15 subspaces
-    with n <= 6 and every t in [0, k], (3,0,0), k = 0 and k = n included:
-    at t = 0 its rows are the pivot-pattern oracle's, each once; at t >= 1
-    they are the bases whose dual-word strength and shortest dependent
-    column subset both give strength >= t, empty classes included.  Long
-    codes with n - k = 1 (up to (2,12,11)) are pinned to the dual words."""
+    with n <= 6, (3,0,0), k = 0 and k = n included: its rows are the
+    pivot-pattern oracle's, each once, and its int16 strengths are those
+    of the dual words and of the shortest dependent column subsets, so for
+    every t in [0, k] the rows it gives strength >= t are the class of the
+    oracles, empty classes included.  Long codes with n - k = 1 (up to
+    (2,12,11)) are pinned to the dual words."""
     ctx = field_of_order(q)
     cases = [(n, k) for n in range(7) for k in range(n + 1) if subspace_count(n, k, q) <= 1 << 15]
     if q in (2, 3):
@@ -178,12 +181,12 @@ def test_class_bases_match_oracles(q):
             assert (dual == strengths_by_column_rank(ctx, idx.bases, n, k)).all(), (q, n, k)
             slow = sorted(iter_rref_bases(ctx, n, k))
             slow = np.array(slow, dtype=np.uint8).reshape(len(slow), k, n)
-            rows = grassmann._class_bases(ctx, n, k, 0)
-            assert rows.shape == slow.shape and (sorted_bases(rows) == slow).all(), (q, n, k)
-        for t in range(1, k + 1):
-            rows = grassmann._class_bases(ctx, n, k, t)
-            want = idx.bases[dual >= t]
-            assert rows.shape == want.shape and (sorted_bases(rows) == want).all(), (q, n, k, t)
+            assert (idx.bases == slow).all(), (q, n, k)
+        rows, strengths = grassmann._class_bases(ctx, n, k)
+        assert rows.shape == idx.bases.shape and strengths.dtype == np.int16, (q, n, k)
+        for t in range(k + 1):
+            got, want = sorted_bases(rows[strengths >= t]), idx.bases[dual >= t]
+            assert got.shape == want.shape and (got == want).all(), (q, n, k, t)
             empty += not len(want)
         assert (idx.strength_all() == dual).all(), (q, n, k)
     # F_2 and F_3 have empty classes: no [4,2]_2 or [5,2]_3 code has strength 2
@@ -203,18 +206,32 @@ def test_strength_all_runs_no_reduction(monkeypatch):
 
 
 def test_strength_all_stays_small():
-    """(3,6,3): the strengths match the column rank oracle and peak below
-    four times the V x k x n uint8 bases (the column-subset scan peaked at
-    5.3 times)."""
-    idx = enumerate_subspaces(F3, 6, 3)
+    """(3,6,3): enumeration with its strengths peaks below four times the
+    V x k x n uint8 bases (the column-subset scan peaked at 5.3 times), and
+    the strengths match the column rank oracle."""
     tracemalloc.start()
     try:
-        got = idx.strength_all()
+        idx = enumerate_subspaces(F3, 6, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (got == strengths_by_column_rank(F3, idx.bases, 6, 3)).all()
+    assert (idx.strength_all() == strengths_by_column_rank(F3, idx.bases, 6, 3)).all()
     assert peak < 4 * idx.bases.nbytes
+
+
+def test_strengths_of_k_equals_n_stay_small():
+    """With k = n no column is free, so the kernel grows no combinations:
+    the single [7,7]_16 code has strength 7 at a peak of a few kilobytes
+    (the strengths once grew every combination of up to six columns and
+    ran out of memory)."""
+    tracemalloc.start()
+    try:
+        strengths = enumerate_subspaces(field_of_order(16), 7, 7).strength_all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert strengths.tolist() == [7]
+    assert peak < 1 << 16
 
 
 def test_grassmann_distance_examples():
@@ -744,7 +761,7 @@ def test_gamma_diameter_rejects_corrupt_incidence(monkeypatch):
 def test_bfs_source_forms():
     idx = enumerate_subspaces(F2, 4, 2)
     g = build_gamma(idx)
-    s = g.subspace_at(3)
+    s = vertex_subspace(g, 3)
     assert bfs_distances(g, 3).tolist() == bfs_distances(g, s).tolist()
     assert bfs_distances(g, LinearCode(s)).tolist() == bfs_distances(g, 3).tolist()
     with pytest.raises(VertexAbsentError):
@@ -802,7 +819,7 @@ def test_metric_matrix_matches_rank_route():
         idx = enumerate_subspaces(ctx, n, k)
         g = build_gamma(idx)
         fast = metric_distance_matrix(g)
-        subs = [g.subspace_at(i) for i in range(g.num_vertices)]
+        subs = [vertex_subspace(g, i) for i in range(g.num_vertices)]
         for i in range(0, g.num_vertices, 9):
             for j in range(0, g.num_vertices, 11):
                 assert fast[i, j] == grassmann_distance(subs[i], subs[j])
@@ -813,7 +830,7 @@ def test_metric_matrix_deep_case():
     idx = enumerate_subspaces(F2, 6, 3)
     g = build_gamma(idx)
     m = metric_distance_matrix(g)
-    subs = [g.subspace_at(i) for i in range(0, g.num_vertices, 97)]
+    subs = [vertex_subspace(g, i) for i in range(0, g.num_vertices, 97)]
     ids = list(range(0, g.num_vertices, 97))
     for a, i in zip(subs, ids):
         for b, j in zip(subs, ids):
@@ -882,7 +899,7 @@ def test_isometry_check_small_instances():
         d = build_delta(idx, t)
         rep = isometry_check(d)
         adj = oracle_adjacency(d)
-        subs = [d.subspace_at(i) for i in range(d.num_vertices)]
+        subs = [vertex_subspace(d, i) for i in range(d.num_vertices)]
         expected = True
         for i in range(d.num_vertices):
             row = oracle_bfs(adj, i)
@@ -1010,8 +1027,8 @@ def test_monomial_maps_are_graph_automorphisms():
             m = random_monomial(ctx, n, rng)
             i = rng.randrange(delta.num_vertices)
             j = rng.randrange(delta.num_vertices)
-            mi = position_of(delta, apply_monomial(m, LinearCode(delta.subspace_at(i))))
-            mj = position_of(delta, apply_monomial(m, LinearCode(delta.subspace_at(j))))
+            mi = position_of(delta, apply_monomial(m, LinearCode(vertex_subspace(delta, i))))
+            mj = position_of(delta, apply_monomial(m, LinearCode(vertex_subspace(delta, j))))
             assert dist[mi, mj] == dist[i, j]
 
 
