@@ -239,18 +239,51 @@ def has_strength(c: LinearCode, t: int, criterion: Criterion = "dual_distance") 
 def strength(c: LinearCode) -> int:
     """Largest t <= k with strength t (0 = degenerate), cached on the code.
 
-    Found by the t-column test of `has_strength` for t = 1, 2, ... (every
-    t columns independent implies every t - 1 are).  It equals the dual
-    minimum distance minus 1 (INFINITE capping at k) with no dual
-    codeword enumeration.  Membership in the strength-t class is the
-    single t-column test; this scan is for reporting the value.
+    One less than the fewest dependent generator columns, capped at k:
+    the dual minimum distance minus 1 (INFINITE capping at k) with no
+    dual codeword enumeration and no RREF per column subset.  Membership
+    in the strength-t class is the t-column test of `has_strength`; this
+    search is for reporting the value.
     """
     if c._strength is None:
-        t = 0
-        while t < c.k and has_strength(c, t + 1, "columns"):
-            t += 1
-        c._strength = t
+        c._strength = min(_fewest_dependent_columns(c) - 1, c.k)
     return c._strength
+
+
+def _fewest_dependent_columns(c: LinearCode) -> int:
+    """Size of the smallest dependent set of generator columns, or k + 1
+    if every k columns are independent, by a depth-first search over
+    column subsets in lexicographic order.  A node is an independent
+    subset S held as the later columns reduced against S's echelon
+    vectors: a zero residue closes a dependent subset of size |S| + 1,
+    and a child costs one elimination of each later residue.  A branch
+    stops once it cannot beat the smallest size found, so subsets of at
+    most k columns are tested and the recursion is at most k deep."""
+    ctx, k = c.ctx, c.k
+    add, mul, neg, inv = ctx.add, ctx.mul, ctx.neg, ctx.inv
+    cols = list(zip(*c.generator.rows))
+    bound = k + 1
+
+    def eliminate(r: Sequence[int], w: list[int], p: int) -> list[int]:
+        g = neg(r[p])
+        return [add(x, mul(g, y)) for x, y in zip(r, w)]
+
+    def search(residues: list, size: int) -> None:
+        nonlocal bound
+        if not all(map(any, residues)):
+            bound = size + 1
+            return
+        for i, w in enumerate(residues):
+            if size + 2 >= bound:
+                return
+            p = next(j for j, x in enumerate(w) if x)
+            f = inv(w[p])
+            w = [mul(f, x) for x in w]
+            search([eliminate(r, w, p) if r[p] else r for r in residues[i + 1:]], size + 1)
+
+    if k:
+        search(cols, 0)
+    return bound
 
 
 def classify(c: LinearCode) -> dict:

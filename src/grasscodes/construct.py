@@ -30,7 +30,8 @@ move to move.
 
 Membership in the class is decided everywhere by the same t-column test
 (`has_strength(c, t, "columns")`): inputs, merged codes and opposite
-codes alike.  The full `strength` scan only words a failure message.
+codes alike.  The `strength` value (a search for the fewest dependent
+columns) only words a failure message.
 """
 
 from __future__ import annotations

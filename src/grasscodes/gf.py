@@ -10,8 +10,10 @@ smallest).
 
 For q <= 4096 multiplication and inversion run off discrete log/exp
 tables built at construction; above that they fall back to on-the-fly
-polynomial arithmetic.  Addition never needs tables (digit-wise mod p,
-XOR when p = 2).
+polynomial arithmetic.  Addition is digit-wise mod p: the int sum when
+e = 1, XOR when p = 2, and otherwise, for q <= 4096, one lookup of the
+sum of the elements' base-p digits spread into base 2p - 1 (no digit sum
+carries), with negation a q-entry table; above that a digit loop.
 
 A FieldCtx is immutable after construction and safe to share between
 workers; all operations are pure.
@@ -131,7 +133,9 @@ class FieldCtx:
     e : extension degree, >= 1.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_inv", "_np_tables")
+    __slots__ = (
+        "p", "e", "q", "modulus", "_exp", "_log", "_inv", "_spread", "_dec", "_neg", "_np_tables"
+    )
 
     def __init__(self, p: int, e: int = 1):
         # the cap comes first: no primality test or power of an oversized order
@@ -149,9 +153,12 @@ class FieldCtx:
         self._exp = None
         self._log = None
         self._inv = None
+        self._spread = self._dec = self._neg = None
         self._np_tables = None
         if q <= TABLE_ORDER:
             self._build_tables()
+            if p > 2 and e > 1:
+                self._build_digit_sums()
 
     # -- construction helpers -------------------------------------------
 
@@ -178,6 +185,20 @@ class FieldCtx:
         for a in range(1, q):
             inv[a] = exp[(q - 1) - log[a]] if log[a] else 1
         self._exp, self._log, self._inv = exp, log, inv
+
+    def _build_digit_sums(self):
+        """_spread[a]: a's base-p digits read in base b = 2p - 1, so two
+        spreads add digit-wise with no carry; _dec[s]: the element whose
+        digits are s's mod p (b^e entries); _neg[a]: -a.  Grown digit by digit."""
+        p, b = self.p, 2 * self.p - 1
+        elements = list(range(self.q))
+        spread, dec, neg = [0], [0], [0]
+        for i in range(self.e):
+            pi, bi = p**i, b**i
+            spread = [d * bi + s for d in range(p) for s in spread]
+            dec = [elements[d % p * pi + x] for d in range(b) for x in dec]
+            neg = [-d % p * pi + x for d in range(p) for x in neg]
+        self._spread, self._dec, self._neg = spread, dec, neg
 
     def _find_generator(self) -> int:
         q = self.q
@@ -214,6 +235,8 @@ class FieldCtx:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        if self._dec is not None:
+            return self._dec[self._spread[a] + self._spread[b]]
         r, mult = 0, 1
         while a or b:
             r += ((a + b) % self.p) * mult
@@ -230,6 +253,8 @@ class FieldCtx:
             return (-a) % self.p
         if self.p == 2:
             return a
+        if self._neg is not None:
+            return self._neg[a]
         r, mult = 0, 1
         while a:
             r += ((self.p - a % self.p) % self.p) * mult

@@ -7,7 +7,7 @@ import numpy as np
 
 from grasscodes import construct
 from grasscodes.bulk import batched_rref
-from grasscodes.codes import LinearCode, MonomialMap, apply_monomial, strength
+from grasscodes.codes import LinearCode, MonomialMap, apply_monomial, has_strength, strength
 from grasscodes.errors import GrassCodesError, NotSubspaceError
 from grasscodes.grassmann import (
     GraphSummary,
@@ -129,6 +129,16 @@ def dual_word_strengths(ctx, bases, n, k):
                     acc = add[acc, mul[c, b_f[:, :, j]]]
                 np.minimum(best, s + (acc != 0).sum(axis=1, dtype=np.int16), out=best)
     return best - 1
+
+
+def strength_by_scan(c):
+    """Oracle for `codes.strength`: the largest t <= k with the t-column
+    test of `has_strength`, scanned for t = 1, 2, ... (every t columns
+    independent implies every t - 1 are), one RREF per column subset."""
+    t = 0
+    while t < c.k and has_strength(c, t + 1, "columns"):
+        t += 1
+    return t
 
 
 def sorted_bases(bases):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import all_codes, codewords, identity_monomial, random_monomial
+from conftest import all_codes, codewords, identity_monomial, random_monomial, strength_by_scan
+from grasscodes import codes, linalg
 from grasscodes.codes import (
     CRITERIA,
     INFINITE,
@@ -30,6 +31,7 @@ from grasscodes.errors import (
     TooLargeExactError,
 )
 from grasscodes.gf import field_new, field_of_order
+from grasscodes.grassmann import enumerate_subspaces
 from grasscodes.linalg import Subspace
 
 F2 = field_new(2)
@@ -150,6 +152,75 @@ def test_strength_matches_dual_distance():
                 dmd = dual_min_distance(c)
                 expect = c.k if dmd == INFINITE else min(int(dmd) - 1, c.k)
                 assert strength(c) == expect
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_strength_matches_column_prefix_kernel(q):
+    """`strength` against `strength_all`, the numpy column-prefix kernel,
+    for every n <= 6 and every 0 <= k <= n: every subspace when there are
+    at most 5,000, otherwise every ceil(V / 5000)-th row in index order.
+    (5,6,3) has 2,558,556 subspaces, above the default enumeration cap."""
+    ctx = field_of_order(q)
+    for n in range(1, 7):
+        for k in range(n + 1):
+            index = enumerate_subspaces(ctx, n, k, max_count=1 << 22)
+            expect = index.strength_all().tolist()
+            for i in range(0, len(index), -(-len(index) // 5000)):
+                assert strength(LinearCode(index.subspace_at(i))) == expect[i], (q, n, k, i)
+
+
+def _random_columns_code(ctx, n, k, rng):
+    """A code whose k x n generator has zero, repeated, proportional and
+    random columns, drawn from a `random.Random`; its rank may fall below
+    k."""
+    cols = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            col = [0] * k
+        elif kind < 0.35 and cols:
+            lam = rng.randrange(1, ctx.q)
+            col = [ctx.mul(lam, x) for x in rng.choice(cols)]
+        else:
+            col = [rng.randrange(ctx.q) for _ in range(k)]
+        cols.append(col)
+    return LinearCode.from_generator(ctx, zip(*cols), n=n)
+
+
+def test_strength_matches_scan_and_dual_distance_random():
+    """`strength` against the per-subset scan and against the dual
+    distance on seeded random codes, q <= 29 and n <= 10; the dual is
+    enumerated when it has at most 2^16 words."""
+    rng = random.Random(2028)
+    for _ in range(400):
+        ctx = field_of_order(rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 29]))
+        n = rng.randint(1, 10)
+        c = _random_columns_code(ctx, n, rng.randint(1, n), rng)
+        got = strength(c)
+        assert got == strength_by_scan(c), (c, c.generator.rows)
+        if ctx.q ** (n - c.k) <= 1 << 16:
+            dmd = dual_min_distance(c)
+            assert got == (c.k if dmd == INFINITE else min(int(dmd) - 1, c.k)), c
+
+
+def test_strength_runs_no_reduction(monkeypatch):
+    """`strength` searches column subsets with its own eliminations: no
+    `rref` and no `column_rank`, for degenerate, projective, MDS, full
+    and zero codes."""
+    rng = random.Random(7)
+    cases = [_random_columns_code(field_of_order(q), n, k, rng) for q, n, k in
+             [(2, 8, 4), (3, 7, 3), (9, 6, 3), (29, 8, 4)] for _ in range(5)]
+    cases += [code(F5, [(1, 1, 1, 1), (0, 1, 2, 3)]), code(F2, [(1, 0, 0), (0, 1, 0)]),
+              LinearCode(Subspace.full(F3, 4)), LinearCode(Subspace.zero(F3, 4))]
+    expect = [strength_by_scan(c) for c in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strength must not reduce a column subset")
+
+    monkeypatch.setattr(codes, "rref", refuse)
+    monkeypatch.setattr(codes, "column_rank", refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
+    assert [strength(c) for c in cases] == expect
 
 
 def test_criteria_agree_exhaustive_small():

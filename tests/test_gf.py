@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +109,30 @@ def test_field_axioms_full(q):
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 121, 2187, 3125, 6561])
+def test_odd_extension_add_neg_are_digitwise(q):
+    """add and neg in GF(p^e), p odd and e > 1, act on the base-p digits of
+    the encoding mod p: through the spread-digit tables up to q = 4096 and
+    the digit loop above.  Every pair when q <= 121, else 3,000 seeded pairs."""
+    f = field_of_order(q)
+    p, e = f.p, f.e
+
+    def digits(a):
+        return [a // p**i % p for i in range(e)]
+
+    def encode(ds):
+        return sum(d % p * p**i for i, d in enumerate(ds))
+
+    if q <= 121:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)] + [(q - 1, q - 1)]
+    for a, b in pairs:
+        assert f.add(a, b) == encode([x + y for x, y in zip(digits(a), digits(b))]), (a, b)
+        assert f.neg(a) == encode([-x for x in digits(a)]), a
 
 
 @given(st.sampled_from([81, 121, 125, 128, 243, 256]), st.data())
