@@ -40,7 +40,6 @@ from .construct import (
 )
 from .grassmann import (
     build_delta,
-    build_gamma,
     diameter_and_connectivity,
     enumerate_subspaces,
     grassmann_distance,
@@ -77,7 +76,6 @@ __all__ = [
     "geodesic_path",
     "opposite_code",
     "enumerate_subspaces",
-    "build_gamma",
     "build_delta",
     "grassmann_distance",
     "diameter_and_connectivity",

@@ -65,15 +65,17 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """'2,3,5' and '2-5' and mixes of both."""
+    """'2,3,5' and '2-5' and mixes of both; a range 'lo-hi' needs lo <= hi."""
     vals: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            vals.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"reversed range {part!r} in {text!r}")
+            vals.extend(range(lo, hi + 1))
         else:
             vals.append(int(part))
     if not vals:
@@ -186,7 +188,7 @@ def cmd_enumerate(args) -> int:
     index = enumerate_subspaces(ctx, args.n, args.k, max_count=args.max_vertices)
     delta = build_delta(index, args.t)
     lines = [f"# q={args.q} n={args.n} k={args.k} t={args.t} count={delta.num_vertices}"]
-    rows = index.bases[delta.vertex_ids].reshape(delta.num_vertices, args.k * args.n)
+    rows = delta.bases.reshape(delta.num_vertices, args.k * args.n)
     lines += [" ".join(map(str, row)) for row in rows.tolist()]
     text = "\n".join(lines) + "\n"
     if args.out:

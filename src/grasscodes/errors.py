@@ -46,8 +46,7 @@ class BadTError(GrassCodesError):
 
 
 class BadIndicesError(GrassCodesError):
-    """Indices not strictly increasing inside their range: coordinate
-    indices inside [1, n], or a graph's vertex ids inside [0, V)."""
+    """Coordinate indices not strictly increasing inside [1, n]."""
 
 
 class TooLargeExactError(GrassCodesError):

@@ -9,9 +9,10 @@ are held as a bucket incidence (each vertex lists the cliques of the graph
 it lies in), and distances come from genuine breadth-first search over
 that incidence (bit-parallel from any set of sources at once).  Points,
 buckets and symmetry orbits are keyed on one small RREF basis per subspace
-(its annihilator's, coordinates reversed, when 2k > n); each r's span keys
-are built once per index and numbered as `_Buckets` once per graph, so BFS
-and the metric share them when buckets are points.  Keys are numbered,
+(its annihilator's, coordinates reversed, when 2k > n).  A strength class
+is cut from the full graph with its rows, strengths, small bases and span
+keys; each r's keys are built or cut once per graph and numbered as
+`_Buckets` once, so BFS and the metric share them when buckets are points.  Keys are numbered,
 and symmetry images matched to vertices, by sorting packed int64 words
 key << b | position, with no argsort and no binary search.  A code has
 strength >= t exactly when every t columns of its generator are
@@ -51,7 +52,6 @@ import numpy as np
 
 from .errors import (
     AllPairsTooLargeError,
-    BadIndicesError,
     BadTError,
     DimensionMismatchError,
     EnumerationTooLargeError,
@@ -67,41 +67,59 @@ ALL_PAIRS_CAP = 1 << 25
 _WITNESS_CAP = 100  # the report schema's maxItems for witnesses
 _WITNESS_BATCH = 64  # BFS sources per pass while collecting witnesses
 _WORD_BITS = 63  # value bits of the int64 words (key << b | position) sorted
-_POSITION_CHUNK = 1 << 16  # positions ORed into the words at a time
+_POSITION_CHUNK = 1 << 16  # positions ORed into the words, or orbit image entries, at a time
 
 
 # -- enumeration ----------------------------------------------------------------
 
-class SubspaceIndex:
-    """All k-subspaces of F_q^n, canonically ordered, with their strengths.
+class GrassmannGraph:
+    """The graph induced on k-subspaces of F_q^n, canonically ordered, with
+    their strengths: all of them when t is None (see enumerate_subspaces),
+    else the strength-t class (see build_delta).
 
-    bases[i] is the RREF basis of subspace i as a (k, n) uint8 block;
+    bases[i] is the RREF basis of vertex i as a (k, n) uint8 block;
     the table is sorted lexicographically by row-major entries, so the
     ordering is reproducible across runs and platforms.  The strengths come
     from the kernel run that lists the bases (see enumerate_subspaces).
-    Small bases and span keys are built on first use and shared by every
-    graph over the index; symmetry orbits are each graph's own (see
-    GrassmannGraph.orbit_labels).
+    Small bases, span keys and orbits are built on first use.  The span
+    keys of r = kk - 1 drive every BFS (see `buckets`); the metric counts
+    the points, r = 1, and never reads edges.  The per-orbit routes need a
+    vertex set closed under the symmetries (see orbit_labels); the
+    all-pairs ones take any.
     """
 
-    def __init__(self, ctx: FieldCtx, n: int, k: int, bases: np.ndarray, strengths: np.ndarray):
+    def __init__(self, ctx: FieldCtx, n: int, k: int, bases: np.ndarray, strengths: np.ndarray,
+                 t: int | None = None):
         self.ctx = ctx
         self.n = n
         self.k = k
+        self.t = t
         self.bases = bases
         self._strengths = strengths
         self._small: np.ndarray | None = None
         self._span_keys: dict[int, np.ndarray] = {}
+        self._buckets: dict[int, _Buckets] = {}
+        self._orbits: np.ndarray | None = None
+        self._orbit_dist: np.ndarray | None = None
+        self._adjacency: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.bases.shape[0]
+
+    @property
+    def mode(self) -> str:
+        return "full" if self.t is None else "induced"
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self)
 
     def subspace_at(self, i: int) -> Subspace:
         rows = tuple(map(tuple, self.bases[i].tolist()))
         return Subspace(self.ctx, self.n, MatrixGF._trusted(self.ctx, rows, self.n))
 
     def strength_all(self) -> np.ndarray:
-        """Strength min(d - 1, k) of every subspace as int16, d its dual
+        """Strength min(d - 1, k) of every vertex as int16, d its dual
         distance, as the kernel carried it (see _class_bases)."""
         return self._strengths
 
@@ -120,8 +138,9 @@ class SubspaceIndex:
 
     def span_keys(self, r: int) -> np.ndarray:
         """V x [kk r]_q int64 keys (< q^(r n)) of the r-subspaces of every
-        small basis (see _small_bases), built once per r, entry by entry,
-        with no (V, [kk r]_q, r, n) block of the spans (see _span_keys).
+        small basis (see _small_bases), built once per r until span_buckets
+        numbers them, entry by entry, with no (V, [kk r]_q, r, n) block of
+        the spans (see _span_keys).
 
         r = 1 gives the points the metric counts, r = kk - 1 the buckets
         of every BFS: each is a clique and every edge lies in exactly one.
@@ -133,6 +152,44 @@ class SubspaceIndex:
         if r not in self._span_keys:
             self._span_keys[r] = _span_keys(self.ctx, self._small_bases(), r)
         return self._span_keys[r]
+
+    def span_buckets(self, r: int) -> _Buckets:
+        """The span keys numbered as buckets, once per r; the keys are
+        dropped once numbered."""
+        if r not in self._buckets:
+            self._buckets[r] = _Buckets(self.span_keys(r))
+            del self._span_keys[r]
+        return self._buckets[r]
+
+    def buckets(self) -> _Buckets:
+        """The buckets of every BFS: r = kk - 1 with kk = min(k, n-k)."""
+        return self.span_buckets(min(self.k, self.n - self.k) - 1)
+
+    def orbit_labels(self) -> np.ndarray:
+        """Position of the smallest member of every vertex's orbit under
+        coordinate permutations, column scalings and the Frobenius map,
+        keyed once, on first use (see _orbit_labels).  These maps are
+        automorphisms of the graph only when they map its vertex set onto
+        itself, as they do for the full graph and every strength class; a
+        vertex set they do not, which only a hand-built graph can have,
+        raises InternalInvariantError."""
+        if self._orbits is None:
+            self._orbits = _orbit_labels(self.ctx, self._small_bases())
+        return self._orbits
+
+    def adjacency(self) -> np.ndarray:
+        """Dense boolean adjacency, one spread of the identity bitsets; kept
+        for the tests and the bench tracer, no verification route calls it."""
+        if self._adjacency is None:
+            v = self.num_vertices
+            bits = _source_bits(v, np.arange(v))
+            _spread(self.buckets(), _source_bits(v, np.arange(v)), bits[None])
+            self._adjacency = _unpack(bits, v)
+            np.fill_diagonal(self._adjacency, False)
+        return self._adjacency
+
+
+SubspaceIndex = GrassmannGraph  # the name the bench tracer binds
 
 
 def _word_sums(ctx: FieldCtx, terms: int):
@@ -209,22 +266,26 @@ def _generator_permutations(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray
     packed words (see _sorted_words).  The rows' keys are distinct and a
     generator is a bijection, so its images are all rows exactly when
     their sorted keys equal the rows', and then the i-th sorted image is
-    the i-th sorted row; otherwise InternalInvariantError."""
+    the i-th sorted row; otherwise InternalInvariantError.  Images are
+    built and keyed about _POSITION_CHUNK entries at a time."""
     mul = ctx.np_tables()[2]
+    frob = np.array([ctx.pow(a, ctx.p) for a in range(ctx.q)], dtype=np.uint8)
     v, kk, n = bases.shape
-    images = _permutation_images(ctx, bases) if n > 1 and kk else []
-    if ctx.q > 2 and n:
-        scaled = bases.copy()
-        last = bases[:, :, -1]
-        scaled[:, :, -1] = np.where(bases[:, :, :-1].any(axis=2), mul[last, ctx.primitive()], last)
-        images.append(scaled)
-    if ctx.e > 1:
-        frob = np.array([ctx.pow(a, ctx.p) for a in range(ctx.q)], dtype=np.uint8)
-        images.append(frob[bases])
-    keys = np.empty((1 + len(images), v), dtype=np.int64)
-    for row, blocks in zip(keys, [bases, *images]):
-        row[:] = _keys(ctx.q, blocks)
-    del images
+    step = max(1, _POSITION_CHUNK // max(kk * n, 1))
+    parts = []
+    for lo in range(0, max(v, 1), step):
+        chunk = bases[lo : lo + step]
+        images = _permutation_images(ctx, chunk) if n > 1 and kk else []
+        if ctx.q > 2 and n:
+            scaled = chunk.copy()
+            last = chunk[:, :, -1]
+            scaled[:, :, -1] = np.where(chunk[:, :, :-1].any(axis=2), mul[last, ctx.primitive()], last)
+            images.append(scaled)
+        if ctx.e > 1:
+            images.append(frob[chunk])
+        parts.append([_keys(ctx.q, block) for block in (chunk, *images)])
+    keys = np.concatenate(parts, axis=1)
+    del parts
     words, b = _sorted_words(keys, (ctx.q ** (kk * n) - 1).bit_length())
     del keys
     first, rows = words[0] >> b, words[0] & (1 << b) - 1
@@ -376,7 +437,7 @@ def _class_bases(ctx: FieldCtx, n: int, k: int) -> tuple[np.ndarray, np.ndarray]
 
 def enumerate_subspaces(
     ctx: FieldCtx, n: int, k: int, max_count: int = ENUM_CAP
-) -> SubspaceIndex:
+) -> GrassmannGraph:
     """Every k-subspace of F_q^n as its RREF basis, with its strength: one
     run of the column-prefix kernel (see _class_bases), sorted by row-major
     entries.
@@ -399,7 +460,7 @@ def enumerate_subspaces(
     if k * n:
         order = np.lexsort(bases.reshape(total, k * n).T[::-1])
         bases, strengths = bases[order], strengths[order]
-    return SubspaceIndex(ctx, n, k, bases, strengths)
+    return GrassmannGraph(ctx, n, k, bases, strengths)
 
 
 # -- metric ------------------------------------------------------------------------
@@ -415,82 +476,18 @@ def grassmann_distance(x: Subspace, y: Subspace) -> int:
 
 # -- graphs -------------------------------------------------------------------------
 
-class GrassmannGraph:
-    """Full graph or strength-t induced subgraph over a SubspaceIndex.
-
-    vertex_ids maps graph positions to index positions, in increasing
-    order.  The r = kk - 1 span keys drive every BFS (see `buckets`); the
-    metric counts the points, r = 1, and never reads edges.  The per-orbit
-    routes (diameter_and_connectivity, isometry_check) need a vertex set
-    closed under the symmetries (see orbit_labels); the all-pairs ones
-    take any.
-    """
-
-    def __init__(self, index: SubspaceIndex, t: int | None, vertex_ids: np.ndarray):
-        ids = vertex_ids
-        if ids.size and not (0 <= ids[0] and ids[-1] < len(index) and (np.diff(ids) > 0).all()):
-            raise BadIndicesError(f"vertex ids not strictly increasing in [0, {len(index)})")
-        self.index = index
-        self.t = t
-        self.vertex_ids = vertex_ids
-        self._buckets: dict[int, _Buckets] = {}
-        self._orbits: np.ndarray | None = None
-        self._orbit_dist: np.ndarray | None = None
-        self._adjacency: np.ndarray | None = None
-
-    @property
-    def mode(self) -> str:
-        return "full" if self.t is None else "induced"
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self.vertex_ids.shape[0])
-
-    def span_buckets(self, r: int) -> _Buckets:
-        """The vertices' span keys (see SubspaceIndex.span_keys) numbered as
-        buckets, once per r."""
-        if r not in self._buckets:
-            self._buckets[r] = _Buckets(self.index.span_keys(r)[self.vertex_ids])
-        return self._buckets[r]
-
-    def buckets(self) -> _Buckets:
-        """The buckets of every BFS: r = kk - 1 with kk = min(k, n-k)."""
-        return self.span_buckets(min(self.index.k, self.index.n - self.index.k) - 1)
-
-    def orbit_labels(self) -> np.ndarray:
-        """Graph position of the smallest member of every vertex's orbit
-        under coordinate permutations, column scalings and the Frobenius
-        map, keyed on the vertices' own small bases once, on first use (see
-        _orbit_labels).  These maps are automorphisms of the graph only
-        when they map its vertex set onto itself, as they do for the full
-        graph and every strength class; a vertex set they do not, which
-        only a hand-built graph can have, raises InternalInvariantError."""
-        if self._orbits is None:
-            self._orbits = _orbit_labels(self.index.ctx, self.index._small_bases()[self.vertex_ids])
-        return self._orbits
-
-    def adjacency(self) -> np.ndarray:
-        """Dense boolean adjacency, one spread of the identity bitsets; kept
-        for the tests and the bench tracer, no verification route calls it."""
-        if self._adjacency is None:
-            v = self.num_vertices
-            bits = _source_bits(v, np.arange(v))
-            _spread(self.buckets(), _source_bits(v, np.arange(v)), bits[None])
-            self._adjacency = _unpack(bits, v)
-            np.fill_diagonal(self._adjacency, False)
-        return self._adjacency
-
-
-def build_gamma(index: SubspaceIndex) -> GrassmannGraph:
-    return GrassmannGraph(index, None, np.arange(len(index), dtype=np.int64))
-
-
-def build_delta(index: SubspaceIndex, t: int) -> GrassmannGraph:
-    """Subgraph induced on the strength-t class."""
-    if not 1 <= t <= index.k:
-        raise BadTError(f"t must be in [1, k={index.k}], got {t}")
-    ids = np.nonzero(index.strength_all() >= t)[0].astype(np.int64)
-    return GrassmannGraph(index, t, ids)
+def build_delta(graph: GrassmannGraph, t: int) -> GrassmannGraph:
+    """Subgraph induced on the strength-t class: a graph of its own rows,
+    cut with their strengths, small bases and every span key already built,
+    holding no reference to the graph it is cut from."""
+    if not 1 <= t <= graph.k:
+        raise BadTError(f"t must be in [1, k={graph.k}], got {t}")
+    keep = graph.strength_all() >= t
+    delta = GrassmannGraph(graph.ctx, graph.n, graph.k, graph.bases[keep], graph._strengths[keep], t)
+    if graph._small is not None and graph._small is not graph.bases:
+        delta._small = graph._small[keep]
+    delta._span_keys = {r: keys[keep] for r, keys in graph._span_keys.items()}
+    return delta
 
 
 def _annihilators(ctx: FieldCtx, bases: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -526,8 +523,8 @@ def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
     p_i of C B is column i of C, so row j of C B is 0 before p_(c_j) (C is
     0 before c_j, and B's rows from c_j on are 0 before p_(c_j)), 1 there,
     and every other row is 0 there.  Both inputs are RREF by construction:
-    enumerate_subspaces builds C, and SubspaceIndex._small_bases gives B as
-    the index's own bases or the reversed annihilators (see _annihilators).
+    enumerate_subspaces builds C, and GrassmannGraph._small_bases gives B as
+    the graph's own bases or the reversed annihilators (see _annihilators).
 
     The keys are built entry by entry, read row-major as big-endian base-q
     digits, with nothing larger than (V, m) alive for the m = [kk r]_q
@@ -747,16 +744,17 @@ def all_pairs_distances(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -
     return _bfs(graph.buckets(), np.arange(v))
 
 
-def gamma_diameter(index: SubspaceIndex) -> int:
+def gamma_diameter(graph: GrassmannGraph) -> int:
     """The full graph's diameter min(k, n-k), checked by one BFS.
 
     The graph is distance-transitive: every vertex has q^(i^2) [k i]_q
     [n-k i]_q vertices at distance i.  BFS from vertex 0 must count exactly
     these (they sum to V, so an unreached vertex shows as a mismatch);
-    anything else means the engine itself is broken.
+    anything else means the engine itself is broken.  The graph keeps the
+    keys numbered here, for build_delta to cut.
     """
-    q, n, k = index.ctx.q, index.n, index.k
-    buckets = _Buckets(index.span_keys(min(k, n - k) - 1))
+    q, n, k = graph.ctx.q, graph.n, graph.k
+    buckets = _Buckets(graph.span_keys(min(k, n - k) - 1))
     dist = _bfs(buckets, np.zeros(1, dtype=np.int64))[:, 0]
     counts = np.bincount(dist[dist >= 0]).tolist()
     expect = [
@@ -771,20 +769,20 @@ def gamma_diameter(index: SubspaceIndex) -> int:
 
 
 def _metric_rows(graph: GrassmannGraph, sources: np.ndarray) -> np.ndarray:
-    """V x S matrix of k - dim(x ∩ y) between every vertex and each source.
+    """V x S int8 matrix of k - dim(x ∩ y) between every vertex and each source.
 
     x and y share s points with (q-1)s + 1 = q^dim(x ∩ y), counted in bit
     planes wide enough for [kk-1]_q, the most two distinct kk-spaces share
-    (see SubspaceIndex.span_keys; dim(x⊥ ∩ y⊥) = n - 2k + dim(x ∩ y)).
+    (see GrassmannGraph.span_keys; dim(x⊥ ∩ y⊥) = n - 2k + dim(x ∩ y)).
     Off the diagonal s is some [e]_q, and [d]_q > 2 [d-1]_q, so s >= [d]_q
     exactly when s has a bit at or above the top bit of [d]_q.
     """
-    index, v = graph.index, graph.num_vertices
-    q, kk = index.ctx.q, min(index.k, index.n - index.k)
+    v = graph.num_vertices
+    q, kk = graph.ctx.q, min(graph.k, graph.n - graph.k)
     width = max(1, (q_int(kk, q) // q).bit_length())  # [kk]_q // q = [kk-1]_q
     planes = np.zeros((width, v, (sources.size + 63) // 64), dtype=np.uint64)
     _spread(graph.span_buckets(1), _source_bits(v, sources), planes)
-    dist = np.full((v, sources.size), kk, dtype=np.int16)
+    dist = np.full((v, sources.size), kk, dtype=np.int8)
     for d in range(1, kk):
         dist -= _unpack(np.bitwise_or.reduce(planes[q_int(d, q).bit_length() - 1 :]), sources.size)
     dist[sources, np.arange(sources.size)] = 0

@@ -43,7 +43,7 @@ from .gf import field_of_order
 from .grassmann import (
     ALL_PAIRS_CAP,
     ENUM_CAP,
-    SubspaceIndex,
+    GrassmannGraph,
     build_delta,
     diameter_and_connectivity,
     enumerate_subspaces,
@@ -130,9 +130,9 @@ def _diam_json(value):
 
 def _witness_json(graph, rep) -> list:
     """The witnesses as report objects, their endpoints' RREF bases read in
-    one (W, 2, k, n) gather of the index."""
+    one (W, 2, k, n) gather of the graph's rows."""
     ends = [(i, j) for i, j, _, _ in rep.witnesses]
-    bases = graph.index.bases[graph.vertex_ids[ends]].tolist()
+    bases = graph.bases[ends].tolist()
     return [
         {
             "x": x,
@@ -148,9 +148,9 @@ def _ms_since(started: float) -> int:
     return int((time.perf_counter() - started) * 1000)
 
 
-def verify_instance(index: SubspaceIndex, t: int, diameter_gamma: int, max_pairs: int) -> dict:
-    """The GraphReport dict, schema-exact, of the strength-t class of an
-    enumerated (q, n, k) index whose full graph has diameter_gamma.
+def verify_instance(index: GrassmannGraph, t: int, diameter_gamma: int, max_pairs: int) -> dict:
+    """The GraphReport dict, schema-exact, of the strength-t class of the
+    full graph `index` of a (q, n, k), whose diameter is diameter_gamma.
 
     For t <= 2 the class size is checked against its closed form
     (`linalg.class_count`); a mismatch means the engine is broken.  No

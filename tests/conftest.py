@@ -10,6 +10,7 @@ from grasscodes.bulk import batched_rref
 from grasscodes.codes import LinearCode, MonomialMap, apply_monomial, has_strength, strength
 from grasscodes.errors import GrassCodesError, NotSubspaceError
 from grasscodes.grassmann import (
+    GrassmannGraph,
     GraphSummary,
     IsometryReport,
     _keys,
@@ -142,7 +143,7 @@ def strength_by_scan(c):
 
 
 def sorted_bases(bases):
-    """(V, k, n) bases in the index order: lexicographic by row-major entries."""
+    """(V, k, n) bases in the graphs' row order: lexicographic by row-major entries."""
     if not bases.size:
         return bases
     return bases[np.lexsort(bases.reshape(len(bases), -1).T[::-1])]
@@ -186,19 +187,17 @@ def buckets_stable(keys):
 def adjacency_pairwise(graph, chunk=1 << 15):
     """Adjacency by direct rank tests on all stacked pairs: x and y are
     adjacent iff their stacked bases have rank k + 1."""
-    v = graph.num_vertices
-    k = graph.index.k
-    bases = graph.index.bases[graph.vertex_ids]
+    v, k, bases = graph.num_vertices, graph.k, graph.bases
     adj = np.zeros((v, v), dtype=bool)
     for i in range(v):
         js = np.arange(i + 1, v)
         for s in range(0, js.size, chunk):
             jblock = js[s : s + chunk]
             stacked = np.concatenate(
-                (np.broadcast_to(bases[i], (jblock.size, k, graph.index.n)), bases[jblock]),
+                (np.broadcast_to(bases[i], (jblock.size, k, graph.n)), bases[jblock]),
                 axis=1,
             )
-            ranks = batched_rank(graph.index.ctx, stacked)
+            ranks = batched_rank(graph.ctx, stacked)
             hit = jblock[ranks == k + 1]
             adj[i, hit] = True
             adj[hit, i] = True
@@ -208,10 +207,7 @@ def adjacency_pairwise(graph, chunk=1 << 15):
 def metric_ranks_pairwise(graph):
     """k - dim(x ∩ y) for every vertex pair, from the rank of the stacked
     bases, computed in blocks of whole rows of about 2^16 pairs."""
-    v = graph.num_vertices
-    k = graph.index.k
-    bases = graph.index.bases[graph.vertex_ids]
-    ctx = graph.index.ctx
+    v, k, bases, ctx = graph.num_vertices, graph.k, graph.bases, graph.ctx
     dist = np.zeros((v, v), dtype=np.int16)
     chunk = 1 << 16
     per_row = np.arange(v - 1, -1, -1)
@@ -229,32 +225,26 @@ def metric_ranks_pairwise(graph):
     return dist
 
 
-def vertex_subspace(graph, i):
-    """The Subspace at graph position i: its index row through vertex_ids."""
-    return graph.index.subspace_at(int(graph.vertex_ids[i]))
+def subgraph(graph, rows, t=1):
+    """A hand-built graph on the given rows of `graph`, with their
+    strengths, through the constructor: the vertex set need not be a
+    strength class, nor closed under the symmetries."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return GrassmannGraph(graph.ctx, graph.n, graph.k, graph.bases[rows], graph.strength_all()[rows], t)
 
 
-def index_of(index, s):
-    """Position of a Subspace/LinearCode in a SubspaceIndex, by comparing
-    its RREF entries with every row of the table."""
+def index_of(graph, s):
+    """Position of a Subspace/LinearCode among a graph's vertices, by
+    comparing its RREF entries with every row of the table."""
     if isinstance(s, LinearCode):
         s = s.space
-    if (s.dim, s.ambient_dim) != (index.k, index.n):
-        raise VertexAbsentError("subspace not found in index")
-    key = np.array(s.basis.rows, dtype=np.uint8).reshape(1, -1)
-    hits = np.flatnonzero((index.bases.reshape(len(index), -1) == key).all(axis=1))
-    if hits.size == 0:
-        raise VertexAbsentError("subspace not found in index")
-    return int(hits[0])
-
-
-def position_of(graph, s):
-    """Position of a Subspace/LinearCode among a graph's vertices."""
-    gid = index_of(graph.index, s)
-    pos = np.searchsorted(graph.vertex_ids, gid)
-    if pos >= graph.num_vertices or graph.vertex_ids[pos] != gid:
+    if (s.dim, s.ambient_dim) != (graph.k, graph.n):
         raise VertexAbsentError("subspace is not a vertex of this graph")
-    return int(pos)
+    key = np.array(s.basis.rows, dtype=np.uint8).reshape(1, -1)
+    hits = np.flatnonzero((graph.bases.reshape(len(graph), -1) == key).all(axis=1))
+    if hits.size == 0:
+        raise VertexAbsentError("subspace is not a vertex of this graph")
+    return int(hits[0])
 
 
 def verify_step_certificate(x, y, t, cert):
@@ -338,7 +328,7 @@ def bfs_distances(graph, source):
         if not 0 <= src < graph.num_vertices:
             raise VertexAbsentError(f"position {src} out of range")
     else:
-        src = position_of(graph, source)
+        src = index_of(graph, source)
     inc = graph.buckets().inc
     dist = np.full(graph.num_vertices, inf)
     dist[src] = 0

@@ -16,7 +16,6 @@ from conftest import (
     count_step_codes,
     random_monomial,
     verify_step_certificate,
-    vertex_subspace,
 )
 from grasscodes.codes import (
     CRITERIA,
@@ -121,8 +120,8 @@ def sample_pairs_at_distance(delta, d, rng, want):
         j = rng.randrange(v)
         if i == j:
             continue
-        x = vertex_subspace(delta, i)
-        y = vertex_subspace(delta, j)
+        x = delta.subspace_at(i)
+        y = delta.subspace_at(j)
         if grassmann_distance(x, y) == d:
             out.append((i, j))
     return out
@@ -265,7 +264,7 @@ def test_criterion_4_step_and_count_bounds():
         delta = build_delta(index, t)
         for d in range(1, t + 1):
             for i, j in sample_pairs_at_distance(delta, d, rng, want=4):
-                x, y = vertex_subspace(delta, i), vertex_subspace(delta, j)
+                x, y = delta.subspace_at(i), delta.subspace_at(j)
                 cx, cy = LinearCode(x), LinearCode(y)
                 cert = step_toward(cx, cy, t)
                 first_h = next(hyperplanes_containing(x, intersect(x, y)))
@@ -298,7 +297,7 @@ def test_criterion_5_geodesics_match_bfs():
             pairs.extend(sample_pairs_at_distance(delta, d, rng, want=4))
         by_source: dict = {}
         for i, j in pairs:
-            x, y = LinearCode(vertex_subspace(delta, i)), LinearCode(vertex_subspace(delta, j))
+            x, y = LinearCode(delta.subspace_at(i)), LinearCode(delta.subspace_at(j))
             path = geodesic_path(x, y, t)
             if i not in by_source:
                 by_source[i] = bfs_distances(delta, i)

@@ -197,6 +197,22 @@ def test_sweep_bad_config(capsys):
     assert main(["sweep", "--q", "257", "--n", "2"]) == 4  # q > 256
 
 
+@pytest.mark.parametrize("grid, part", [
+    (["--q", "2", "--n", "5-3,3"], "5-3"),
+    (["--q", "3-2", "--n", "3"], "3-2"),
+    (["--q", "2", "--n", "3", "--k", "1,2-1"], "2-1"),
+    (["--q", "2", "--n", "3", "--t", "2-1"], "2-1"),
+])
+def test_sweep_rejects_reversed_range(grid, part, capsys):
+    """A range part lo-hi with lo > hi is an input error naming the part,
+    even beside parts that would leave the grid nonempty (5-3,3 used to run
+    n = 3 alone and exit 0)."""
+    assert main(["sweep", *grid]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"reversed range {part!r}" in captured.err
+
+
 @pytest.mark.parametrize("resume", [False, True])
 @pytest.mark.parametrize("grid", [
     ["--q", "6", "--n", "3"],  # not a prime power

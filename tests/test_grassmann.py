@@ -15,20 +15,18 @@ from conftest import (
     isometry_all_pairs,
     iter_rref_bases,
     metric_ranks_pairwise,
-    position_of,
     random_monomial,
     sorted_bases,
     span_blocks,
     span_keys_by_blocks,
     strengths_by_column_rank,
+    subgraph,
     summary_all_pairs,
-    vertex_subspace,
 )
 from grasscodes import bulk, grassmann
 from grasscodes.codes import LinearCode, strength
 from grasscodes.errors import (
     AllPairsTooLargeError,
-    BadIndicesError,
     BadTError,
     DimensionMismatchError,
     EnumerationTooLargeError,
@@ -40,10 +38,8 @@ from grasscodes.grassmann import (
     ALL_PAIRS_CAP,
     GrassmannGraph,
     GraphSummary,
-    SubspaceIndex,
     all_pairs_distances,
     build_delta,
-    build_gamma,
     diameter_and_connectivity,
     enumerate_subspaces,
     gamma_diameter,
@@ -61,7 +57,7 @@ F5 = field_new(5)
 def oracle_adjacency(graph):
     """Pure-python adjacency via intersection dimensions."""
     v = graph.num_vertices
-    subs = [vertex_subspace(graph, i) for i in range(v)]
+    subs = [graph.subspace_at(i) for i in range(v)]
     adj = [[False] * v for _ in range(v)]
     for i in range(v):
         for j in range(i + 1, v):
@@ -269,21 +265,19 @@ def test_build_delta_empty_class():
 
 def test_adjacency_routes_agree():
     for ctx, n, k in [(F2, 4, 2), (F3, 4, 2), (F2, 5, 2), (field_of_order(4), 4, 2)]:
-        idx = enumerate_subspaces(ctx, n, k)
-        g = build_gamma(idx)
+        g = enumerate_subspaces(ctx, n, k)
         fast = g.adjacency()
         slow = adjacency_pairwise(g)
         assert (fast == slow).all()
     for ctx, n, k in [(F2, 4, 2), (F3, 4, 2)]:
-        g = build_gamma(enumerate_subspaces(ctx, n, k))
+        g = enumerate_subspaces(ctx, n, k)
         oracle = np.array(oracle_adjacency(g))
         assert (g.adjacency() == oracle).all()
 
 
 def test_complete_graph_shortcuts():
     for n, k in [(4, 1), (4, 3), (5, 4)]:
-        idx = enumerate_subspaces(F3, n, k)
-        g = build_gamma(idx)
+        g = enumerate_subspaces(F3, n, k)
         a = g.adjacency()
         assert a.sum() == g.num_vertices * (g.num_vertices - 1)
         assert (a == adjacency_pairwise(g)).all()
@@ -292,8 +286,7 @@ def test_complete_graph_shortcuts():
 
 
 def test_bfs_against_oracle():
-    idx = enumerate_subspaces(F2, 4, 2)
-    g = build_gamma(idx)
+    g = enumerate_subspaces(F2, 4, 2)
     adj = oracle_adjacency(g)
     for src in range(0, g.num_vertices, 7):
         fast = bfs_distances(g, src)
@@ -313,10 +306,9 @@ INCIDENCE_CASES = [
 def test_incidence_adjacency_matches_pairwise_oracle():
     for q, n, k in INCIDENCE_CASES:
         idx = enumerate_subspaces(field_of_order(q), n, k)
-        gamma = build_gamma(idx)
-        inc = gamma.buckets().inc
+        inc = idx.buckets().inc
         assert inc.shape == (len(idx), min(q_int(k, q), q_int(n - k, q)))
-        assert (gamma.adjacency() == adjacency_pairwise(gamma)).all(), (q, n, k)
+        assert (idx.adjacency() == adjacency_pairwise(idx)).all(), (q, n, k)
         for t in range(1, k + 1):
             delta = build_delta(idx, t)
             assert (delta.adjacency() == adjacency_pairwise(delta)).all(), (q, n, k, t)
@@ -383,7 +375,7 @@ def test_annihilators_built_once(monkeypatch, q, n, k):
         return original(ctx, bases, *args)
 
     monkeypatch.setattr(grassmann, "_annihilators", counted)
-    idx.span_keys(1), idx.span_keys(n - k - 1), build_gamma(idx).orbit_labels()
+    idx.span_keys(1), idx.span_keys(n - k - 1), idx.orbit_labels()
     assert sum(calls) == 1
 
 
@@ -399,6 +391,22 @@ def test_incidence_keeps_no_int64_digit_copy():
     finally:
         tracemalloc.stop()
     assert peak < 8 * digits
+
+
+def test_orbit_labels_stay_small():
+    """Symmetry images are built and keyed a chunk of rows at a time, so the
+    orbit labels of Δ(3,6,3,1) (27,200 codes) peak below six times the
+    (V, kk, n) small bases they read; keyed whole they peaked at 17 times."""
+    delta = build_delta(enumerate_subspaces(F3, 6, 3), 1)
+    small = delta._small_bases()
+    assert small.shape == (27200, 3, 6)
+    tracemalloc.start()
+    try:
+        delta.orbit_labels()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * small.nbytes
 
 
 def test_point_keys_stay_small():
@@ -540,8 +548,8 @@ def test_keyed_blocks_are_already_rref(monkeypatch, q):
     """Every block the engine keys without reducing it is RREF, so batched_rref
     returns it unchanged: the reversed annihilators that are the small bases
     when 2k > n, the span blocks C B for every r in 1..kk-1, and every
-    symmetry image _orbit_labels keys (the last-column scaling and the
-    Frobenius image among them)."""
+    symmetry image _orbit_labels keys chunk by chunk (the last-column
+    scaling and the Frobenius image among them)."""
     ctx = field_of_order(q)
     keys, seen = grassmann._keys, []
 
@@ -564,7 +572,7 @@ def test_keyed_blocks_are_already_rref(monkeypatch, q):
             assert (keys(q, spans) == grassmann._span_keys(ctx, bases, r)).all(), (q, n, k, r)
         seen.clear()
         grassmann._orbit_labels(ctx, bases)
-        assert len(seen) == 3 + (q > 2) + (ctx.e > 1)
+        assert sum(map(len, seen)) == len(bases) * (3 + (q > 2) + (ctx.e > 1))
         for image in seen:
             assert (bulk.batched_rref(ctx, image)[0] == image).all(), (q, n, k)
 
@@ -699,23 +707,23 @@ def test_orbit_labels_run_no_reduction(monkeypatch):
 
     monkeypatch.setattr(bulk, "batched_rref", refuse)
     for q, n, k in [(3, 5, 2), (2, 6, 4), (9, 4, 2), (8, 4, 2)]:
-        assert len(build_gamma(enumerate_subspaces(field_of_order(q), n, k)).orbit_labels())
+        assert len(enumerate_subspaces(field_of_order(q), n, k).orbit_labels())
 
 
 def test_bitset_all_pairs_matches_oracle_bfs():
     graphs = []
     for q, n, k, t in [(2, 4, 2, None), (2, 5, 3, None), (3, 4, 2, 1), (2, 5, 2, 1), (5, 3, 2, 2)]:
         idx = enumerate_subspaces(field_of_order(q), n, k)
-        graphs.append(build_gamma(idx) if t is None else build_delta(idx, t))
+        graphs.append(idx if t is None else build_delta(idx, t))
     # a sparse vertex subset, so some pairs are unreachable
     idx = enumerate_subspaces(F2, 5, 2)
-    graphs.append(GrassmannGraph(idx, 1, np.arange(0, len(idx), 13, dtype=np.int64)))
+    graphs.append(subgraph(idx, np.arange(0, len(idx), 13)))
     for g in graphs:
         adj = adjacency_pairwise(g).tolist()
         d = all_pairs_distances(g)
         for src in range(g.num_vertices):
             expect = [-1 if x == inf else x for x in oracle_bfs(adj, src)]
-            assert d[src].tolist() == expect, (g.index.n, g.index.k, g.t, src)
+            assert d[src].tolist() == expect, (g.n, g.k, g.t, src)
     assert (d == -1).any()
 
 
@@ -726,11 +734,10 @@ def test_gamma_distance_distribution():
     gamma_diameter accepts the graph."""
     for q, n, k in [(2, 6, 3), (3, 5, 2), (4, 4, 2), (2, 6, 4), (9, 4, 2)]:
         idx = enumerate_subspaces(field_of_order(q), n, k)
-        g = build_gamma(idx)
-        sources = np.array([0, g.num_vertices // 2, g.num_vertices - 1])
-        rows = grassmann._bfs(g.buckets(), sources)
+        sources = np.array([0, idx.num_vertices // 2, idx.num_vertices - 1])
+        rows = grassmann._bfs(idx.buckets(), sources)
         for col, src in enumerate(sources):
-            oracle = bfs_distances(g, int(src))
+            oracle = bfs_distances(idx, int(src))
             assert rows[:, col].tolist() == oracle.astype(int).tolist(), (q, n, k, src)
             counts = np.bincount(oracle.astype(int)).tolist()
             expect = [
@@ -744,7 +751,7 @@ def test_gamma_distance_distribution():
 def test_gamma_diameter_rejects_corrupt_incidence(monkeypatch):
     """Moving vertex 0 out of one of its buckets changes its BFS levels,
     which the one-source check must catch."""
-    original = SubspaceIndex.span_keys
+    original = GrassmannGraph.span_keys
 
     def corrupted(index, r):
         inc = original(index, r).copy()
@@ -753,19 +760,18 @@ def test_gamma_diameter_rejects_corrupt_incidence(monkeypatch):
 
     idx = enumerate_subspaces(F2, 4, 2)
     assert gamma_diameter(idx) == 2
-    monkeypatch.setattr(SubspaceIndex, "span_keys", corrupted)
+    monkeypatch.setattr(GrassmannGraph, "span_keys", corrupted)
     with pytest.raises(InternalInvariantError):
         gamma_diameter(idx)
 
 
 def test_bfs_source_forms():
     idx = enumerate_subspaces(F2, 4, 2)
-    g = build_gamma(idx)
-    s = vertex_subspace(g, 3)
-    assert bfs_distances(g, 3).tolist() == bfs_distances(g, s).tolist()
-    assert bfs_distances(g, LinearCode(s)).tolist() == bfs_distances(g, 3).tolist()
+    s = idx.subspace_at(3)
+    assert bfs_distances(idx, 3).tolist() == bfs_distances(idx, s).tolist()
+    assert bfs_distances(idx, LinearCode(s)).tolist() == bfs_distances(idx, 3).tolist()
     with pytest.raises(VertexAbsentError):
-        bfs_distances(g, 99)
+        bfs_distances(idx, 99)
     d1 = build_delta(idx, 1)
     degenerate = next(
         idx.subspace_at(i)
@@ -788,8 +794,7 @@ def test_all_pairs_matches_per_source():
 
 
 def test_all_pairs_cap():
-    idx = enumerate_subspaces(F2, 4, 2)
-    g = build_gamma(idx)
+    g = enumerate_subspaces(F2, 4, 2)
     with pytest.raises(AllPairsTooLargeError):
         all_pairs_distances(g, max_pairs=10)
 
@@ -797,7 +802,7 @@ def test_all_pairs_cap():
 def test_gamma_diameter_formula():
     for q, n, k in [(2, 4, 2), (3, 4, 2), (2, 5, 2), (5, 3, 2), (4, 4, 2)]:
         ctx = field_of_order(q)
-        g = build_gamma(enumerate_subspaces(ctx, n, k))
+        g = enumerate_subspaces(ctx, n, k)
         s = diameter_and_connectivity(g)
         assert s.connected
         assert s.diameter == min(k, n - k)
@@ -806,8 +811,7 @@ def test_gamma_diameter_formula():
 def test_gamma_metric_identity():
     """BFS distance in the full graph equals k - dim(x ∩ y), all pairs."""
     for ctx, n, k in [(F2, 4, 2), (F3, 4, 2), (F2, 5, 2)]:
-        idx = enumerate_subspaces(ctx, n, k)
-        g = build_gamma(idx)
+        g = enumerate_subspaces(ctx, n, k)
         bfs = all_pairs_distances(g)
         metric = metric_distance_matrix(g)
         assert (bfs == metric).all()
@@ -816,10 +820,9 @@ def test_gamma_metric_identity():
 def test_metric_matrix_matches_rank_route():
     """The point-count metric matrix equals scalar stacked-basis ranks."""
     for ctx, n, k in [(F3, 4, 2), (F2, 5, 3)]:
-        idx = enumerate_subspaces(ctx, n, k)
-        g = build_gamma(idx)
+        g = enumerate_subspaces(ctx, n, k)
         fast = metric_distance_matrix(g)
-        subs = [vertex_subspace(g, i) for i in range(g.num_vertices)]
+        subs = [g.subspace_at(i) for i in range(g.num_vertices)]
         for i in range(0, g.num_vertices, 9):
             for j in range(0, g.num_vertices, 11):
                 assert fast[i, j] == grassmann_distance(subs[i], subs[j])
@@ -827,10 +830,9 @@ def test_metric_matrix_matches_rank_route():
 
 def test_metric_matrix_deep_case():
     """min(k, n-k) = 3 over GF(2): shared-point counts need two bit planes."""
-    idx = enumerate_subspaces(F2, 6, 3)
-    g = build_gamma(idx)
+    g = enumerate_subspaces(F2, 6, 3)
     m = metric_distance_matrix(g)
-    subs = [vertex_subspace(g, i) for i in range(0, g.num_vertices, 97)]
+    subs = [g.subspace_at(i) for i in range(0, g.num_vertices, 97)]
     ids = list(range(0, g.num_vertices, 97))
     for a, i in zip(subs, ids):
         for b, j in zip(subs, ids):
@@ -852,7 +854,7 @@ def test_metric_matches_rank_oracle(q, n, k, t):
     """Every pair of Γ(q,n,k) (t None) or Δ: shared-point counts give the
     same k - dim(x ∩ y) as the stacked-basis ranks."""
     idx = enumerate_subspaces(field_of_order(q), n, k)
-    g = build_gamma(idx) if t is None else build_delta(idx, t)
+    g = idx if t is None else build_delta(idx, t)
     assert g.num_vertices > 1
     assert (metric_distance_matrix(g) == metric_ranks_pairwise(g)).all()
 
@@ -862,7 +864,7 @@ def test_metric_three_bit_planes():
     counts take three bit planes.  Δ(3,6,3,3) is empty, so a strided vertex
     subset of Γ(3,6,3) stands in."""
     idx = enumerate_subspaces(F3, 6, 3)
-    g = GrassmannGraph(idx, None, np.arange(0, len(idx), 97, dtype=np.int64))
+    g = subgraph(idx, np.arange(0, len(idx), 97), None)
     m = metric_distance_matrix(g)
     assert (m == metric_ranks_pairwise(g)).all()
     assert set(np.unique(m).tolist()) == {0, 1, 2, 3}
@@ -876,7 +878,7 @@ def test_metric_reads_no_edges(monkeypatch):
     Δ(2,6,3,1), with min(k, n-k) = 3 on the spaces themselves, is pinned
     to the rank oracle here on every pair."""
     graphs = [
-        build_gamma(enumerate_subspaces(F3, 4, 2)),
+        enumerate_subspaces(F3, 4, 2),
         build_delta(enumerate_subspaces(F2, 6, 3), 1),
     ]
     expected = [metric_ranks_pairwise(g) for g in graphs]
@@ -899,7 +901,7 @@ def test_isometry_check_small_instances():
         d = build_delta(idx, t)
         rep = isometry_check(d)
         adj = oracle_adjacency(d)
-        subs = [vertex_subspace(d, i) for i in range(d.num_vertices)]
+        subs = [d.subspace_at(i) for i in range(d.num_vertices)]
         expected = True
         for i in range(d.num_vertices):
             row = oracle_bfs(adj, i)
@@ -914,7 +916,7 @@ def test_isometry_check_small_instances():
 def test_isometry_check_requires_induced():
     idx = enumerate_subspaces(F2, 4, 2)
     with pytest.raises(BadTError):
-        isometry_check(build_gamma(idx))
+        isometry_check(idx)
 
 
 def test_single_vertex_graph():
@@ -933,23 +935,14 @@ def test_one_vertex_indexes(q, n, k):
     idx = enumerate_subspaces(field_of_order(q), n, k)
     assert len(idx) == 1
     assert idx.span_keys(-1).shape == idx.span_keys(1).shape == (1, 0)
-    assert build_gamma(idx).orbit_labels().tolist() == [0]
+    assert idx.orbit_labels().tolist() == [0]
     assert gamma_diameter(idx) == 0
-    graphs = [build_gamma(idx)] + [build_delta(idx, t) for t in range(1, k + 1)]
+    graphs = [idx] + [build_delta(idx, t) for t in range(1, k + 1)]
     for g in graphs:
         assert diameter_and_connectivity(g) == GraphSummary(True, 0, 1)
         assert metric_distance_matrix(g).tolist() == [[0]]
     for g in graphs[1:]:
         assert isometry_check(g).isometric
-
-
-def test_graph_rejects_unordered_vertex_ids():
-    """Graph positions follow index order, so the vertex ids must be
-    strictly increasing index positions."""
-    idx = enumerate_subspaces(F2, 4, 2)
-    for ids in ([2, 0, 1], [0, 1, 1], [3, len(idx)], [-1, 4]):
-        with pytest.raises(BadIndicesError):
-            GrassmannGraph(idx, 1, np.array(ids, dtype=np.int64))
 
 
 def test_per_orbit_route_refuses_unclosed_vertex_sets():
@@ -959,11 +952,10 @@ def test_per_orbit_route_refuses_unclosed_vertex_sets():
     refuse it, while the all-pairs routes, which need no symmetry, still
     take it."""
     idx = enumerate_subspaces(F2, 4, 2)
-    ids = np.array([0, 5, 9], dtype=np.int64)
     for route in (diameter_and_connectivity, isometry_check):
         with pytest.raises(InternalInvariantError):
-            route(GrassmannGraph(idx, 1, ids))
-    g = GrassmannGraph(idx, 1, ids)
+            route(subgraph(idx, [0, 5, 9]))
+    g = subgraph(idx, [0, 5, 9])
     assert all_pairs_distances(g).shape == (3, 3)
     assert (metric_distance_matrix(g) == metric_ranks_pairwise(g)).all()
 
@@ -974,16 +966,15 @@ def test_disconnected_vertex_subset():
     not closed under the symmetries, so the all-pairs oracles and
     `_components` read it."""
     idx = enumerate_subspaces(F2, 4, 2)
-    g = build_gamma(idx)
     # find a non-adjacent pair
-    adj = g.adjacency()
+    adj = idx.adjacency()
     i, j = next(
         (a, b)
         for a in range(len(idx))
         for b in range(a + 1, len(idx))
         if not adj[a, b]
     )
-    sub = GrassmannGraph(idx, 1, np.array(sorted((i, j)), dtype=np.int64))
+    sub = subgraph(idx, sorted((i, j)))
     dist = bfs_distances(sub, 0)
     assert dist[0] == 0 and dist[1] == inf
     s = summary_all_pairs(sub)
@@ -1027,8 +1018,8 @@ def test_monomial_maps_are_graph_automorphisms():
             m = random_monomial(ctx, n, rng)
             i = rng.randrange(delta.num_vertices)
             j = rng.randrange(delta.num_vertices)
-            mi = position_of(delta, apply_monomial(m, LinearCode(vertex_subspace(delta, i))))
-            mj = position_of(delta, apply_monomial(m, LinearCode(vertex_subspace(delta, j))))
+            mi = index_of(delta, apply_monomial(m, LinearCode(delta.subspace_at(i))))
+            mj = index_of(delta, apply_monomial(m, LinearCode(delta.subspace_at(j))))
             assert dist[mi, mj] == dist[i, j]
 
 
@@ -1079,7 +1070,7 @@ def orbit_partition_oracle(idx):
 )
 def test_orbit_labels_match_scalar_closure(q, n, k):
     idx = enumerate_subspaces(field_of_order(q), n, k)
-    labels = build_gamma(idx).orbit_labels()
+    labels = idx.orbit_labels()
     assert labels.tolist() == orbit_partition_oracle(idx).tolist()
     strengths = idx.strength_all()
     assert (strengths[labels] == strengths).all()
@@ -1099,19 +1090,49 @@ def test_orbit_labels_match_scalar_closure_when_narrowed(monkeypatch, q, n, k):
 
     wide = verdicts()
     monkeypatch.setattr(grassmann, "_WORD_BITS", 0)
-    assert build_gamma(idx).orbit_labels().tolist() == orbit_partition_oracle(idx).tolist()
+    assert idx.orbit_labels().tolist() == orbit_partition_oracle(idx).tolist()
     assert verdicts() == wide
 
 
 def test_orbit_labels_are_lazy():
-    """Neither enumeration nor the index nor a new graph builds orbit
-    labels; each graph builds its own once, on first use."""
+    """Neither enumeration nor a cut class builds orbit labels; each graph
+    builds its own once, on first use, and a class cut after them keeps
+    none."""
     idx = enumerate_subspaces(F3, 4, 2)
-    assert not any("orbit" in name for name in vars(idx))
-    g = build_gamma(idx)
-    assert g._orbits is None
-    labels = g.orbit_labels()
-    assert g.orbit_labels() is labels
+    assert idx._orbits is None
+    labels = idx.orbit_labels()
+    assert idx.orbit_labels() is labels
+    delta = build_delta(idx, 1)
+    assert delta._orbits is None
+    assert delta.orbit_labels() is delta.orbit_labels()
+
+
+@pytest.mark.parametrize("q, n, k, t", [
+    (4, 4, 1, 1), (3, 4, 3, 2),  # kk = 1
+    (4, 5, 2, 2), (4, 5, 3, 3), (3, 5, 3, 2),  # kk = 2, two with witnesses
+    (2, 6, 3, 1), (2, 7, 4, 2), (4, 6, 3, 3),  # kk = 3, the last with witnesses
+])
+def test_cut_class_matches_standalone_class(q, n, k, t):
+    """A class cut from a keyed full graph, after gamma_diameter and with its
+    point keys built too, carries the index's small bases and span keys;
+    the same rows built alone through the constructor key their own.  Both
+    give the same orbit labels, representatives' BFS rows, metric rows and
+    isometry witnesses, with 2k > n, e > 1 and kk = 1, 2, 3 covered."""
+    idx = enumerate_subspaces(field_of_order(q), n, k)
+    gamma_diameter(idx)
+    idx.span_keys(1)
+    cut = build_delta(idx, t)
+    assert cut._span_keys.keys() == idx._span_keys.keys()
+    assert (cut._small is not None) == (2 * k > n)
+    alone = subgraph(idx, np.flatnonzero(idx.strength_all() >= t), t)
+    assert not alone._span_keys and alone._small is None
+    assert (cut.bases == alone.bases).all() and (cut.strength_all() == alone.strength_all()).all()
+    assert (cut.orbit_labels() == alone.orbit_labels()).all()
+    reps, rows = grassmann._orbit_bfs(cut, ALL_PAIRS_CAP)
+    alone_reps, alone_rows = grassmann._orbit_bfs(alone, ALL_PAIRS_CAP)
+    assert (reps == alone_reps).all() and (rows == alone_rows).all()
+    assert (grassmann._metric_rows(cut, reps) == grassmann._metric_rows(alone, reps)).all()
+    assert isometry_check(cut).witnesses == isometry_check(alone).witnesses
 
 
 def test_orbit_labels_reject_mixed_strengths(monkeypatch):
@@ -1122,7 +1143,7 @@ def test_orbit_labels_reject_mixed_strengths(monkeypatch):
     that class is no longer closed under the symmetries and is refused,
     while the strength-1 class, which still holds every member of the
     orbit, verifies as before."""
-    original = SubspaceIndex.strength_all
+    original = GrassmannGraph.strength_all
 
     def corrupted(index):
         strengths = original(index).copy()
@@ -1132,7 +1153,7 @@ def test_orbit_labels_reject_mixed_strengths(monkeypatch):
     idx = enumerate_subspaces(F3, 4, 2)
     assert idx.bases[-1].tolist() == [[1, 2, 2, 0], [0, 0, 0, 1]]
     assert original(idx)[-1] == 1
-    monkeypatch.setattr(SubspaceIndex, "strength_all", corrupted)
+    monkeypatch.setattr(GrassmannGraph, "strength_all", corrupted)
     idx = enumerate_subspaces(F3, 4, 2)
     assert diameter_and_connectivity(build_delta(idx, 1)).connected
     assert isometry_check(build_delta(idx, 1)).isometric
@@ -1201,7 +1222,7 @@ def test_component_count_matches_all_sources(q):
     which are not closed under the symmetries, `_components` itself; on
     unions of symmetry orbits, the per-orbit route."""
     idx = enumerate_subspaces(field_of_order(q), 4, 2)
-    labels = build_gamma(idx).orbit_labels()
+    labels = idx.orbit_labels()
     orbits = np.unique(labels)
     rng = np.random.default_rng(q)
     counts = []
@@ -1210,7 +1231,7 @@ def test_component_count_matches_all_sources(q):
             ids = np.flatnonzero(np.isin(labels, orbits[rng.random(orbits.size) < 0.5]))
         else:
             ids = np.sort(rng.choice(len(idx), size=rng.integers(2, 12), replace=False))
-        g = GrassmannGraph(idx, 1, ids.astype(np.int64))
+        g = subgraph(idx, ids)
         oracle = summary_all_pairs(g)
         if trial % 2:
             assert diameter_and_connectivity(g) == oracle, (q, ids.tolist())

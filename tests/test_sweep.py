@@ -4,17 +4,15 @@ import pathlib
 import re
 from importlib.resources import files
 
-import numpy as np
 import pytest
 
-from conftest import index_of, isometry_all_pairs
+from conftest import index_of, isometry_all_pairs, subgraph
 from grasscodes import grassmann, sweep
 from grasscodes.errors import GrassCodesError, InternalInvariantError, NotPrimeError
 from grasscodes.gf import field_of_order
 from grasscodes.grassmann import (
     ALL_PAIRS_CAP,
     ENUM_CAP,
-    GrassmannGraph,
     enumerate_subspaces,
     isometry_check,
 )
@@ -201,7 +199,7 @@ def test_witness_json_on_non_isometric_subgraph():
         "S": [[1, 0, 1, 1], [0, 1, 1, 0]],
     }
     ids = sorted(index_of(idx, Subspace.from_vectors(ctx, 4, r)) for r in rows.values())
-    graph = GrassmannGraph(idx, 1, np.array(ids, dtype=np.int64))
+    graph = subgraph(idx, ids)
     with pytest.raises(InternalInvariantError):
         isometry_check(graph)
     iso = isometry_all_pairs(graph)

@@ -52,3 +52,28 @@ def test_traced_group_reaches_enumeration_and_strength():
     after = grasscodes_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_rebinds_the_graph_by_name():
+    """The tracer wraps `adjacency` and `strength_all` on the class it
+    reaches as GrassmannGraph and as SubspaceIndex, and `build_delta` where
+    sweep imported it; its own tests key the wrapped methods by the class's
+    __name__, so the one graph class must be named GrassmannGraph and the
+    other name must be an alias of it."""
+    assert grassmann.GrassmannGraph.__name__ == "GrassmannGraph"
+    assert grassmann.SubspaceIndex is grassmann.GrassmannGraph
+    before = grasscodes_bindings()
+    tracer = load_tracer()()
+    tracer.install()
+    try:
+        during = grasscodes_bindings()
+    finally:
+        tracer.restore()
+    changed = {key for key, value in before.items() if during[key] is not value}
+    assert {
+        ("GrassmannGraph", "adjacency"),
+        ("GrassmannGraph", "strength_all"),
+        ("grasscodes.sweep", "build_delta"),
+    } <= changed
+    after = grasscodes_bindings()
+    assert all(after[key] is value for key, value in before.items())
