@@ -10,10 +10,13 @@ it lies in), and distances come from genuine breadth-first search over
 that incidence (bit-parallel from any set of sources at once).  Points,
 buckets and symmetry orbits are keyed on one small RREF basis per subspace
 (its annihilator's, coordinates reversed, when 2k > n).  A strength class
-is cut from the full graph with its rows, strengths, small bases and span
-keys; each r's keys are built or cut once per graph and numbered as
-`_Buckets` once, so BFS and the metric share them when buckets are points.  Keys are numbered,
-and symmetry images matched to vertices, by sorting packed int64 words
+is cut from the full graph, or from the class of a smaller t, with its
+rows, strengths, small bases and span keys, and with each bucket
+numbering and the orbit labels of its source restricted to it: a
+verified group numbers each r's keys once as `_Buckets`, on the first
+graph that needs them, and keys its orbits once, on its largest class.
+BFS and the metric share one numbering when buckets are points.  Keys are
+numbered, and symmetry images matched to vertices, by sorting packed int64 words
 key << b | position, with no argsort and no binary search.  A code has
 strength >= t exactly when every t columns of its generator are
 independent, so one run of a column-prefix kernel lists every subspace
@@ -33,10 +36,11 @@ scalings and the Frobenius map preserve strength and dim(x ∩ y), so they
 map the strength-t graph onto itself without moving any distance: BFS
 from one representative per orbit of these maps decides connectivity and
 the diameter, and the isometry check compares those BFS rows with
-k - dim(x ∩ y) from the same sources.  Each graph keys the orbits of its
+k - dim(x ∩ y) from the same sources.  A graph keys the orbits of its
 own vertices only, and that keying finds every symmetry image among them
 or raises, so a class that is not closed under the maps is refused rather
-than verified.  The metric never reads edges: it counts the points two
+than verified; a class cut from a keyed graph instead inherits its
+orbits, once no orbit straddles the cut, which is the same check.  The metric never reads edges: it counts the points two
 subspaces share.  All-pairs BFS and the V x V metric need no symmetry and
 take any vertex set; they stay as the oracles the per-orbit route is
 tested against.
@@ -68,6 +72,7 @@ _WITNESS_CAP = 100  # the report schema's maxItems for witnesses
 _WITNESS_BATCH = 64  # BFS sources per pass while collecting witnesses
 _WORD_BITS = 63  # value bits of the int64 words (key << b | position) sorted
 _POSITION_CHUNK = 1 << 16  # positions ORed into the words, or orbit image entries, at a time
+_BFS_ROWS = 1 << 14  # vertices whose unreached bits _bfs unpacks at a time
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -81,7 +86,9 @@ class GrassmannGraph:
     the table is sorted lexicographically by row-major entries, so the
     ordering is reproducible across runs and platforms.  The strengths come
     from the kernel run that lists the bases (see enumerate_subspaces).
-    Small bases, span keys and orbits are built on first use.  The span
+    Small bases, span keys, their numbering and orbits are built on first
+    use, or cut with the class from the graph they were built on (see
+    build_delta).  The span
     keys of r = kk - 1 drive every BFS (see `buckets`); the metric counts
     the points, r = 1, and never reads edges.  The per-orbit routes need a
     vertex set closed under the symmetries (see orbit_labels); the
@@ -168,11 +175,12 @@ class GrassmannGraph:
     def orbit_labels(self) -> np.ndarray:
         """Position of the smallest member of every vertex's orbit under
         coordinate permutations, column scalings and the Frobenius map,
-        keyed once, on first use (see _orbit_labels).  These maps are
+        keyed once, on first use (see _orbit_labels), unless the graph was
+        cut from one that had them (see build_delta).  These maps are
         automorphisms of the graph only when they map its vertex set onto
         itself, as they do for the full graph and every strength class; a
         vertex set they do not, which only a hand-built graph can have,
-        raises InternalInvariantError."""
+        raises InternalInvariantError, here or in build_delta."""
         if self._orbits is None:
             self._orbits = _orbit_labels(self.ctx, self._small_bases())
         return self._orbits
@@ -250,18 +258,18 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
 
     def step(lab):
         low = lab.copy()
-        for perm in perms:
-            np.minimum(low, lab[perm], out=low)
-            low[perm] = np.minimum(low[perm], lab)
+        for perm in perms:  # each generator and its inverse, gathers only
+            np.minimum(low, lab[perm.astype(np.intp)], out=low)  # intp: see _Buckets.restricted
         return low
 
     return _min_labels(len(bases), step)
 
 
 def _generator_permutations(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray]:
-    """Each generator of _orbit_labels as a permutation of the rows of
-    (V, kk, n) small RREF bases: perm[i] is the row equal to the image of
-    row i.  The rows' keys (< q^(kk n), below the square of the number of
+    """Each generator of _orbit_labels and its inverse as permutations of
+    the rows of (V, kk, n) small RREF bases, int32 while V < 2^31: perm[i]
+    is the row equal to the image of row i, and the inverse maps it back
+    to i.  The rows' keys (< q^(kk n), below the square of the number of
     kk-subspaces of F_q^n) and each generator's image keys are sorted as
     packed words (see _sorted_words).  The rows' keys are distinct and a
     generator is a bijection, so its images are all rows exactly when
@@ -274,35 +282,40 @@ def _generator_permutations(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray
     step = max(1, _POSITION_CHUNK // max(kk * n, 1))
     parts = []
     for lo in range(0, max(v, 1), step):
-        chunk = bases[lo : lo + step]
-        images = _permutation_images(ctx, chunk) if n > 1 and kk else []
+        # (kk, n, V): entry (i, j) of every basis in one contiguous row
+        cols = np.ascontiguousarray(bases[lo : lo + step].transpose(1, 2, 0))
+        images = _permutation_images(ctx, cols.transpose(2, 0, 1)) if n > 1 and kk else []
         if ctx.q > 2 and n:
-            scaled = chunk.copy()
-            last = chunk[:, :, -1]
-            scaled[:, :, -1] = np.where(chunk[:, :, :-1].any(axis=2), mul[last, ctx.primitive()], last)
-            images.append(scaled)
+            scaled = cols.copy()
+            last = cols[:, -1]
+            scaled[:, -1] = np.where(cols[:, :-1].any(axis=1), mul[last, ctx.primitive()], last)
+            images.append(scaled.transpose(2, 0, 1))
         if ctx.e > 1:
-            images.append(frob[chunk])
-        parts.append([_keys(ctx.q, block) for block in (chunk, *images)])
+            images.append(frob[cols].transpose(2, 0, 1))
+        parts.append([_keys(ctx.q, block) for block in (cols.transpose(2, 0, 1), *images)])
     keys = np.concatenate(parts, axis=1)
     del parts
     words, b = _sorted_words(keys, (ctx.q ** (kk * n) - 1).bit_length())
     del keys
     first, rows = words[0] >> b, words[0] & (1 << b) - 1
-    perms = []
+    perms, dtype = [], _id_dtype(v)
     for image in words[1:]:
         if ((image >> b) != first).any():
             raise InternalInvariantError("a symmetry image of a vertex is not a vertex")
-        perm = np.empty(v, dtype=np.int64)
-        perm[image & (1 << b) - 1] = rows
-        perms.append(perm)
+        at = image & (1 << b) - 1
+        perm, inverse = np.empty(v, dtype=dtype), np.empty(v, dtype=dtype)
+        perm[at] = rows
+        inverse[rows] = at
+        perms += [perm, inverse]
     return perms
 
 
 def _permutation_images(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray]:
     """RREF bases of the images of (V, kk, n) RREF bases, kk >= 1 and
     n >= 2, under the transposition (0 1) and the n-cycle that moves the
-    last column to the front, each a few table gathers with no column loop.
+    last column to the front, each a few table gathers with no column loop,
+    worked on the (kk, n, V) transpose, so that every operation runs along
+    V rather than the tiny kk x n axes.
 
     Transposition (0 1): every row but the first two is 0 in columns 0
     and 1, so only those two change.  Row 1 of the swapped basis is
@@ -320,26 +333,29 @@ def _permutation_images(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray]:
     their pivots; an earlier m would put entries ahead of a later row's.
     """
     _, sub, mul, inv, _ = ctx.np_tables()
-    kk, n = bases.shape[1:]
+    v, kk, n = bases.shape
     unit = inv.copy()
     unit[0] = 1  # a row with nothing to normalize is left as it is
-    swapped = bases[:, :, [1, 0, *range(2, n)]]
+    cols = np.ascontiguousarray(bases.transpose(1, 2, 0))
+    swapped = cols[:, [1, 0, *range(2, n)]]
     if kk > 1:
-        both = (swapped[:, 1, 0] != 0)[:, None, None]
-        swapped[:, :2] = np.where(both, swapped[:, 1::-1], swapped[:, :2])
-    swapped[:, 0] = _table_take(mul, swapped[:, 0], unit[swapped[:, 0, :1]])
+        swapped[:2] = np.where(swapped[1, 0] != 0, swapped[1::-1], swapped[:2])
+    swapped[0] = _table_take(mul, swapped[0], unit[swapped[0, :1]])
 
-    rolled = bases[:, :, np.roll(np.arange(n), 1)]
-    c = rolled[:, :, 0]
-    # the last row with c != 0, or row 0 when c = 0, which leaves all as is
-    m = ((c != 0) * np.arange(1, kk + 1)).argmax(axis=1)
-    at = np.arange(len(bases))
-    top = _table_take(mul, rolled[at, m], unit[c[at, m], None])
-    rows = _table_take(sub, rolled, _table_take(mul, c[:, :, None], top[:, None, :]))
-    rolled[:, 0] = top
+    rolled = cols[:, np.roll(np.arange(n), 1)]
+    c = rolled[:, 0]
+    # m: the last row with c != 0, or row 0 when c = 0, which leaves all as is
+    m, top = np.zeros(v, dtype=np.uint8), rolled[0]
+    for i in range(1, kk):
+        hit = c[i] != 0
+        m[hit] = i
+        top = np.where(hit, rolled[i], top)
+    top = _table_take(mul, top, unit[top[:1]])
+    rows = _table_take(sub, rolled, _table_take(mul, c[:, None], top[None]))
+    rolled[0] = top
     for i in range(1, kk):  # the rows above m move down one
-        rolled[:, i] = np.where((m < i)[:, None], rows[:, i], rows[:, i - 1])
-    return [swapped, rolled]
+        rolled[i] = np.where(m < i, rows[i], rows[i - 1])
+    return [swapped.transpose(2, 0, 1), rolled.transpose(2, 0, 1)]
 
 
 def _min_labels(v: int, step) -> np.ndarray:
@@ -477,16 +493,30 @@ def grassmann_distance(x: Subspace, y: Subspace) -> int:
 # -- graphs -------------------------------------------------------------------------
 
 def build_delta(graph: GrassmannGraph, t: int) -> GrassmannGraph:
-    """Subgraph induced on the strength-t class: a graph of its own rows,
-    cut with their strengths, small bases and every span key already built,
-    holding no reference to the graph it is cut from."""
+    """Subgraph induced on the strength-t class of `graph`, the full graph
+    or any class of smaller t: a graph of its own rows, cut with their
+    strengths, small bases and every span key already built, holding no
+    reference to the graph it is cut from.
+
+    Every bucket numbering of the source is restricted to the class with
+    no sort (see _Buckets.restricted).  When the source has orbit labels
+    the class takes them too, renumbered, once no orbit straddles the
+    cut: that is the class's closure check (see orbit_labels), so an
+    orbit with members on both sides raises InternalInvariantError."""
     if not 1 <= t <= graph.k:
         raise BadTError(f"t must be in [1, k={graph.k}], got {t}")
     keep = graph.strength_all() >= t
+    pos = np.cumsum(keep)
+    pos -= 1  # pos[i]: the row that kept row i becomes
     delta = GrassmannGraph(graph.ctx, graph.n, graph.k, graph.bases[keep], graph._strengths[keep], t)
     if graph._small is not None and graph._small is not graph.bases:
         delta._small = graph._small[keep]
     delta._span_keys = {r: keys[keep] for r, keys in graph._span_keys.items()}
+    delta._buckets = {r: buckets.restricted(keep, pos) for r, buckets in graph._buckets.items()}
+    if graph._orbits is not None:
+        if (keep[graph._orbits] != keep).any():
+            raise InternalInvariantError("a symmetry orbit straddles the strength-t class")
+        delta._orbits = pos[graph._orbits[keep]]
     return delta
 
 
@@ -632,8 +662,45 @@ class _Buckets:
         ids[:] = np.remainder(words, max(v, 1), out=words)
         del words
         self.members = ids
-        blocks = self.starts // max(v, 1)  # cut at each V-position block's first bucket
-        self.cuts = np.r_[np.flatnonzero(np.diff(blocks, prepend=-1)), self.starts.size]
+        self.cuts = _cuts(self.starts, v)
+
+    def restricted(self, keep: np.ndarray, pos: np.ndarray) -> _Buckets:
+        """The numbering of the rows where keep holds, row i becoming row
+        pos[i]: array for array _Buckets(keys[keep]), with no sort.  A
+        bucket keeps its kept members in order, renumbered by the monotone
+        pos, so still in position order; buckets left empty drop out and
+        the ids of the rest close up, so still in key order.
+
+        The tables are read V entries at a time, each cast to intp before
+        it indexes: numpy gathers through an int32 index about three times
+        slower than through the cast, and the blocks keep the casts small."""
+        v, h = int(np.count_nonzero(keep)), self.inc.shape[1]
+        dtype = _id_dtype(v * h)
+        moved = np.where(keep, pos, -1).astype(dtype)  # -1: not kept
+        members = np.empty_like(self.members, dtype=dtype)
+        block = max(len(keep), 1)
+        for lo in range(0, members.size, block):
+            members[lo : lo + block] = moved[self.members[lo : lo + block].astype(np.intp)]
+        kept = members >= 0
+        sizes = np.add.reduceat(kept, self.starts) if self.starts.size else self.starts
+        ids = np.cumsum(sizes > 0, dtype=dtype)
+        ids -= 1
+        inc = np.empty((h, v), dtype=dtype)
+        for j, column in enumerate(self.inc.T):
+            inc[j] = ids[column[keep].astype(np.intp)]
+        out = object.__new__(type(self))
+        out.inc, out.members = inc.T, members[kept]
+        sizes = sizes[sizes > 0]
+        out.starts = np.cumsum(sizes) - sizes
+        out.cuts = _cuts(out.starts, v)
+        return out
+
+
+def _cuts(starts: np.ndarray, v: int) -> np.ndarray:
+    """Bucket chunks of about V members for _spread: a cut at the first
+    bucket that starts in each block of V member positions."""
+    blocks = starts // max(v, 1)
+    return np.r_[np.flatnonzero(np.diff(blocks, prepend=-1)), starts.size]
 
 
 def _run_starts(words: np.ndarray, b: int, v: int, h: int) -> np.ndarray:
@@ -659,8 +726,8 @@ def _run_starts(words: np.ndarray, b: int, v: int, h: int) -> np.ndarray:
 
 
 def _id_dtype(size: int) -> type:
-    """int32 for bucket ids and members of V x h keys with V h = size below
-    2^31, else int64."""
+    """int32 for the bucket ids and members of V x h keys with V h = size,
+    or a permutation of V = size rows, below 2^31, else int64."""
     return np.int32 if size < 1 << 31 else np.int64
 
 
@@ -702,20 +769,25 @@ def _check_pairs(v: int, max_pairs: int) -> None:
 
 def _bfs(buckets: _Buckets, sources: np.ndarray) -> np.ndarray:
     """V x S BFS distances over the incidence, column s from sources[s];
-    -1 marks unreachable.  One spread of the reach bitsets per level."""
-    v = buckets.inc.shape[0]
+    -1 marks unreachable.  One spread of the reach bitsets per level; the
+    rows not yet reached are unpacked _BFS_ROWS vertices at a time."""
+    v, s = buckets.inc.shape[0], sources.size
     # d(u, s) is the number of levels at which u is not yet reached from s
-    dist = np.zeros((v, sources.size), dtype=np.int16)
+    dist = np.zeros((v, s), dtype=np.int16)
     reach = _source_bits(v, sources)
     while True:
-        missing = _unpack(~reach, sources.size)
-        if not missing.any():
+        missing = False
+        for lo in range(0, v, _BFS_ROWS):
+            block = _unpack(~reach[lo : lo + _BFS_ROWS], s)
+            dist[lo : lo + _BFS_ROWS] += block
+            missing = missing or block.any()
+        if not missing:
             break
-        dist += missing
         new = reach.copy()
         _spread(buckets, reach, new[None])
         if (new == reach).all():
-            dist[missing] = -1
+            for lo in range(0, v, _BFS_ROWS):
+                dist[lo : lo + _BFS_ROWS][_unpack(~reach[lo : lo + _BFS_ROWS], s)] = -1
             break
         reach = new
     return dist
@@ -751,11 +823,10 @@ def gamma_diameter(graph: GrassmannGraph) -> int:
     [n-k i]_q vertices at distance i.  BFS from vertex 0 must count exactly
     these (they sum to V, so an unreached vertex shows as a mismatch);
     anything else means the engine itself is broken.  The graph keeps the
-    keys numbered here, for build_delta to cut.
+    buckets numbered here, and build_delta restricts them to each class.
     """
     q, n, k = graph.ctx.q, graph.n, graph.k
-    buckets = _Buckets(graph.span_keys(min(k, n - k) - 1))
-    dist = _bfs(buckets, np.zeros(1, dtype=np.int64))[:, 0]
+    dist = _bfs(graph.buckets(), np.zeros(1, dtype=np.int64))[:, 0]
     counts = np.bincount(dist[dist >= 0]).tolist()
     expect = [
         q ** (i * i) * subspace_count(k, i, q) * subspace_count(n - k, i, q)

@@ -9,9 +9,13 @@ the same config are byte-identical except for the timing field.
 The unit of work is the (q, n, k) group, run by `verify_group`: one
 enumeration and one check of the full graph's diameter, from one BFS
 source, serve every t of the group, and their time is counted in the
-group's first report's wall_ms.  Each t's induced subgraph is verified
-by BFS from one representative per symmetry orbit (see grassmann), and
-only that representatives x V distance block meets the pairs cap.
+group's first report's wall_ms.  The strength classes are nested, so
+each is cut from the one of the next smaller t, the first from the full
+graph, which is then released: the group's bucket numbering and orbit
+keying are done once and restricted to every class (see
+grassmann.build_delta).  Each t's induced subgraph is verified by BFS
+from one representative per symmetry orbit, and only that
+representatives x V distance block meets the pairs cap.
 Groups run in order or, with `workers` > 1, spread over at most
 min(workers, CPU count, number of groups) processes.
 
@@ -148,20 +152,22 @@ def _ms_since(started: float) -> int:
     return int((time.perf_counter() - started) * 1000)
 
 
-def verify_instance(index: GrassmannGraph, t: int, diameter_gamma: int, max_pairs: int) -> dict:
-    """The GraphReport dict, schema-exact, of the strength-t class of the
-    full graph `index` of a (q, n, k), whose diameter is diameter_gamma.
+def verify_instance(delta: GrassmannGraph, diameter_gamma: int, max_pairs: int) -> dict:
+    """The GraphReport dict, schema-exact, of the strength-t class `delta`
+    (t = delta.t, see build_delta) of a (q, n, k) whose full graph has
+    diameter diameter_gamma.
 
     For t <= 2 the class size is checked against its closed form
     (`linalg.class_count`); a mismatch means the engine is broken.  No
     closed form is known for t >= 3, so there the one run-time check on
-    the class is that of `GrassmannGraph.orbit_labels`: every symmetry
-    image of a member is a member."""
+    the class is its closure under the symmetries: that of
+    `GrassmannGraph.orbit_labels`, or of build_delta when the class is cut
+    from one whose orbits are keyed."""
     started = time.perf_counter()
-    report = _empty_report(index.ctx.q, index.n, index.k, t)
-    delta = build_delta(index, t)
+    t = delta.t
+    report = _empty_report(delta.ctx.q, delta.n, delta.k, t)
     if t <= 2:  # no closed form is known for t >= 3
-        expect = class_count(index.n, index.k, t, index.ctx.q)
+        expect = class_count(delta.n, delta.k, t, delta.ctx.q)
         if delta.num_vertices != expect:
             raise InternalInvariantError(
                 f"strength-{t} class of {delta.num_vertices} codes != closed form {expect}"
@@ -188,18 +194,28 @@ def verify_group(
     """The reports of the (q, n, k, t) instances for each t in ts, in order.
 
     The group is enumerated once and the full graph's diameter checked
-    once; both count in the first report's wall_ms.  When the enumeration
-    exceeds max_vertices, every t reports caps_hit ["enumeration"]."""
+    once; both count in the first report's wall_ms.  The classes are
+    nested, so they are cut smallest t first, each from the one before it
+    and the first from the full graph, which is then let go: the bucket
+    numbering and the orbit keying of the first class serve every later
+    one (see build_delta).  A report's wall_ms counts its cut.  When the
+    enumeration exceeds max_vertices, every t reports caps_hit
+    ["enumeration"]."""
     started = time.perf_counter()
     try:
-        index = enumerate_subspaces(field_of_order(q), n, k, max_count=max_vertices)
+        graph = enumerate_subspaces(field_of_order(q), n, k, max_count=max_vertices)
     except EnumerationTooLargeError:
         reports = [_empty_report(q, n, k, t) | {"caps_hit": ["enumeration"]} for t in ts]
         reports[0]["wall_ms"] = _ms_since(started)
         return reports
-    diameter_gamma = gamma_diameter(index)
+    diameter_gamma = gamma_diameter(graph)
     setup_ms = _ms_since(started)
-    reports = [verify_instance(index, t, diameter_gamma, max_pairs) for t in ts]
+    reports = [None] * len(ts)
+    for i in sorted(range(len(ts)), key=ts.__getitem__):
+        cut = time.perf_counter()
+        graph = build_delta(graph, ts[i])
+        reports[i] = verify_instance(graph, diameter_gamma, max_pairs)
+        reports[i]["wall_ms"] = _ms_since(cut)
     reports[0]["wall_ms"] += setup_ms
     return reports
 

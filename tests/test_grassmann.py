@@ -451,8 +451,9 @@ def test_point_and_bucket_keys_run_no_reduction(monkeypatch):
 
 def test_span_keys_built_once_per_r(monkeypatch):
     """(4,5,2) has kk = 2, where buckets are points: across Γ's check and
-    every Δ's BFS, metric and witness search, the index keys its spans once
-    and each Δ numbers one set of buckets (plus Γ's own)."""
+    every Δ's BFS, metric and witness search, with each Δ cut from the one
+    before it as verify_group cuts them, the index keys its spans once and
+    numbers them once; each Δ restricts the numbering it is cut with."""
     idx = enumerate_subspaces(field_of_order(4), 5, 2)
     calls = {"keys": 0, "buckets": 0}
     span_keys, buckets = grassmann._span_keys, grassmann._Buckets
@@ -468,13 +469,13 @@ def test_span_keys_built_once_per_r(monkeypatch):
     monkeypatch.setattr(grassmann, "_span_keys", counted_keys)
     monkeypatch.setattr(grassmann, "_Buckets", counted_buckets)
     assert gamma_diameter(idx) == 2
-    isometric = []
+    isometric, delta = [], idx
     for t in (1, 2):
-        delta = build_delta(idx, t)
+        delta = build_delta(delta, t)
         assert diameter_and_connectivity(delta).connected
         isometric.append(isometry_check(delta).isometric)
     assert isometric == [True, False]  # t = 2 searches for witnesses too
-    assert calls == {"keys": 1, "buckets": 3}
+    assert calls == {"keys": 1, "buckets": 1}
 
 
 def test_class_count_matches_engine():
@@ -598,6 +599,64 @@ def test_buckets_match_stable_oracle_on_span_keys(q):
         idx = enumerate_subspaces(ctx, n, k)
         for r in range(min(k, n - k) + 1):
             _assert_buckets_match_stable_oracle(idx.span_keys(r), (q, n, k, r))
+
+
+@pytest.mark.parametrize("q", sorted(RREF_GRID))
+def test_restricted_buckets_match_fresh_numbering(q):
+    """Every strength class of every index of RREF_GRID, each cut from the
+    one before it as verify_group cuts them, the first from the full
+    graph: for every r in [0, kk] the restriction of the source's
+    numbering is array for array the numbering of the class's own keys."""
+    ctx = field_of_order(q)
+    for n, k in RREF_GRID[q]:
+        idx = enumerate_subspaces(ctx, n, k)
+        for r in range(min(k, n - k) + 1):
+            keys, numbered = idx.span_keys(r), grassmann._Buckets(idx.span_keys(r))
+            strengths = idx.strength_all()
+            for t in range(1, k + 1):
+                keep = strengths >= t
+                got = numbered.restricted(keep, np.cumsum(keep) - 1)
+                keys, strengths = keys[keep], strengths[keep]
+                numbered = grassmann._Buckets(keys)
+                for name in ("inc", "members", "starts", "cuts"):
+                    want, have = getattr(numbered, name), getattr(got, name)
+                    assert have.dtype == want.dtype and have.shape == want.shape, (q, n, k, r, t, name)
+                    assert (have == want).all(), (q, n, k, r, t, name)
+
+
+@pytest.mark.parametrize("q", sorted(RREF_GRID))
+def test_cut_classes_carry_orbit_labels(q):
+    """Over the same grid, a class cut from a graph with orbit labels, the
+    first from the keyed full graph and each later one from the class
+    before it, carries labels equal to _orbit_labels run on its own small
+    bases."""
+    ctx = field_of_order(q)
+    for n, k in RREF_GRID[q]:
+        graph = enumerate_subspaces(ctx, n, k)
+        graph.orbit_labels()
+        for t in range(1, k + 1):
+            graph = build_delta(graph, t)
+            assert graph._orbits is not None, (q, n, k, t)
+            own = grassmann._orbit_labels(ctx, graph._small_bases())
+            assert graph._orbits.tolist() == own.tolist(), (q, n, k, t)
+
+
+def test_build_delta_rejects_straddling_orbit():
+    """An orbit whose strengths straddle t means a broken index: cut from a
+    graph with orbit labels, that class is refused.  The last subspace of
+    (3,4,2) has strength 1; raised to 2, its orbit straddles t = 2, in the
+    full graph and in the strength-1 class alike, while t = 1 still keeps
+    the whole orbit."""
+    for source in ("full", "class"):
+        idx = enumerate_subspaces(F3, 4, 2)
+        idx.orbit_labels()
+        graph = idx if source == "full" else build_delta(idx, 1)
+        assert graph.strength_all()[-1] == 1
+        graph._strengths = graph._strengths.copy()
+        graph._strengths[-1] += 1
+        assert build_delta(graph, 1).num_vertices == np.count_nonzero(graph.strength_all() >= 1)
+        with pytest.raises(InternalInvariantError):
+            build_delta(graph, 2)
 
 
 def test_buckets_hold_one_int64_order():
@@ -750,7 +809,8 @@ def test_gamma_distance_distribution():
 
 def test_gamma_diameter_rejects_corrupt_incidence(monkeypatch):
     """Moving vertex 0 out of one of its buckets changes its BFS levels,
-    which the one-source check must catch."""
+    which the one-source check must catch.  The graph keeps the buckets
+    it numbers, so the corrupt keys go to a fresh one."""
     original = GrassmannGraph.span_keys
 
     def corrupted(index, r):
@@ -758,11 +818,25 @@ def test_gamma_diameter_rejects_corrupt_incidence(monkeypatch):
         inc[0, 0] = inc[0, 1]
         return inc
 
-    idx = enumerate_subspaces(F2, 4, 2)
-    assert gamma_diameter(idx) == 2
+    assert gamma_diameter(enumerate_subspaces(F2, 4, 2)) == 2
     monkeypatch.setattr(GrassmannGraph, "span_keys", corrupted)
     with pytest.raises(InternalInvariantError):
-        gamma_diameter(idx)
+        gamma_diameter(enumerate_subspaces(F2, 4, 2))
+
+
+def test_bfs_in_row_blocks_matches_whole(monkeypatch):
+    """_bfs unpacks the unreached bits a block of _BFS_ROWS vertices at a
+    time; with blocks of 3 rows it gives the distances of one whole block,
+    on the full graph, a strength class and disconnected hand-built
+    subsets, whose -1 marks are written block by block too."""
+    idx = enumerate_subspaces(F3, 4, 2)
+    graphs = [idx, build_delta(idx, 1), subgraph(idx, [0, 1, 5, 40, 77, 100, 129])]
+    graphs.append(subgraph(enumerate_subspaces(F2, 5, 2), np.arange(0, 155, 4)))
+    whole = [grassmann._bfs(g.buckets(), np.arange(g.num_vertices)) for g in graphs]
+    assert any((rows < 0).any() for rows in whole)
+    monkeypatch.setattr(grassmann, "_BFS_ROWS", 3)
+    for g, rows in zip(graphs, whole):
+        assert (grassmann._bfs(g.buckets(), np.arange(g.num_vertices)) == rows).all()
 
 
 def test_bfs_source_forms():
@@ -1095,16 +1169,19 @@ def test_orbit_labels_match_scalar_closure_when_narrowed(monkeypatch, q, n, k):
 
 
 def test_orbit_labels_are_lazy():
-    """Neither enumeration nor a cut class builds orbit labels; each graph
-    builds its own once, on first use, and a class cut after them keeps
-    none."""
+    """Neither enumeration nor a cut class keys orbits: a graph keys its
+    own once, on first use, unless it is cut from one that has them, in
+    which case it inherits them as its own positions."""
     idx = enumerate_subspaces(F3, 4, 2)
     assert idx._orbits is None
+    early = build_delta(idx, 1)
+    assert early._orbits is None
     labels = idx.orbit_labels()
     assert idx.orbit_labels() is labels
     delta = build_delta(idx, 1)
-    assert delta._orbits is None
-    assert delta.orbit_labels() is delta.orbit_labels()
+    assert delta._orbits is not None and delta.orbit_labels() is delta._orbits
+    assert delta.orbit_labels().tolist() == early.orbit_labels().tolist()
+    assert build_delta(early, 2).orbit_labels().tolist() == build_delta(idx, 2).orbit_labels().tolist()
 
 
 @pytest.mark.parametrize("q, n, k, t", [

@@ -112,9 +112,10 @@ def test_class_size_checked_against_closed_form(monkeypatch):
 
 
 def test_orbits_keyed_per_class(monkeypatch):
-    """verify_group keys symmetry orbits once per class of at least two
-    codes, on that class's own small bases, and never on the full graph's
-    V rows: Γ's check is one BFS from one source."""
+    """verify_group keys symmetry orbits once per group, on the small bases
+    of the class of its smallest t, whatever the order of ts, and never on
+    the full graph's V rows: Γ's check is one BFS from one source, and
+    every larger t's class is cut with the labels (see build_delta)."""
     rows = []
     original = grassmann._orbit_labels
 
@@ -123,9 +124,12 @@ def test_orbits_keyed_per_class(monkeypatch):
         return original(ctx, bases)
 
     monkeypatch.setattr(grassmann, "_orbit_labels", recorded)
-    reports = verify_group(3, 4, 2, [1, 2], ENUM_CAP, ALL_PAIRS_CAP)
-    sizes = [r["class_size"] for r in reports]
-    assert min(sizes) >= 2 and rows == sizes
+    for ts in ([1, 2], [2, 1]):
+        rows.clear()
+        reports = verify_group(3, 4, 2, ts, ENUM_CAP, ALL_PAIRS_CAP)
+        sizes = {r["t"]: r["class_size"] for r in reports}
+        assert [r["t"] for r in reports] == ts
+        assert min(sizes.values()) >= 2 and rows == [sizes[1]]
     assert subspace_count(4, 2, 3) not in rows
 
 
