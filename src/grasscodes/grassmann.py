@@ -73,6 +73,9 @@ _WITNESS_BATCH = 64  # BFS sources per pass while collecting witnesses
 _WORD_BITS = 63  # value bits of the int64 words (key << b | position) sorted
 _POSITION_CHUNK = 1 << 16  # positions ORed into the words, or orbit image entries, at a time
 _BFS_ROWS = 1 << 14  # vertices whose unreached bits _bfs unpacks at a time
+# fewest entries read at a time by the loops that go V entries at a time:
+# bucket members in _spread and _Buckets.restricted, words in _run_starts
+_MIN_BLOCK = 1 << 14
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -227,7 +230,7 @@ def _table_take(table: np.ndarray, a, b) -> np.ndarray:
     (q <= 256, so it is at most 65,535): a 2-D gather converts both index
     arrays to intp first."""
     at = np.multiply(a, table.shape[1], dtype=np.uint16, casting="unsafe")
-    return np.take(table.ravel(), at + b)
+    return table.ravel().take(at + b)
 
 
 def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
@@ -253,25 +256,30 @@ def _orbit_labels(ctx: FieldCtx, bases: np.ndarray) -> np.ndarray:
     inverts scalings, and reversing coordinates maps the group onto
     itself, so on the reversed annihilators the same generators give the
     same orbits.
+
+    A label only moves to the label of a generator's image of its row: a
+    generator's cycles close up, so at the fixed point labels are constant
+    on them, hence on orbits, with no inverse generator needed.
     """
     perms = _generator_permutations(ctx, bases)
 
     def step(lab):
         low = lab.copy()
-        for perm in perms:  # each generator and its inverse, gathers only
-            np.minimum(low, lab[perm.astype(np.intp)], out=low)  # intp: see _Buckets.restricted
+        # each gather reads the labels the last one left, through an intp
+        # cast (see _Buckets.restricted)
+        for perm in perms:
+            np.minimum(low, low.take(perm.astype(np.intp)), out=low)
         return low
 
     return _min_labels(len(bases), step)
 
 
 def _generator_permutations(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray]:
-    """Each generator of _orbit_labels and its inverse as permutations of
-    the rows of (V, kk, n) small RREF bases, int32 while V < 2^31: perm[i]
-    is the row equal to the image of row i, and the inverse maps it back
-    to i.  The rows' keys (< q^(kk n), below the square of the number of
-    kk-subspaces of F_q^n) and each generator's image keys are sorted as
-    packed words (see _sorted_words).  The rows' keys are distinct and a
+    """Each generator of _orbit_labels as a permutation of the rows of
+    (V, kk, n) small RREF bases, int32 while V < 2^31: perm[i] is the row
+    equal to the image of row i.  The rows' keys (< q^(kk n), below the
+    square of the number of kk-subspaces of F_q^n) and each generator's
+    image keys are sorted as packed words (see _sorted_words).  The rows' keys are distinct and a
     generator is a bijection, so its images are all rows exactly when
     their sorted keys equal the rows', and then the i-th sorted image is
     the i-th sorted row; otherwise InternalInvariantError.  Images are
@@ -303,10 +311,9 @@ def _generator_permutations(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray
         if ((image >> b) != first).any():
             raise InternalInvariantError("a symmetry image of a vertex is not a vertex")
         at = image & (1 << b) - 1
-        perm, inverse = np.empty(v, dtype=dtype), np.empty(v, dtype=dtype)
+        perm = np.empty(v, dtype=dtype)
         perm[at] = rows
-        inverse[rows] = at
-        perms += [perm, inverse]
+        perms.append(perm)
     return perms
 
 
@@ -578,9 +585,9 @@ def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
         keys *= ctx.q
         if j < a:
             continue
-        acc = np.take(times[a, a], bases[:, a, j], axis=0)
+        acc = times[a, a].take(bases[:, a, j], axis=0)
         for i in range(a + 1, min(j, kk - 1) + 1):
-            add(acc, np.take(times[a, i], bases[:, i, j], axis=0), out=acc)
+            add(acc, times[a, i].take(bases[:, i, j], axis=0), out=acc)
         if ctx.p > 2:  # dec is the identity at p = 2
             acc = np.remainder(acc, ctx.p, out=acc) if ctx.e == 1 else dec[acc]
         keys += acc
@@ -631,9 +638,10 @@ class _Buckets:
     """V x h nonnegative keys, numbered and gathered once: `inc` holds bucket
     ids 0..B-1 in key order, `members` the vertices bucket by bucket, in
     position order inside a bucket, starts[b] where bucket b begins, and
-    `cuts` split the buckets into chunks of about V members, which bound
-    the block `_spread` gathers.  `inc` is the (V, h) transpose view of
-    an (h, V) table, so each column `_spread` gathers by is contiguous.
+    `cuts` split the buckets into chunks of about max(V, _MIN_BLOCK)
+    members, which bound the block `_spread` gathers.  `inc` is the (V, h)
+    transpose view of an (h, V) table, so each column `_spread` gathers
+    by is contiguous.
     `inc` and `members` are int32 unless V h reaches 2^31 (B <= V h),
     which only --max-vertices above ENUM_CAP allows; then int64.
 
@@ -671,14 +679,15 @@ class _Buckets:
         pos, so still in position order; buckets left empty drop out and
         the ids of the rest close up, so still in key order.
 
-        The tables are read V entries at a time, each cast to intp before
-        it indexes: numpy gathers through an int32 index about three times
-        slower than through the cast, and the blocks keep the casts small."""
+        The tables are read max(V, _MIN_BLOCK) entries at a time, each cast
+        to intp before it indexes: numpy gathers through an int32 index
+        about three times slower than through the cast, and the blocks keep
+        the casts small."""
         v, h = int(np.count_nonzero(keep)), self.inc.shape[1]
         dtype = _id_dtype(v * h)
         moved = np.where(keep, pos, -1).astype(dtype)  # -1: not kept
         members = np.empty_like(self.members, dtype=dtype)
-        block = max(len(keep), 1)
+        block = max(len(keep), _MIN_BLOCK)
         for lo in range(0, members.size, block):
             members[lo : lo + block] = moved[self.members[lo : lo + block].astype(np.intp)]
         kept = members >= 0
@@ -697,24 +706,27 @@ class _Buckets:
 
 
 def _cuts(starts: np.ndarray, v: int) -> np.ndarray:
-    """Bucket chunks of about V members for _spread: a cut at the first
-    bucket that starts in each block of V member positions."""
-    blocks = starts // max(v, 1)
+    """Bucket chunks of about m = max(V, _MIN_BLOCK) members for _spread:
+    a cut at the first bucket that starts in each block of m member
+    positions."""
+    blocks = starts // max(v, _MIN_BLOCK)
     return np.r_[np.flatnonzero(np.diff(blocks, prepend=-1)), starts.size]
 
 
 def _run_starts(words: np.ndarray, b: int, v: int, h: int) -> np.ndarray:
     """True where the sorted words key << b | u h + j of V x h keys start a
-    run of equal keys.  V words at a time, each word is then turned in
-    place into j V + u, the position of its entry in the (h, V) table."""
+    run of equal keys.  max(V, _MIN_BLOCK) words at a time, each word is
+    then turned in place into j V + u, the position of its entry in the
+    (h, V) table."""
     new = np.empty(words.size, dtype=bool)
-    buf = np.empty(min(v, words.size), dtype=np.int64)
+    step = max(v, _MIN_BLOCK)
+    buf = np.empty(min(step, words.size), dtype=np.int64)
     last = -1
-    for lo in range(0, words.size, max(v, 1)):
-        w = words[lo : lo + v]
+    for lo in range(0, words.size, step):
+        w = words[lo : lo + step]
         key = np.right_shift(w, b, out=buf[: w.size])
         new[lo] = key[0] != last
-        np.not_equal(key[1:], key[:-1], out=new[lo + 1 : lo + v])
+        np.not_equal(key[1:], key[:-1], out=new[lo + 1 : lo + step])
         last = key[-1]
         w &= (1 << b) - 1
         u = np.floor_divide(w, h, out=key)
@@ -747,15 +759,18 @@ def _unpack(bits: np.ndarray, count: int) -> np.ndarray:
 def _spread(buckets: _Buckets, reach: np.ndarray, planes: np.ndarray) -> None:
     """Add reach[w] to row u of the L bit planes once per bucket u shares
     with w.  The top plane is ORed, so a single plane is the OR spread of
-    BFS, and counts below 2^L are exact."""
+    BFS, and counts below 2^L are exact.  Members and columns are cast to
+    intp a chunk or a column at a time before they index (see
+    _Buckets.restricted)."""
     members, starts, cuts = buckets.members, buckets.starts, buckets.cuts
     merged = np.empty((starts.size, reach.shape[1]), dtype=reach.dtype)
     for b0, b1 in zip(cuts[:-1], cuts[1:]):
         lo = starts[b0]
         hi = starts[b1] if b1 < starts.size else members.size
-        merged[b0:b1] = np.bitwise_or.reduceat(reach[members[lo:hi]], starts[b0:b1] - lo, axis=0)
+        rows = reach.take(members[lo:hi].astype(np.intp), axis=0)
+        merged[b0:b1] = np.bitwise_or.reduceat(rows, starts[b0:b1] - lo, axis=0)
     for column in buckets.inc.T:
-        carry = merged[column]
+        carry = merged.take(column.astype(np.intp), axis=0)
         for plane in planes[:-1]:
             plane ^= carry
             carry &= ~plane
@@ -795,11 +810,15 @@ def _bfs(buckets: _Buckets, sources: np.ndarray) -> np.ndarray:
 
 def _components(buckets: _Buckets) -> np.ndarray:
     """Smallest position in every vertex's connected component, by min-label
-    propagation through the buckets."""
+    propagation through the buckets, gathering through intp casts of the
+    members and of one column at a time (see _Buckets.restricted)."""
 
     def step(lab):
-        low = np.minimum.reduceat(lab[buckets.members], buckets.starts)
-        return np.minimum(lab, low[buckets.inc.T].min(axis=0))
+        low = np.minimum.reduceat(lab.take(buckets.members.astype(np.intp)), buckets.starts)
+        new = lab.copy()
+        for column in buckets.inc.T:
+            np.minimum(new, low.take(column.astype(np.intp)), out=new)
+        return new
 
     return _min_labels(buckets.inc.shape[0], step)
 
@@ -951,11 +970,15 @@ def isometry_check(graph: GrassmannGraph, max_pairs: int = ALL_PAIRS_CAP) -> Iso
     for lo in range(0, suspects.size, _WITNESS_BATCH):
         sources = suspects[lo : lo + _WITNESS_BATCH]
         d_sub, d_metric = _bfs(graph.buckets(), sources), _metric_rows(graph, sources)
-        for col, i in enumerate(sources):
-            js = i + 1 + np.flatnonzero(d_sub[i + 1 :, col] != d_metric[i + 1 :, col])
-            for j in js[: _WITNESS_CAP - len(witnesses)]:
-                ds = int(d_sub[j, col])
-                witnesses.append((int(i), int(j), inf if ds < 0 else ds, int(d_metric[j, col])))
-            if len(witnesses) == _WITNESS_CAP:
-                return IsometryReport(False, witnesses, pairs)
+        # the S x V mismatches of each source i with a later j, read row-major
+        col, j = np.nonzero((d_sub.T != d_metric.T) & (np.arange(v) > sources[:, None]))
+        col, j = col[: _WITNESS_CAP - len(witnesses)], j[: _WITNESS_CAP - len(witnesses)]
+        witnesses += [
+            (i, jj, inf if ds < 0 else ds, dm)
+            for i, jj, ds, dm in zip(
+                sources[col].tolist(), j.tolist(), d_sub[j, col].tolist(), d_metric[j, col].tolist()
+            )
+        ]
+        if len(witnesses) == _WITNESS_CAP:
+            return IsometryReport(False, witnesses, pairs)
     return IsometryReport(bad.size == 0, witnesses, pairs)

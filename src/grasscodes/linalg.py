@@ -376,9 +376,10 @@ def subspace_count(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def class_count(n: int, k: int, t: int, q: int) -> int:
+def class_count(n: int, k: int, t: int, q: int) -> int | None:
     """Number of k-subspaces of F_q^n of strength >= t (capped at k, as
-    `codes.strength` is), for t = 1 or 2.
+    `codes.strength` is), where a closed form is known: t = 1 or 2, t > k
+    (no code), and t = k when n - k <= 2 or (n, k) = (6, 3); else None.
 
     A code of strength >= t is a k x n generator whose columns span F_q^k
     and any t of which are independent, taken up to GL_k(q).  Let T(m)
@@ -386,12 +387,27 @@ def class_count(n: int, k: int, t: int, q: int) -> int:
     column) for t = 1, and (q - 1)^n P (P - 1) ... (P - n + 1) with
     P = [m]_q (n distinct points, each scaled) for t = 2.  The spanning
     tuples are sum_j (-1)^j q^(j(j-1)/2) [k j]_q T(k - j), by Mobius
-    inversion over the subspaces of F_q^k.  For t >= 3 no closed form is
-    known."""
-    if t not in (1, 2):
-        raise ValueError(f"no closed form for strength t = {t}")
+    inversion over the subspaces of F_q^k.
+
+    At t = k the class is the MDS codes: dual distance k + 1 makes the
+    dual an [n, n-k, k+1] MDS code, whose dual is MDS in turn, so
+    annihilation maps the class onto the strength-(n-k) class of
+    (n-k)-subspaces, a t <= 2 form when n - k <= 2 (at k = n the whole
+    space, one code).  At (n, k) = (6, 3) the columns are an ordered 6-arc
+    of PG(2, q), each scaled: (q-1)^5 (q-2)(q-3)(q^2 - 9q + 21), the
+    classical count of 6-arcs through a frame.  For other t >= 3 no closed
+    form is known."""
+    if t < 1:
+        raise ValueError(f"strength t must be at least 1, got {t}")
     if not t <= k <= n:  # strength is capped at k
         return 0
+    if t == k > 2:
+        if n - k <= 2:
+            return class_count(n, n - k, n - k, q) if k < n else 1
+        if (n, k) == (6, 3):
+            return (q - 1) ** 5 * (q - 2) * (q - 3) * (q * q - 9 * q + 21)
+    if t > 2:
+        return None
 
     def tuples(m: int) -> int:
         return (q**m - 1) ** n if t == 1 else (q - 1) ** n * perm(q_int(m, q), n)

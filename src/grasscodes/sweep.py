@@ -116,12 +116,17 @@ class SweepConfig:
         return list(dict.fromkeys(out))
 
 
+# each field's value before it is measured: null, an empty list or 0 ms
+_UNMEASURED = {
+    name: None if "null" in types else [] if "array" in types else 0
+    for name in REPORT_FIELDS
+    for types in [_types(SCHEMA["properties"][name])]
+}
+
+
 def _empty_report(q, n, k, t) -> dict:
-    """A report with nothing measured yet: null, an empty list or 0 ms."""
-    report = {}
-    for name in REPORT_FIELDS:
-        types = _types(SCHEMA["properties"][name])
-        report[name] = None if "null" in types else [] if "array" in types else 0
+    """A report with nothing measured yet, each list its own."""
+    report = {name: [] if value == [] else value for name, value in _UNMEASURED.items()}
     report.update(q=q, n=n, k=k, t=t, bound_satisfied=q >= comb(n, t))
     return report
 
@@ -157,21 +162,20 @@ def verify_instance(delta: GrassmannGraph, diameter_gamma: int, max_pairs: int) 
     (t = delta.t, see build_delta) of a (q, n, k) whose full graph has
     diameter diameter_gamma.
 
-    For t <= 2 the class size is checked against its closed form
-    (`linalg.class_count`); a mismatch means the engine is broken.  No
-    closed form is known for t >= 3, so there the one run-time check on
-    the class is its closure under the symmetries: that of
-    `GrassmannGraph.orbit_labels`, or of build_delta when the class is cut
-    from one whose orbits are keyed."""
+    Where `linalg.class_count` has a closed form (t <= 2, and t = k when
+    n - k <= 2 or (n, k) = (6, 3)), the class size is checked against it;
+    a mismatch means the engine is broken.  Every class is also checked
+    for closure under the symmetries, by `GrassmannGraph.orbit_labels`,
+    or by build_delta when the class is cut from one whose orbits are
+    keyed; for the other t >= 3 that is the one run-time check."""
     started = time.perf_counter()
     t = delta.t
     report = _empty_report(delta.ctx.q, delta.n, delta.k, t)
-    if t <= 2:  # no closed form is known for t >= 3
-        expect = class_count(delta.n, delta.k, t, delta.ctx.q)
-        if delta.num_vertices != expect:
-            raise InternalInvariantError(
-                f"strength-{t} class of {delta.num_vertices} codes != closed form {expect}"
-            )
+    expect = class_count(delta.n, delta.k, t, delta.ctx.q)
+    if expect is not None and delta.num_vertices != expect:
+        raise InternalInvariantError(
+            f"strength-{t} class of {delta.num_vertices} codes != closed form {expect}"
+        )
     report["class_size"] = delta.num_vertices
     report["diameter_gamma"] = diameter_gamma
     try:
@@ -236,48 +240,65 @@ def is_violation(report: dict) -> bool:
     return bad_connect or bad_iso or bad_diam
 
 
+def _compile(node: dict):
+    """The checker of a schema node: value -> where and how it breaks the
+    node, or None.  The node's keywords read are type (a bool never counts
+    as an integer), enum, minimum, maxItems, items, and required/properties
+    in key order; they are read here, once, into the closure, along with
+    the checkers of the node's items and properties."""
+    types = _types(node)
+    allowed = frozenset(_PY_TYPES[kind] for kind in types)
+    spelled = " or ".join(types)
+    enum = tuple(node["enum"]) if "enum" in node else None
+    minimum = node.get("minimum")
+    max_items = node.get("maxItems")
+    items = node.get("items")
+    item_check = _compile(items) if items is not None else None
+    # the item types that pass unchecked: all of them when the items have
+    # nothing but a type, so that the whole array is checked in one pass
+    leaf = items is not None and items.keys() == {"type"}
+    fine = frozenset(_PY_TYPES[kind] for kind in _types(items)) if leaf else None
+    names = tuple(node["required"]) if "properties" in node else None
+    fields = [(name, _compile(node["properties"][name])) for name in names or ()]
+
+    def check(value):
+        if type(value) not in allowed:
+            return f" must be {spelled}, got {value!r}"
+        if enum is not None and value not in enum:
+            return f" must be one of {enum}, got {value!r}"
+        if value is None:
+            return None
+        if minimum is not None and value < minimum:
+            return f" breaks minimum {minimum}"
+        if max_items is not None and len(value) > max_items:
+            return f" breaks maxItems {max_items}"
+        if item_check is not None and not (leaf and fine.issuperset(map(type, value))):
+            for i, item in enumerate(value):
+                problem = item_check(item)
+                if problem:
+                    return f"[{i}]{problem}"
+        if names is not None:
+            if tuple(value) != names:
+                return f" keys {tuple(value)} != schema {names}"
+            for name, field in fields:
+                problem = field(value[name])
+                if problem:
+                    return f".{name}{problem}"
+        return None
+
+    return check
+
+
+_check_report = _compile(SCHEMA)
+
+
 def validate_report(report: dict) -> None:
     """Check a report against SCHEMA: the exact keys in order, each value
     of an allowed JSON type within its limits, every witness an object of
     the witness fields and every cap an allowed tag."""
-    problem = _problem(report, SCHEMA)
+    problem = _check_report(report)
     if problem:
         raise GrassCodesError(f"report{problem}")
-
-
-def _problem(value, node: dict) -> str | None:
-    """Where and how value breaks the schema node, or None.  The node's
-    keywords read are type (a bool never counts as an integer), enum,
-    minimum, maxItems, items, and required/properties in key order."""
-    types = _types(node)
-    if type(value) not in [_PY_TYPES[kind] for kind in types]:
-        return f" must be {' or '.join(types)}, got {value!r}"
-    if "enum" in node and value not in node["enum"]:
-        return f" must be one of {tuple(node['enum'])}, got {value!r}"
-    if value is None:
-        return None
-    if "minimum" in node and value < node["minimum"]:
-        return f" breaks minimum {node['minimum']}"
-    if "maxItems" in node and len(value) > node["maxItems"]:
-        return f" breaks maxItems {node['maxItems']}"
-    if "items" in node:
-        items = node["items"]
-        # items with nothing but a type are type-checked inline
-        leaf = items.keys() == {"type"}
-        fine = [_PY_TYPES[kind] for kind in _types(items)] if leaf else []
-        for i, item in enumerate(value):
-            problem = None if type(item) in fine else _problem(item, items)
-            if problem:
-                return f"[{i}]{problem}"
-    if "properties" in node:
-        names = tuple(node["required"])
-        if tuple(value) != names:
-            return f" keys {tuple(value)} != schema {names}"
-        for name in names:
-            problem = _problem(value[name], node["properties"][name])
-            if problem:
-                return f".{name}{problem}"
-    return None
 
 
 def report_json_line(report: dict) -> str:

@@ -12,6 +12,7 @@ from grasscodes.errors import GrassCodesError, NotSubspaceError
 from grasscodes.grassmann import (
     GrassmannGraph,
     GraphSummary,
+    _MIN_BLOCK,
     IsometryReport,
     _keys,
     all_pairs_distances,
@@ -19,6 +20,7 @@ from grasscodes.grassmann import (
     metric_distance_matrix,
 )
 from grasscodes.linalg import MatrixGF, Subspace, intersect
+from grasscodes.sweep import _PY_TYPES, _types
 
 
 class VertexAbsentError(GrassCodesError):
@@ -180,7 +182,7 @@ def buckets_stable(keys):
     inc = np.empty_like(order)
     inc[order] = np.cumsum(new) - 1
     starts = np.flatnonzero(new)
-    chunks = np.searchsorted(starts, np.arange(0, order.size, max(v, 1)))
+    chunks = np.searchsorted(starts, np.arange(0, order.size, max(v, _MIN_BLOCK)))
     return inc.reshape(v, h), order // h, starts, np.unique(np.r_[chunks, starts.size])
 
 
@@ -383,3 +385,36 @@ def isometry_all_pairs(graph, cap=100):
         for a, b in zip(i[:cap], j[:cap])
     ]
     return IsometryReport(i.size == 0, witnesses, v * (v - 1) // 2)
+
+
+def schema_problem(value, node: dict) -> str | None:
+    """Oracle for the compiled report checker (see sweep._compile): where
+    and how value breaks the schema node, or None, reading the node's
+    keywords at every value.  The keywords read are type (a bool never
+    counts as an integer), enum, minimum, maxItems, items, and
+    required/properties in key order."""
+    types = _types(node)
+    if type(value) not in [_PY_TYPES[kind] for kind in types]:
+        return f" must be {' or '.join(types)}, got {value!r}"
+    if "enum" in node and value not in node["enum"]:
+        return f" must be one of {tuple(node['enum'])}, got {value!r}"
+    if value is None:
+        return None
+    if "minimum" in node and value < node["minimum"]:
+        return f" breaks minimum {node['minimum']}"
+    if "maxItems" in node and len(value) > node["maxItems"]:
+        return f" breaks maxItems {node['maxItems']}"
+    if "items" in node:
+        for i, item in enumerate(value):
+            problem = schema_problem(item, node["items"])
+            if problem:
+                return f"[{i}]{problem}"
+    if "properties" in node:
+        names = tuple(node["required"])
+        if tuple(value) != names:
+            return f" keys {tuple(value)} != schema {names}"
+        for name in names:
+            problem = schema_problem(value[name], node["properties"][name])
+            if problem:
+                return f".{name}{problem}"
+    return None

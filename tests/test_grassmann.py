@@ -496,6 +496,34 @@ def test_class_count_matches_engine():
     assert checked == 358
 
 
+
+def test_class_count_at_t_equals_k_matches_engine():
+    """linalg.class_count's t = k >= 3 forms equal the engine's class
+    sizes: the dual t <= 2 form when n - k <= 2 (k = n included), on every
+    index of at most 2^18 subspaces with q <= 9 and n <= 8, and the 6-arc
+    form at (n, k) = (6, 3) for q <= 5, enumerated past ENUM_CAP at q = 5
+    (2,558,556 subspaces), where it gives 0, 0, 486 and 6,144."""
+    arcs = []
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = field_of_order(q)
+        for n in range(4, 9):
+            for k in range(max(3, n - 2), n + 1):
+                if subspace_count(n, k, q) > 1 << 18:
+                    continue
+                want = int((enumerate_subspaces(ctx, n, k).strength_all() >= k).sum())
+                assert k == n or class_count(n, k, k, q) == class_count(n, n - k, n - k, q)
+                assert class_count(n, k, k, q) == want, (q, n, k)
+                checked += 1
+        if q <= 5:
+            graph = enumerate_subspaces(ctx, 6, 3, max_count=subspace_count(6, 3, q))
+            arcs.append(int((graph.strength_all() >= 3).sum()))
+            assert class_count(6, 3, 3, q) == arcs[-1], q
+            del graph
+    assert arcs == [0, 0, 486, 6144]
+    assert checked == 76
+    assert class_count(6, 4, 3, 2) is class_count(7, 3, 3, 5) is None
+
 SPAN_KEY_GRID = {
     q: [
         (n, k)
@@ -838,6 +866,31 @@ def test_bfs_in_row_blocks_matches_whole(monkeypatch):
     for g, rows in zip(graphs, whole):
         assert (grassmann._bfs(g.buckets(), np.arange(g.num_vertices)) == rows).all()
 
+
+def test_blocks_of_v_entries_match_floor(monkeypatch):
+    """The loops that go V entries at a time take at least _MIN_BLOCK; with
+    the floor at 1 they take V, several chunks here, and give the same
+    numbering, the same restriction to a class and the same BFS and
+    metric rows as with it."""
+
+    def run():
+        idx = enumerate_subspaces(F3, 4, 2)
+        idx.buckets()
+        delta = build_delta(idx, 1)
+        return [
+            (b.inc.tolist(), b.members.tolist(), b.starts.tolist(), b.cuts.size)
+            for b in (idx.buckets(), delta.buckets())
+        ] + [all_pairs_distances(g).tolist() for g in (idx, delta)] + [
+            metric_distance_matrix(delta).tolist()
+        ]
+
+    floored = run()
+    monkeypatch.setattr(grassmann, "_MIN_BLOCK", 1)
+    blocked = run()
+    assert [b[-1] for b in floored[:2]] == [2, 2]  # one chunk each
+    assert min(b[-1] for b in blocked[:2]) > 3
+    assert [b[:-1] for b in blocked[:2]] == [b[:-1] for b in floored[:2]]
+    assert blocked[2:] == floored[2:]
 
 def test_bfs_source_forms():
     idx = enumerate_subspaces(F2, 4, 2)

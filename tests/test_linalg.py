@@ -273,10 +273,11 @@ def test_class_count_scalar_oracle():
             strengths = [strength(c) for c in all_codes(ctx, n, k)]
             for t in (1, 2):
                 assert class_count(n, k, t, q) == sum(s >= t for s in strengths), (q, n, k, t)
-    assert class_count(2, 3, 1, 7) == class_count(2, -1, 1, 7) == 0
-    for t in (0, 3):
-        with pytest.raises(ValueError):
-            class_count(5, 3, t, 2)
+    assert class_count(2, 3, 1, 7) == class_count(2, -1, 1, 7) == class_count(5, 2, 3, 7) == 0
+    assert class_count(5, 3, 3, 2) == 0  # t = k: the dual (5, 2, 2) form
+    assert class_count(6, 4, 3, 2) is None  # no closed form
+    with pytest.raises(ValueError):
+        class_count(5, 3, 0, 2)
 
 
 def test_class_count_beyond_enumeration():

@@ -6,7 +6,7 @@ from importlib.resources import files
 
 import pytest
 
-from conftest import index_of, isometry_all_pairs, subgraph
+from conftest import index_of, isometry_all_pairs, schema_problem, subgraph
 from grasscodes import grassmann, sweep
 from grasscodes.errors import GrassCodesError, InternalInvariantError, NotPrimeError
 from grasscodes.gf import field_of_order
@@ -101,14 +101,21 @@ def test_verify_instance_known_gap():
 
 
 def test_class_size_checked_against_closed_form(monkeypatch):
-    """A t <= 2 class whose size differs from linalg.class_count stops the
-    instance as an engine fault; t = 3 has no closed form to check."""
-    monkeypatch.setattr(sweep, "class_count", lambda n, k, t, q: 0)
-    with pytest.raises(InternalInvariantError):
-        verify_one(3, 4, 2, 1)
-    with pytest.raises(InternalInvariantError):
-        verify_one(5, 4, 2, 2)
-    assert verify_one(3, 4, 3, 3)["class_size"] == 8  # duals of the 8 weight-4 points
+    """A class whose size differs from linalg.class_count stops the
+    instance as an engine fault, at t <= 2 and at t = k with n - k <= 2;
+    (2,6,4,3) has no closed form to check."""
+    real = sweep.class_count
+
+    def off_by_one(n, k, t, q):
+        count = real(n, k, t, q)
+        return None if count is None else count + 1
+
+    monkeypatch.setattr(sweep, "class_count", off_by_one)
+    for instance in ((3, 4, 2, 1), (5, 4, 2, 2), (3, 4, 3, 3)):
+        with pytest.raises(InternalInvariantError, match="closed form"):
+            verify_one(*instance)
+    assert real(4, 3, 3, 3) == 8  # duals of the 8 weight-4 points
+    assert verify_one(2, 6, 4, 3)["class_size"] == 15
 
 
 def test_orbits_keyed_per_class(monkeypatch):
@@ -305,6 +312,82 @@ def test_validate_report_checks_witness_items(witness):
     report["witnesses"] = [witness]
     with pytest.raises(GrassCodesError, match=r"witnesses\[0\]"):
         validate_report(report)
+
+
+def _witnessed_golden_report() -> dict:
+    """The first golden report with witnesses, its timing field put back."""
+    for line in GOLDEN.read_text().splitlines():
+        report = json.loads(line)
+        if report["witnesses"]:
+            return report | {"wall_ms": 3}
+    raise AssertionError("no golden report has witnesses")
+
+
+def _reordered(obj: dict, first: str) -> dict:
+    return {first: obj[first]} | {key: value for key, value in obj.items() if key != first}
+
+
+def _without(obj: dict, name: str) -> dict:
+    return {key: value for key, value in obj.items() if key != name}
+
+
+MALFORMED = {
+    "valid": lambda r: r,
+    "bool for int": lambda r: r | {"class_size": True},
+    "int for bool": lambda r: r | {"connected": 1},
+    "int for bool, first field": lambda r: r | {"bound_satisfied": 0},
+    "null for int": lambda r: r | {"q": None},
+    "cap outside the enum": lambda r: r | {"caps_hit": ["pairs", "memory"]},
+    "cap not a string": lambda r: r | {"caps_hit": [5]},
+    "negative class size": lambda r: r | {"class_size": -1},
+    "101 witnesses": lambda r: r | {"witnesses": r["witnesses"][:1] * 101},
+    "witnesses not an array": lambda r: r | {"witnesses": {}},
+    "missing key": lambda r: _without(r, "t"),
+    "extra key": lambda r: r | {"extra": 0},
+    "reordered keys": lambda r: _reordered(r, "n"),
+    "witness not an object": lambda r: r | {"witnesses": [*r["witnesses"][:2], 5]},
+    "witness missing key": lambda r: r | {"witnesses": [_without(r["witnesses"][0], "d_metric")]},
+    "witness extra key": lambda r: r | {"witnesses": [r["witnesses"][0] | {"z": []}]},
+    "witness reordered keys": lambda r: r | {"witnesses": [_reordered(r["witnesses"][0], "y")]},
+    "float in x": lambda r: r | {"witnesses": [r["witnesses"][0] | {"x": [[1, 0.5]]}]},
+    "bool in y": lambda r: r | {"witnesses": [r["witnesses"][0] | {"y": [[0, 1], [1, True]]}]},
+    "string in x": lambda r: r | {"witnesses": [r["witnesses"][0] | {"x": [[1, 0], ["1", 0]]}]},
+    "flat x": lambda r: r | {"witnesses": [r["witnesses"][0] | {"x": [1, 0]}]},
+    "zero d_metric": lambda r: r | {
+        "witnesses": [*r["witnesses"][:3], r["witnesses"][3] | {"d_metric": 0}]
+    },
+    "null d_metric": lambda r: r | {"witnesses": [r["witnesses"][0] | {"d_metric": None}]},
+    "zero d_subgraph": lambda r: r | {"witnesses": [r["witnesses"][0] | {"d_subgraph": 0}]},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_compiled_validator_matches_interpreter(case):
+    """The compiled report checker gives, word for word, the message of the
+    schema interpreter it replaced (conftest.schema_problem), on a
+    witnessed golden report broken one way at a time, and None on the
+    report itself."""
+    report = MALFORMED[case](_witnessed_golden_report())
+    want = schema_problem(report, SCHEMA)
+    assert (want is None) == (case == "valid")
+    assert sweep._check_report(report) == want
+    if want is None:
+        validate_report(report)
+    else:
+        with pytest.raises(GrassCodesError) as raised:
+            validate_report(report)
+        assert str(raised.value) == f"report{want}"
+
+
+def test_golden_lines_round_trip():
+    """Every golden line, its timing field put back, passes validate_report,
+    and report_json_line writes it back byte for byte."""
+    lines = GOLDEN.read_text().splitlines()
+    assert lines
+    for line in lines:
+        report = json.loads(line) | {"wall_ms": 12}
+        validate_report(report)
+        assert report_json_line(report) == line[:-1] + ',"wall_ms":12}'
 
 
 def test_full_graph_gets_no_all_pairs_pass(monkeypatch):
