@@ -15,9 +15,11 @@ rows, strengths, small bases and span keys, and with each bucket
 numbering and the orbit labels of its source restricted to it: a
 verified group numbers each r's keys once as `_Buckets`, on the first
 graph that needs them, and keys its orbits once, on its largest class.
-BFS and the metric share one numbering when buckets are points.  Keys are
-numbered, and symmetry images matched to vertices, by sorting packed int64 words
-key << b | position, with no argsort and no binary search.  A code has
+BFS and the metric share one numbering when buckets are points.  Keys,
+held in the narrowest of uint16, uint32 and int64 that fits them, are
+numbered, and symmetry images matched to vertices, by sorting packed
+words key << b | position, uint32 when they fit in 32 bits and int64
+otherwise, with no argsort and no binary search.  A code has
 strength >= t exactly when every t columns of its generator are
 independent, so one run of a column-prefix kernel lists every subspace
 with its strength: a new column lowers the strength of its prefix to the
@@ -71,6 +73,7 @@ ALL_PAIRS_CAP = 1 << 25
 _WITNESS_CAP = 100  # the report schema's maxItems for witnesses
 _WITNESS_BATCH = 64  # BFS sources per pass while collecting witnesses
 _WORD_BITS = 63  # value bits of the int64 words (key << b | position) sorted
+_NARROW_BITS = 32  # words of at most this many bits are packed as uint32
 _POSITION_CHUNK = 1 << 16  # positions ORed into the words, or orbit image entries, at a time
 _BFS_ROWS = 1 << 14  # vertices whose unreached bits _bfs unpacks at a time
 # fewest entries read at a time by the loops that go V entries at a time:
@@ -147,10 +150,11 @@ class GrassmannGraph:
         return self._small
 
     def span_keys(self, r: int) -> np.ndarray:
-        """V x [kk r]_q int64 keys (< q^(r n)) of the r-subspaces of every
-        small basis (see _small_bases), built once per r until span_buckets
-        numbers them, entry by entry, with no (V, [kk r]_q, r, n) block of
-        the spans (see _span_keys).
+        """V x [kk r]_q keys (< q^(r n)) of the r-subspaces of every small
+        basis (see _small_bases), uint16, uint32 or int64 as q^(r n) needs
+        (see _key_dtype), built once per r until span_buckets numbers them,
+        entry by entry, with no (V, [kk r]_q, r, n) block of the spans (see
+        _span_keys).
 
         r = 1 gives the points the metric counts, r = kk - 1 the buckets
         of every BFS: each is a clique and every edge lies in exactly one.
@@ -279,11 +283,13 @@ def _generator_permutations(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray
     (V, kk, n) small RREF bases, int32 while V < 2^31: perm[i] is the row
     equal to the image of row i.  The rows' keys (< q^(kk n), below the
     square of the number of kk-subspaces of F_q^n) and each generator's
-    image keys are sorted as packed words (see _sorted_words).  The rows' keys are distinct and a
-    generator is a bijection, so its images are all rows exactly when
-    their sorted keys equal the rows', and then the i-th sorted image is
-    the i-th sorted row; otherwise InternalInvariantError.  Images are
-    built and keyed about _POSITION_CHUNK entries at a time."""
+    image keys are sorted as packed words (see _sorted_words).  The rows'
+    keys are distinct and a generator is a bijection, so its images are
+    all rows exactly when their sorted keys equal the rows', and then the
+    i-th sorted image is the i-th sorted row; otherwise
+    InternalInvariantError.  Images are built and keyed about
+    _POSITION_CHUNK entries at a time, the Frobenius image by a take
+    through an intp cast of the chunk."""
     mul = ctx.np_tables()[2]
     frob = np.array([ctx.pow(a, ctx.p) for a in range(ctx.q)], dtype=np.uint8)
     v, kk, n = bases.shape
@@ -299,7 +305,7 @@ def _generator_permutations(ctx: FieldCtx, bases: np.ndarray) -> list[np.ndarray
             scaled[:, -1] = np.where(cols[:, :-1].any(axis=1), mul[last, ctx.primitive()], last)
             images.append(scaled.transpose(2, 0, 1))
         if ctx.e > 1:
-            images.append(frob[cols].transpose(2, 0, 1))
+            images.append(frob.take(cols.astype(np.intp)).transpose(2, 0, 1))
         parts.append([_keys(ctx.q, block) for block in (cols.transpose(2, 0, 1), *images)])
     keys = np.concatenate(parts, axis=1)
     del parts
@@ -571,16 +577,20 @@ def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
     every element, encoded so that the sum is one integer ufunc (see
     _word_sums), and the sum is decoded once, with no intp copy of it: mod
     p in place when e = 1, where the encoding is the elements themselves,
-    and otherwise through dec by indexing, which numpy buffers (np.take
-    would convert the whole index array to intp first)."""
+    and otherwise by dec.take through an intp cast of _POSITION_CHUNK sums
+    at a time, added straight into the keys (numpy gathers through an
+    intp index faster than through the uint8 sums).  The keys are held in
+    the narrowest dtype that fits q^(r n) - 1 (see _key_dtype)."""
     v, kk, n = bases.shape
+    dtype = _key_dtype(ctx.q ** (r * n))
     if kk == 0:  # no points, so no hyperplanes either
-        return np.zeros((v, 0), dtype=np.int64)
+        return np.zeros((v, 0), dtype=dtype)
     add, enc, dec = _word_sums(ctx, kk)
     coeffs = enumerate_subspaces(ctx, kk, r).bases.transpose(1, 2, 0)
     # times[a, i, b] is C[:, a, i] b, encoded
     times = enc[ctx.np_tables()[2][np.arange(ctx.q)[:, None], coeffs[:, :, None, :]]]
-    keys = np.zeros((v, coeffs.shape[2]), dtype=np.int64)
+    keys = np.zeros((v, coeffs.shape[2]), dtype=dtype)
+    flat = keys.reshape(-1)
     for a, j in np.ndindex(r, n):
         keys *= ctx.q
         if j < a:
@@ -588,16 +598,27 @@ def _span_keys(ctx: FieldCtx, bases: np.ndarray, r: int) -> np.ndarray:
         acc = times[a, a].take(bases[:, a, j], axis=0)
         for i in range(a + 1, min(j, kk - 1) + 1):
             add(acc, times[a, i].take(bases[:, i, j], axis=0), out=acc)
-        if ctx.p > 2:  # dec is the identity at p = 2
-            acc = np.remainder(acc, ctx.p, out=acc) if ctx.e == 1 else dec[acc]
-        keys += acc
+        if ctx.p == 2 or ctx.e == 1:  # dec is the identity at p = 2
+            keys += acc if ctx.p == 2 else np.remainder(acc, ctx.p, out=acc)
+            continue
+        sums = acc.reshape(-1)
+        for lo in range(0, sums.size, _POSITION_CHUNK):
+            hi = lo + _POSITION_CHUNK
+            flat[lo:hi] += dec.take(sums[lo:hi].astype(np.intp))
     return keys
 
 
+def _key_dtype(bound: int) -> type:
+    """The dtype of keys below `bound`: uint16 when bound <= 2^16, uint32
+    when bound <= 2^32, else int64."""
+    return np.uint16 if bound <= 1 << 16 else np.uint32 if bound <= 1 << 32 else np.int64
+
+
 def _keys(q: int, blocks: np.ndarray) -> np.ndarray:
-    """Int64 keys of the trailing (r, c) uint8 blocks, entries read row-major
-    as big-endian base-q digits, by Horner's rule: no int64 copy of them."""
-    keys = np.zeros(blocks.shape[:-2], dtype=np.int64)
+    """Keys of the trailing (r, c) uint8 blocks, entries read row-major as
+    big-endian base-q digits, by Horner's rule in the dtype of keys below
+    q^(r c) (see _key_dtype): no copy of the digits in that dtype."""
+    keys = np.zeros(blocks.shape[:-2], dtype=_key_dtype(q ** math.prod(blocks.shape[-2:])))
     for i, j in np.ndindex(*blocks.shape[-2:]):
         keys *= q
         keys += blocks[..., i, j]
@@ -609,19 +630,24 @@ def _sorted_words(keys: np.ndarray, key_bits: int) -> tuple[np.ndarray, int]:
     packed as key << b | position in the row, b the bit length of L - 1,
     and sorted in place by numpy's SIMD sort, which outruns an argsort of
     the keys.  The words of a row are distinct, so their order is the
-    keys' order with ties in position order, the stable order.  When a
-    word would not fit in _WORD_BITS bits, the keys of all rows are first
-    replaced by their dense ranks among them all, which keeps their order
-    and never happens under ENUM_CAP (at most 48 bits for buckets and 63
-    for orbit keys, both at (37,4,2))."""
+    keys' order with ties in position order, the stable order.  The
+    words are uint32 when key_bits + b <= _NARROW_BITS, as for the
+    buckets of (9,4,2) (13 + 17 bits), else int64, the same
+    narrow-when-it-fits rule as _id_dtype.  When a word would not fit in
+    _WORD_BITS bits, the keys of all rows are first replaced by their
+    dense ranks among them all, which keeps their order and never happens
+    under ENUM_CAP (at most 48 bits for buckets and 63 for orbit keys,
+    both at (37,4,2))."""
     size = keys.shape[1]
     b = (size - 1).bit_length()
     if key_bits + b > _WORD_BITS:
         keys = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
-    words = np.left_shift(keys, b)
+        key_bits = (keys.size - 1).bit_length()
+    dtype = np.uint32 if key_bits + b <= _NARROW_BITS else np.int64
+    words = np.left_shift(keys, b, dtype=dtype, casting="unsafe")
     for lo in range(0, size, _POSITION_CHUNK):  # no (m, L) temporary
         hi = min(lo + _POSITION_CHUNK, size)
-        words[:, lo:hi] |= np.arange(lo, hi)
+        words[:, lo:hi] |= np.arange(lo, hi, dtype=dtype)
     words.sort(axis=1)
     return words, b
 
@@ -649,28 +675,38 @@ class _Buckets:
     length of V h - 1 (see _sorted_words), so members come out in
     position order.  The words are then consumed in place: bucket starts
     are marked from their keys and each becomes the position j V + u of
-    its entry in the (h, V) table (see _run_starts), which the ids are
-    scattered to and the members u read back from.  Besides the keys,
-    the numbering holds the int64 words and the int32 tables."""
+    its entry in the (h, V) table (see _run_starts).  The ids, each
+    bucket's repeated over its run, are scattered there through intp
+    casts of max(V, _MIN_BLOCK) words at a time (no copy of int64
+    words), and each block of ids is then overwritten with its members,
+    u = w - (w // V) V for w = j V + u worked in the words' dtype when the
+    ids have its width (numpy divides by a scalar several times faster
+    than it takes a remainder), else w mod V in place, which needs no
+    cast buffer.  Besides the keys, the numbering holds the words,
+    uint32 or int64, and the int32 tables."""
 
     def __init__(self, keys: np.ndarray):
         v, h = keys.shape
         size = v * h
         words, b = _sorted_words(keys.reshape(1, size), int(keys.max(initial=0)).bit_length())
         words = words[0]
-        new = _run_starts(words, b, v, h)
-        self.starts = np.flatnonzero(new)
-        ids = new.astype(_id_dtype(size))
-        del new
-        np.cumsum(ids, out=ids)  # in place: a bool input is summed in an int64 copy
-        ids -= 1
-        inc = np.empty((h, v), dtype=ids.dtype)
-        inc.reshape(-1)[words] = ids
-        self.inc = inc.T
-        ids[:] = np.remainder(words, max(v, 1), out=words)
-        del words
-        self.members = ids
+        self.starts = np.flatnonzero(_run_starts(words, b, v, h))
         self.cuts = _cuts(self.starts, v)
+        dtype = _id_dtype(size)
+        ids = np.repeat(np.arange(self.starts.size, dtype=dtype), np.diff(self.starts, append=size))
+        inc = np.empty((h, v), dtype=dtype)
+        flat, step = inc.reshape(-1), max(v, _MIN_BLOCK)
+        for lo in range(0, size, step):
+            w, out = words[lo : lo + step], ids[lo : lo + step]
+            flat[w.astype(np.intp, copy=False)] = out
+            if out.itemsize != w.itemsize:  # w mod V in place: no cast buffers
+                out[:] = np.remainder(w, v, out=w)
+                continue
+            out = out.view(w.dtype)
+            np.floor_divide(w, v, out=out)
+            out *= v
+            np.subtract(w, out, out=out)
+        self.inc, self.members = inc.T, ids
 
     def restricted(self, keep: np.ndarray, pos: np.ndarray) -> _Buckets:
         """The numbering of the rows where keep holds, row i becoming row
@@ -717,10 +753,11 @@ def _run_starts(words: np.ndarray, b: int, v: int, h: int) -> np.ndarray:
     """True where the sorted words key << b | u h + j of V x h keys start a
     run of equal keys.  max(V, _MIN_BLOCK) words at a time, each word is
     then turned in place into j V + u, the position of its entry in the
-    (h, V) table."""
+    (h, V) table, worked in the words' dtype: uint32 arithmetic that
+    wraps still leaves j V + u < 2^32 exact."""
     new = np.empty(words.size, dtype=bool)
     step = max(v, _MIN_BLOCK)
-    buf = np.empty(min(step, words.size), dtype=np.int64)
+    buf = np.empty(min(step, words.size), dtype=words.dtype)
     last = -1
     for lo in range(0, words.size, step):
         w = words[lo : lo + step]

@@ -535,26 +535,34 @@ SPAN_KEY_GRID = {
 }
 
 
+def _narrowest_key_dtype(bound):
+    """uint16 for keys below 2^16, uint32 below 2^32, else int64."""
+    return np.uint16 if bound <= 1 << 16 else np.uint32 if bound <= 1 << 32 else np.int64
+
+
 @pytest.mark.parametrize("q", sorted(SPAN_KEY_GRID))
 def test_span_keys_match_block_oracle(q):
     """The entrywise span keys equal the keys of the whole span blocks for
     every r in [0, kk], on the index's own bases when 2k <= n and on the
     reversed annihilators when 2k > n, on every index of at most 2^17
-    subspaces with n <= 8.  At q = 25 and 27 those all have kk <= 1, so
-    random RREF bases [I | X] with kk = 2 and 3 make every field encoding
-    (XOR, spread digits with e = 1, 2 and 3) sum two and three terms."""
+    subspaces with n <= 8, held in the narrowest of uint16, uint32 and
+    int64 that holds q^(r n) - 1.  At q = 25 and 27 those all have
+    kk <= 1, so random RREF bases [I | X] with kk = 2 and 3 make every
+    field encoding (XOR, spread digits with e = 1, 2 and 3) sum two and
+    three terms, their keys in all three widths."""
     ctx = field_of_order(q)
     cases = {(n, k): enumerate_subspaces(ctx, n, k)._small_bases() for n, k in SPAN_KEY_GRID[q]}
     rng = np.random.default_rng(q)
     for kk in (2, 3):
         free = rng.integers(0, q, size=(1 << 10, kk, 3), dtype=np.uint8)
         eye = np.broadcast_to(np.eye(kk, dtype=np.uint8), (1 << 10, kk, kk))
-        cases["random", kk] = np.concatenate((eye, free), axis=2)
+        cases[kk + 3, "random"] = np.concatenate((eye, free), axis=2)
     for case, bases in cases.items():
         for r in range(bases.shape[1] + 1):
             want = span_keys_by_blocks(ctx, bases, r)
             got = grassmann._span_keys(ctx, bases, r)
-            assert got.dtype == np.int64 and got.shape == want.shape, (q, case, r)
+            assert got.dtype == _narrowest_key_dtype(q ** (r * case[0])), (q, case, r)
+            assert got.shape == want.shape, (q, case, r)
             assert (got == want).all(), (q, case, r)
 
 
@@ -716,6 +724,66 @@ def test_bucket_ids_widen_at_two_to_the_31(monkeypatch):
     assert (wide.inc == narrow.inc).all() and (wide.members == narrow.members).all()
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+@pytest.mark.parametrize("bits", [31, 32, 33])
+def test_words_are_uint32_up_to_32_bits(monkeypatch, bits, dtype):
+    """Keys of bits - 12 bits at 300 x 7 positions (b = 12), held as uint32
+    or int64: packed words are uint32 while key bits + b <= 32 and int64
+    at 33; either way they hold each key and position in stable order and
+    _Buckets numbers them as the stable-sort oracle does.  With uint32
+    turned off the words are int64 with the same values, and the
+    numbering is array for array the same."""
+    rng = np.random.default_rng(bits)
+    top = (1 << bits - 12) - 1
+    pool = np.r_[rng.choice(top, size=199, replace=False), top]
+    keys = pool[rng.integers(0, pool.size, size=(300, 7))].astype(dtype)
+    keys[0, 0] = top
+    flat = keys.reshape(1, -1)
+    order = np.argsort(flat[0], kind="stable")
+    words, b = grassmann._sorted_words(flat, bits - 12)
+    assert b == 12 and words.dtype == (np.uint32 if bits <= 32 else np.int64)
+    assert (words[0] >> b).tolist() == flat[0, order].tolist()
+    assert (words[0] & (1 << b) - 1).tolist() == order.tolist()
+    _assert_buckets_match_stable_oracle(keys, bits)
+    narrow = grassmann._Buckets(keys)
+    monkeypatch.setattr(grassmann, "_NARROW_BITS", 0)
+    wide, _ = grassmann._sorted_words(flat, bits - 12)
+    assert wide.dtype == np.int64 and wide.tolist() == words.tolist()
+    for name in ("inc", "members", "starts", "cuts"):
+        assert (getattr(grassmann._Buckets(keys), name) == getattr(narrow, name)).all(), name
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 6, 3), (9, 4, 2), (4, 5, 2), (3, 5, 3)])
+def test_wide_words_match_uint32_words(monkeypatch, q, n, k):
+    """The engine's uint32 words (Γ's buckets in all four, the orbit keys
+    of (2,6,3) and (3,5,3)) give the same bucket numbering, orbit labels,
+    gamma_diameter and class verdicts as int64 words, forced by turning
+    uint32 off."""
+    sorted_words, dtypes = grassmann._sorted_words, set()
+
+    def recording(*args):
+        words, b = sorted_words(*args)
+        dtypes.add(words.dtype.type)
+        return words, b
+
+    def run():
+        idx = enumerate_subspaces(field_of_order(q), n, k)
+        diameter = gamma_diameter(idx)
+        buckets = idx.buckets()
+        labels = idx.orbit_labels()
+        deltas = [build_delta(idx, t) for t in range(1, k + 1)]
+        verdicts = [(diameter_and_connectivity(g), isometry_check(g)) for g in deltas]
+        return diameter, [buckets.inc.tolist(), buckets.members.tolist()], labels.tolist(), verdicts
+
+    monkeypatch.setattr(grassmann, "_sorted_words", recording)
+    narrow = run()
+    assert np.uint32 in dtypes
+    dtypes.clear()
+    monkeypatch.setattr(grassmann, "_NARROW_BITS", 0)
+    assert run() == narrow
+    assert dtypes == {np.int64}
+
+
 def _prime_powers(limit):
     """The q <= limit with exactly one prime divisor."""
     primes = [p for p in range(2, limit + 1) if is_prime(p)]
@@ -770,10 +838,10 @@ def test_table_take_matches_2d_gather(q):
 
 @pytest.mark.parametrize("q, n, k, r", [(3, 6, 3, 2), (9, 4, 2, 1)])
 def test_span_keys_decode_without_intp_copy(q, n, k, r):
-    """At p odd the sums are decoded in place (e = 1) or by a buffered
-    gather (e > 1), with no intp copy of the (V, m) sums: keying peaks
-    under 1.5 times the int64 keys, where an intp decode copy alone is as
-    large as the keys."""
+    """At p odd the sums are decoded in place (e = 1) or through intp casts
+    of a chunk at a time (e > 1), with no intp copy of the (V, m) sums:
+    keying peaks under 1.5 times int64 keys of the same size, where an
+    intp decode copy alone is as large as those."""
     idx = enumerate_subspaces(field_of_order(q), n, k)
     idx._small_bases()
     tracemalloc.start()
@@ -782,7 +850,7 @@ def test_span_keys_decode_without_intp_copy(q, n, k, r):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * keys.nbytes
+    assert peak < 1.5 * 8 * keys.size
 
 
 def test_orbit_labels_run_no_reduction(monkeypatch):

@@ -497,6 +497,26 @@ def test_benchmark_expected_lines_match_golden():
     assert all(golden.get(key) == line for key, line in bench.items())
 
 
+def test_golden_mds_classes_agree_in_dual_pairs():
+    """At t = k the class is the MDS codes, and annihilation maps it onto
+    the MDS class of (q, n, n-k) keeping every distance, so the golden
+    t = k lines of every dual pair (q,n,k)/(q,n,n-k) with k != n-k agree
+    on size, connectivity, components, diameter, isometry, caps and the
+    number of witnesses.  Both sides key the same codes when 2k > n (the
+    reversed annihilators), so this checks the report path, not the
+    engine."""
+    fields = "class_size connected component_count diameter_delta isometric caps_hit".split()
+    lines = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    mds = {(r["q"], r["n"], r["k"]): r for r in lines if r["t"] == r["k"]}
+    duals = [(r, mds.get((q, n, n - k))) for (q, n, k), r in mds.items() if k < n - k]
+    pairs = [(a, b) for a, b in duals if b is not None]
+    assert len(pairs) == 10
+    for a, b in pairs:
+        case = (a["q"], a["n"], a["k"])
+        assert [a[f] for f in fields] == [b[f] for f in fields], case
+        assert len(a["witnesses"]) == len(b["witnesses"]), case
+
+
 def test_reports_at_n7_through_annihilators():
     """(2,7,4,t): min(k, n-k) = 3 reached through annihilators.  Γ has
     more pairs than ALL_PAIRS_CAP, which its one-source check never needs.
